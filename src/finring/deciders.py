@@ -1,12 +1,20 @@
-"""Element- and ring-level decision procedures, all over frozen caches."""
+"""Element- and ring-level decision procedures, all over frozen caches.
+
+The ``is_*`` functions decide one element by scalar search.  ``classify``
+decides every ring-level flag at once: on rings with op tables each flag is
+a whole-ring boolean mask (``_element_masks``), and above TABLE_LIMIT it
+sweeps the scalar deciders element by element.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import CapExceededError
-from .kernel import CLASSIFY_CAP, Ring, freeze, ring_pow
+import numpy as np
+
+from .errors import CapExceededError, RingAxiomError
+from .kernel import CLASSIFY_CAP, Ring, _indicator, freeze, ring_pow
 
 RING_FLAGS = (
     "regular",
@@ -35,6 +43,8 @@ class Decomposition:
 
     def verify(self, R: Ring, x: int) -> bool:
         caches = R.caches
+        if self.unit is not None and self.unit not in caches.units:
+            return False
         target = x if self.unit is None else R.mul(self.unit, x)
         if R.add(self.idempotent, self.other) != target:
             return False
@@ -53,6 +63,15 @@ def _require_frozen(R: Ring) -> Ring:
     if not R.frozen:
         freeze(R)
     return R
+
+
+def _remembered(R: Ring, decide, x: int) -> bool:
+    """Whether decide(R, x) holds, decided once per frozen ring and element."""
+    memo = R._verdicts.setdefault(decide, {})
+    verdict = memo.get(x)
+    if verdict is None:
+        verdict = memo[x] = bool(decide(R, x))
+    return verdict
 
 
 # -- regularity ------------------------------------------------------------
@@ -155,11 +174,13 @@ def is_clean(R: Ring, x: int) -> Optional[Decomposition]:
 
 
 def is_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """Some unit multiple u*x is nil-clean; u recorded on the decomposition."""
+    """Some unit multiple u*x is nil-clean; the least such u is recorded on
+    the decomposition.  Nil-cleanness of each u*x is remembered per ring."""
     _require_frozen(R)
     for u in sorted(R.caches.units):
-        dec = is_nil_clean(R, R.mul(u, x))
-        if dec is not None:
+        ux = R.mul(u, x)
+        if _remembered(R, is_nil_clean, ux):
+            dec = is_nil_clean(R, ux)
             dec.unit = u
             return dec
     return None
@@ -168,16 +189,21 @@ def is_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
 def is_strongly_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
     """Some unit multiple u*x is strongly nil-clean.
 
-    Units are screened with the fast polynomial criterion on u*x; the
-    explicit commuting decomposition is then reconstructed by idempotent
-    search and must exist (the two routes are asserted to agree).
+    Units are screened with the fast polynomial criterion on u*x
+    (remembered per ring); the explicit commuting decomposition is then
+    reconstructed by idempotent search and must exist: RingAxiomError is
+    raised if the two routes disagree.
     """
     _require_frozen(R)
     for u in sorted(R.caches.units):
         ux = R.mul(u, x)
-        if snc_poly_criterion(R, ux):
+        if _remembered(R, snc_poly_criterion, ux):
             dec = is_strongly_nil_clean(R, ux)
-            assert dec is not None, "polynomial criterion and search disagree"
+            if dec is None:
+                raise RingAxiomError(
+                    f"{R.label}: Diesl's criterion and the idempotent search "
+                    f"disagree at {ux}"
+                )
             dec.unit = u
             return dec
     return None
@@ -199,14 +225,20 @@ def periodic_indices(R: Ring, x: int) -> tuple[int, int]:
     return seen[power], k
 
 
+def is_periodic(R: Ring, x: int) -> bool:
+    """x^m = x^n for the pair periodic_indices gives, recomputed by ring_pow."""
+    m, n = periodic_indices(R, x)
+    return 1 <= m < n and ring_pow(R, x, m) == ring_pow(R, x, n)
+
+
 def is_strongly_pi_regular(R: Ring, x: int) -> bool:
-    """Some power of x is strongly regular."""
+    """Some power of x is strongly regular (remembered per ring and power)."""
     _require_frozen(R)
     _, bound = periodic_indices(R, x)
     power = R.one
     for _ in range(1, bound + 1):
         power = R.mul(power, x)
-        if is_strongly_regular(R, power):
+        if _remembered(R, is_strongly_regular, power):
             return True
     return False
 
@@ -248,34 +280,46 @@ def nil_set(R: Ring) -> frozenset:
 
 
 def is_NI(R: Ring) -> bool:
-    """The nilpotents form a two-sided ideal."""
+    """The nilpotents form a two-sided ideal.
+
+    With op tables the sums and products of nilpotents are checked as
+    whole-ring masks; above TABLE_LIMIT by scalar loops.
+    """
     _require_frozen(R)
+    return _ni_witness(R) is None
+
+
+def _ni_witness(R: Ring) -> Optional[int]:
+    """The first sum or product of nilpotents that is not nilpotent, or None
+    when R is NI.
+
+    Search order: a + b over nilpotents a, b in index order; then, for each
+    nilpotent a in index order and each r, the product r*a and then a*r.
+    """
     nils = R.caches.nilpotents
-    for a in nils:
-        for b in nils:
-            if R.add(a, b) not in nils:
-                return False
-    for a in nils:
-        for r in R.elements():
-            if R.mul(r, a) not in nils or R.mul(a, r) not in nils:
-                return False
-    return True
-
-
-def _ni_witness(R: Ring) -> int:
-    """A non-nilpotent sum/product escaping the nil set (R not NI)."""
-    nils = sorted(R.caches.nilpotents)
-    for a in nils:
-        for b in nils:
+    ordered = sorted(nils)
+    if R._mul_np is not None:
+        is_nil = _indicator(R.order, nils)
+        N = np.array(ordered)
+        sums = R._add_np[N[:, None], N].ravel()
+        bad = ~is_nil[sums]
+        if bad.any():
+            return int(sums[bad.argmax()])
+        M = R._mul_np
+        products = np.stack((M[:, N].T, M[N]), axis=-1).ravel()   # [a, r] -> (r*a, a*r)
+        bad = ~is_nil[products]
+        return int(products[bad.argmax()]) if bad.any() else None
+    for a in ordered:
+        for b in ordered:
             s = R.add(a, b)
-            if s not in R.caches.nilpotents:
+            if s not in nils:
                 return s
-    for a in nils:
+    for a in ordered:
         for r in R.elements():
             for p in (R.mul(r, a), R.mul(a, r)):
-                if p not in R.caches.nilpotents:
+                if p not in nils:
                     return p
-    raise ValueError("ring is NI; no witness")
+    return None
 
 
 def is_reduced(R: Ring) -> bool:
@@ -317,29 +361,130 @@ _ELEMENT_DECIDERS = {
     "unit_nil_clean": lambda R, x: is_unit_nil_clean(R, x) is not None,
     "strongly_unit_nil_clean": lambda R, x: is_strongly_unit_nil_clean(R, x) is not None,
     "strongly_pi_regular": is_strongly_pi_regular,
-    "periodic": lambda R, x: periodic_indices(R, x) is not None,
+    "periodic": is_periodic,
 }
 
 
+def _power_scan(M: np.ndarray, strongly_regular: np.ndarray):
+    """For every element x at once: the least (m, k), m < k, with x^m == x^k
+    (as periodic_indices finds it), and whether some power of x is strongly
+    regular.  Returns the arrays (m, k, strongly_pi_regular)."""
+    n = len(strongly_regular)
+    first_seen = np.zeros((n, n), dtype=np.int32)   # [x, v] -> least j with x^j == v; 0: none
+    m = np.zeros(n, dtype=np.int64)
+    k = np.zeros(n, dtype=np.int64)
+    pi_regular = np.zeros(n, dtype=bool)
+    live = np.arange(n)         # elements whose powers have not repeated yet
+    power = live.copy()         # power[i] == live[i]^j
+    j = 1
+    while live.size:
+        seen = first_seen[live, power]
+        done = seen > 0
+        if done.any():
+            m[live[done]] = seen[done]
+            k[live[done]] = j
+            live, power = live[~done], power[~done]
+        first_seen[live, power] = j
+        pi_regular[live] |= strongly_regular[power]
+        power = M[power, live]
+        j += 1
+    return m, k, pi_regular
+
+
+def _powers(M: np.ndarray, one: int, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base[i]^exponent[i] for every i, multiplied in the order ring_pow uses."""
+    result = np.full_like(base, one)
+    while exponent.any():
+        result = np.where((exponent & 1) == 1, M[result, base], result)
+        base = M[base, base]
+        exponent = exponent >> 1
+    return result
+
+
+def _periodic_mask(M: np.ndarray, one: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """1 <= m < k and x^m == x^k, the powers recomputed independently of the
+    scan that found (m, k)."""
+    x = np.arange(len(m))
+    both = _powers(M, one, np.concatenate((x, x)), np.concatenate((m, k)))
+    power_m, power_k = both.reshape(2, -1)
+    return (1 <= m) & (m < k) & (power_m == power_k)
+
+
+def _element_masks(R: Ring) -> dict:
+    """Every _ELEMENT_DECIDERS flag as a whole-ring boolean mask over the op
+    tables: mask[x] is the decider's verdict at x.
+
+    Raises RingAxiomError where strong nil-cleanness by idempotent search and
+    Diesl's criterion (x - x^2 nilpotent) disagree.
+    """
+    n, one = R.order, R.one
+    M, A, neg = R._mul_np, R._add_np, R._neg_np
+    caches = R.caches
+    x = np.arange(n)
+    col = x[:, None]
+    units = np.array(sorted(caches.units))
+    idempotents = np.array(sorted(caches.idempotents))
+    is_unit = _indicator(n, caches.units)
+    is_nil = _indicator(n, caches.nilpotents)
+    square = np.diagonal(M)
+    masks = {
+        "regular": (M[M, col] == col).any(1),                    # x*y*x == x
+        "unit_regular": (M[M[:, units], col] == col).any(1),     # x*u*x == x
+        # x in x^2*R and x in R*x^2
+        "strongly_regular": (M[square] == col).any(1) & (M[:, square] == x).any(0),
+    }
+    diff = A[:, neg[idempotents]]                                # [x, i] -> x - e_i
+    nil_diff = is_nil[diff]
+    masks["clean"] = is_unit[diff].any(1)
+    masks["nil_clean"] = nil_diff.any(1)
+    commute = M[idempotents, diff] == M[diff, idempotents]
+    masks["strongly_nil_clean"] = snc = (nil_diff & commute).any(1)
+    diesl = is_nil[A[x, neg[square]]]
+    if not np.array_equal(snc, diesl):
+        bad = int((snc != diesl).argmax())
+        raise RingAxiomError(
+            f"{R.label}: Diesl's criterion and the idempotent search disagree at {bad}"
+        )
+    unit_multiples = M[units]                                    # [j, x] -> u_j*x
+    masks["unit_nil_clean"] = masks["nil_clean"][unit_multiples].any(0)
+    masks["strongly_unit_nil_clean"] = snc[unit_multiples].any(0)
+    m, k, masks["strongly_pi_regular"] = _power_scan(M, masks["strongly_regular"])
+    masks["periodic"] = _periodic_mask(M, one, m, k)
+    return masks
+
+
 def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
-    """Classify every ring-level flag by exhaustive elementwise sweep."""
+    """Classify every ring-level flag, with least-index witnesses.
+
+    A flag holds when its element decider holds at every element; a false
+    flag's witness is the least element index at which it fails.  With op
+    tables (order <= TABLE_LIMIT) all element flags come from whole-ring
+    masks (``_element_masks``) and the witness is the first False in the
+    mask.  Above TABLE_LIMIT each flag sweeps its ``_ELEMENT_DECIDERS`` entry
+    in index order and stops at the first failure; there the unit nil-clean,
+    strongly unit nil-clean and strongly pi-regular deciders read per-ring
+    memos of the nil-clean, Diesl and strongly-regular verdicts instead of
+    deciding them again.  Both paths give the same report.
+    """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")
     _require_frozen(R)
     report = PropertyReport(label=R.label, order=R.order)
     report.jacobson_size = len(R.caches.jacobson)
     report.nil_size = len(R.caches.nilpotents)
+    masks = _element_masks(R) if R._mul_np is not None else None
     for name, decider in _ELEMENT_DECIDERS.items():
-        flag = True
-        for x in R.elements():
-            if not decider(R, x):
-                flag = False
-                report.witnesses[name] = {
-                    "index": x,
-                    "element": R.format_element(x),
-                }
-                break
-        report.flags[name] = flag
+        if masks is not None:
+            mask = masks[name]
+            failure = None if mask.all() else int(mask.argmin())
+        else:
+            failure = next((x for x in R.elements() if not decider(R, x)), None)
+        report.flags[name] = failure is None
+        if failure is not None:
+            report.witnesses[name] = {
+                "index": failure,
+                "element": R.format_element(failure),
+            }
     report.flags["NI"] = is_NI(R)
     if not report.flags["NI"]:
         w = _ni_witness(R)

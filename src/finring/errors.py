@@ -13,6 +13,15 @@ class NotNilpotentError(ValueError):
     """A construction required a nilpotent scaling element."""
 
 
+class RingAxiomError(AssertionError):
+    """A ring axiom, or an identity that holds in every ring, failed.
+
+    Raised explicitly, so the check also holds under ``python -O``; it
+    subclasses AssertionError so existing ``except AssertionError`` callers
+    keep catching it.
+    """
+
+
 class AssociativityError(Exception):
     """A candidate multiplication failed the associativity gate."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import permutations
-from math import lcm
 
 from .errors import CapExceededError
 
@@ -156,8 +155,3 @@ def p_group_prime(G: FiniteGroup):
             while k % q == 0:
                 k //= q
     return p
-
-
-def product_order_lcm(G: FiniteGroup, H: FiniteGroup, g: int, h: int) -> int:
-    """Order of (g, h) in G x H."""
-    return lcm(G.element_orders[g], H.element_orders[h])

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, RingAxiomError
 
 # Order caps.  Exhaustive classification is O(order^2) per element in the
 # worst case; arithmetic-only use tolerates larger rings.
@@ -87,6 +87,8 @@ class Ring:
         self._mul_np: Optional[np.ndarray] = None
         self._neg_np: Optional[np.ndarray] = None
         self._morphic: Optional[tuple] = None
+        # decider -> {element: verdict}, filled by the scalar deciders once frozen
+        self._verdicts: dict = {}
 
     # -- basic derived ops -------------------------------------------------
 
@@ -145,26 +147,30 @@ def _build_tables(R: Ring) -> None:
     R.neg = lambda a: nt[a]
 
 
+def _indicator(n: int, members) -> np.ndarray:
+    """Boolean mask of length n that is True exactly on `members`."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
 def _compute_units(R: Ring):
     n, one = R.order, R.one
-    inverse = {}
     if R._mul_np is not None:
-        rows = R._mul_np.tolist()
-        for u in range(n):
-            row = rows[u]
-            try:
-                v = row.index(one)
-            except ValueError:
-                continue
-            if rows[v][u] == one:
+        # A one-sided inverse is two-sided in a finite ring, so the first
+        # right inverse v of u is the inverse exactly when v*u is one too.
+        M = R._mul_np
+        u = np.arange(n)
+        v = (M == one).argmax(1)
+        ok = (M[u, v] == one) & (M[v, u] == one)
+        return dict(zip(u[ok].tolist(), v[ok].tolist()))
+    inverse = {}
+    mul = R.mul
+    for u in range(n):
+        for v in range(n):
+            if mul(u, v) == one and mul(v, u) == one:
                 inverse[u] = v
-    else:
-        mul = R.mul
-        for u in range(n):
-            for v in range(n):
-                if mul(u, v) == one and mul(v, u) == one:
-                    inverse[u] = v
-                    break
+                break
     return inverse
 
 
@@ -173,6 +179,12 @@ def _compute_nilpotents(R: Ring):
     # is at most the order in a finite ring).
     n = R.order
     squarings = max(1, (n - 1).bit_length())
+    if R._mul_np is not None:
+        M = R._mul_np
+        y = np.arange(n)
+        for _ in range(squarings):
+            y = M[y, y]
+        return set(np.flatnonzero(y == 0).tolist())
     mul = R.mul
     out = set()
     for x in range(n):
@@ -190,6 +202,10 @@ def _compute_jacobson(R: Ring, units):
     # J(R) = { x : 1 - yx is a unit for all y }; one-sided quasi-regularity
     # suffices in a finite ring.
     n, one = R.order, R.one
+    if R._mul_np is not None:
+        # [y, x] -> 1 - y*x
+        one_minus = R._add_np[one][R._neg_np[R._mul_np]]
+        return set(np.flatnonzero(_indicator(n, units)[one_minus].all(0)).tolist())
     mul, sub = R.mul, R.sub
     jac = set()
     for x in range(n):
@@ -199,7 +215,13 @@ def _compute_jacobson(R: Ring, units):
 
 
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
-    """Populate the structural caches; idempotent; returns the same ring."""
+    """Populate the structural caches; idempotent; returns the same ring.
+
+    Op tables are built up to TABLE_LIMIT; with them, units, idempotents,
+    nilpotents and the Jacobson radical are each one whole-ring numpy mask
+    over the tables.  Above TABLE_LIMIT each set is an elementwise sweep of
+    scalar products.  Both paths give the same sets.
+    """
     if R.caches is not None:
         return R
     if R.order > cap:
@@ -209,7 +231,11 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     _build_tables(R)
     inverse = _compute_units(R)
     units = frozenset(inverse)
-    idempotents = frozenset(e for e in range(R.order) if R.mul(e, e) == e)
+    if R._mul_np is not None:
+        diagonal = np.diagonal(R._mul_np)
+        idempotents = frozenset(np.flatnonzero(diagonal == np.arange(R.order)).tolist())
+    else:
+        idempotents = frozenset(e for e in range(R.order) if R.mul(e, e) == e)
     nilpotents = frozenset(_compute_nilpotents(R))
     jacobson = frozenset(_compute_jacobson(R, units))
     R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson)
@@ -330,49 +356,65 @@ def _check_assoc_np(T: np.ndarray) -> Optional[tuple]:
 
 
 def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
-    """Raise AssertionError on the first violated ring axiom.
+    """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
     Exhaustive for order <= EXHAUSTIVE_LAW_LIMIT (table-backed), sampled
-    on LAW_SAMPLES random triples otherwise.
+    on LAW_SAMPLES random triples otherwise.  The checks raise explicitly,
+    so they also hold under ``python -O``.
     """
     n = R.order
     add, mul, neg = R.add, R.mul, R.neg
     zero, one = R.zero, R.one
+    label = R.label
     if n == 1:
-        assert add(0, 0) == 0 and mul(0, 0) == 0
+        if not (add(0, 0) == 0 and mul(0, 0) == 0):
+            raise RingAxiomError(f"{label}: the zero ring's operations do not fix 0")
         return
-    assert zero != one, f"{R.label}: zero == one with order > 1"
+    if zero == one:
+        raise RingAxiomError(f"{label}: zero == one with order > 1")
 
     for x in range(min(n, 4096)):
-        assert add(x, zero) == x, f"{R.label}: additive identity fails at {x}"
-        assert add(x, neg(x)) == zero, f"{R.label}: inverse fails at {x}"
-        assert mul(x, one) == x and mul(one, x) == x, (
-            f"{R.label}: multiplicative identity fails at {x}"
-        )
+        if add(x, zero) != x:
+            raise RingAxiomError(f"{label}: additive identity fails at {x}")
+        if add(x, neg(x)) != zero:
+            raise RingAxiomError(f"{label}: inverse fails at {x}")
+        if not (mul(x, one) == x and mul(one, x) == x):
+            raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
     if n <= EXHAUSTIVE_LAW_LIMIT:
         _build_tables(R)
         A, M = R._add_np, R._mul_np
-        assert np.array_equal(A, A.T), f"{R.label}: addition not commutative"
+        if not np.array_equal(A, A.T):
+            raise RingAxiomError(f"{label}: addition not commutative")
         bad = _check_assoc_np(A)
-        assert bad is None, f"{R.label}: addition not associative at {bad}"
+        if bad is not None:
+            raise RingAxiomError(f"{label}: addition not associative at {bad}")
         bad = _check_assoc_np(M)
-        assert bad is None, f"{R.label}: multiplication not associative at {bad}"
+        if bad is not None:
+            raise RingAxiomError(f"{label}: multiplication not associative at {bad}")
         for a in range(n):
             mrow = M[a]
             left = mrow[A]                       # a*(b+c)
             right = A[mrow[:, None], mrow[None, :]]  # a*b + a*c
-            assert np.array_equal(left, right), f"{R.label}: left distributivity fails at a={a}"
+            if not np.array_equal(left, right):
+                raise RingAxiomError(f"{label}: left distributivity fails at a={a}")
             mcol = M[:, a]
             left = mcol[A]                       # (b+c)*a
             right = A[mcol[:, None], mcol[None, :]]  # b*a + c*a
-            assert np.array_equal(left, right), f"{R.label}: right distributivity fails at a={a}"
+            if not np.array_equal(left, right):
+                raise RingAxiomError(f"{label}: right distributivity fails at a={a}")
     else:
         rng = rng or random.Random(0)
         for _ in range(LAW_SAMPLES):
             a, b, c = (rng.randrange(n) for _ in range(3))
-            assert add(a, b) == add(b, a)
-            assert add(add(a, b), c) == add(a, add(b, c))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
-            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-            assert mul(add(b, c), a) == add(mul(b, a), mul(c, a))
+            if add(a, b) != add(b, a):
+                raise RingAxiomError(f"{label}: addition not commutative at {(a, b)}")
+            if add(add(a, b), c) != add(a, add(b, c)):
+                raise RingAxiomError(f"{label}: addition not associative at {(a, b, c)}")
+            if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                raise RingAxiomError(
+                    f"{label}: multiplication not associative at {(a, b, c)}")
+            if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+                raise RingAxiomError(f"{label}: left distributivity fails at {(a, b, c)}")
+            if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
+                raise RingAxiomError(f"{label}: right distributivity fails at {(a, b, c)}")

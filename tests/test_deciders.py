@@ -1,14 +1,37 @@
 """Element and ring deciders against hand-checked and brute-forced values."""
 
+import itertools
+import json
+import random
+
+import numpy as np
 import pytest
 
-from finring import classify, freeze, make_zmod, matrix_ring
+from finring import (
+    classify,
+    cyclic,
+    deciders,
+    freeze,
+    group_ring,
+    harness,
+    is_nilpotent,
+    kernel,
+    make_zmod,
+    matrix_ring,
+    standard_corpus,
+    trivial_extension,
+)
 from finring.deciders import (
+    _ELEMENT_DECIDERS,
+    Decomposition,
+    _periodic_mask,
+    _power_scan,
     is_clean,
     is_left_morphic,
     is_m_potent,
     is_NI,
     is_nil_clean,
+    is_periodic,
     is_reduced,
     is_regular,
     is_strongly_nil_clean,
@@ -160,6 +183,16 @@ class TestUnitNilClean:
             assert dec is not None and dec.verify(m2z2, x)
 
 
+class TestDecompositionVerify:
+    def test_rejects_non_unit_multiplier(self, z4):
+        # 2*2 = 0 = 0 + 0 is a nil-clean sum, but 2 is not a unit of Z(4)
+        forged = Decomposition("nil-clean", idempotent=0, other=0, unit=2)
+        assert not forged.verify(z4, 2)
+
+    def test_accepts_unit_multiplier(self, z4):
+        assert Decomposition("nil-clean", idempotent=0, other=2, unit=3).verify(z4, 2)
+
+
 class TestClean:
     def test_z3_two(self):
         R = freeze(make_zmod(3))
@@ -198,6 +231,24 @@ class TestPeriodic:
             m, n = periodic_indices(z6, x)
             assert 1 <= m < n
             assert ring_pow(z6, x, m) == ring_pow(z6, x, n)
+
+    def test_wrong_pair_caught(self, z4, monkeypatch):
+        assert all(is_periodic(z4, x) for x in z4.elements())
+        # 2^1 = 2 but 2^2 = 0
+        monkeypatch.setattr(deciders, "periodic_indices", lambda R, x: (1, 2))
+        assert not is_periodic(z4, 2)
+
+    def test_mask_engine_pairs(self, z6):
+        m, k, _ = _power_scan(z6._mul_np, np.ones(z6.order, dtype=bool))
+        assert list(zip(m.tolist(), k.tolist())) == [
+            periodic_indices(z6, x) for x in z6.elements()
+        ]
+        assert _periodic_mask(z6._mul_np, z6.one, m, k).all()
+
+    def test_mask_engine_catches_wrong_pair(self, z4):
+        ones, twos = np.ones(4, dtype=np.int64), np.full(4, 2, dtype=np.int64)
+        mask = _periodic_mask(z4._mul_np, z4.one, ones, twos)
+        assert mask.tolist() == [True, True, False, False]
 
 
 class TestStronglyPiRegular:
@@ -307,3 +358,96 @@ class TestEhrlich:
             assert is_unit_regular(ring, x) == (
                 is_regular(ring, x) and is_left_morphic(ring, x)
             )
+
+
+# -- the mask engine against the scalar deciders ---------------------------
+
+
+def _falsifier_instances(seed=0, count=100, cap=256):
+    rng = random.Random(seed)
+    return [harness._random_instance(rng, cap) for _ in range(count)]
+
+
+ORACLE_RINGS = (
+    [pytest.param(R, id=R.label) for R in standard_corpus()]
+    + [pytest.param(R, id=f"falsify-0-{i}-{R.label}")
+       for i, R in enumerate(_falsifier_instances())]
+    + [pytest.param(trivial_extension(make_zmod(32)), id="Triv(Z(32))"),
+       pytest.param(group_ring(make_zmod(2), cyclic(10)), id="GR(Z(2), C(10))")]
+)
+
+
+def _witness(R, x):
+    return {"index": x, "element": R.format_element(x)}
+
+
+def _oracle_report(R):
+    """classify's JSON rebuilt from the scalar element deciders and a scalar
+    NI loop."""
+    flags, witnesses = {}, {}
+    for name, decider in _ELEMENT_DECIDERS.items():
+        failure = next((x for x in R.elements() if not decider(R, x)), None)
+        flags[name] = failure is None
+        if failure is not None:
+            witnesses[name] = _witness(R, failure)
+    nils = sorted(R.caches.nilpotents)
+    escapes = itertools.chain(
+        (R.add(a, b) for a in nils for b in nils),
+        (p for a in nils for r in R.elements() for p in (R.mul(r, a), R.mul(a, r))),
+    )
+    escape = next((s for s in escapes if s not in R.caches.nilpotents), None)
+    flags["NI"] = escape is None
+    if escape is not None:
+        witnesses["NI"] = _witness(R, escape)
+    flags["reduced"] = nils == [0]
+    if not flags["reduced"]:
+        witnesses["reduced"] = _witness(R, nils[1])
+    return {
+        "label": R.label,
+        "order": R.order,
+        "flags": flags,
+        "witnesses": witnesses,
+        "radicals": {"jacobson": len(R.caches.jacobson), "nil": len(nils)},
+    }
+
+
+def _brute_force_sets(R):
+    """(inverse map, idempotents, nilpotents, Jacobson radical) from R.mul."""
+    n, one, mul = R.order, R.one, R.mul
+    inverse = {}
+    for u in range(n):
+        v = next((v for v in range(n) if mul(u, v) == one and mul(v, u) == one), None)
+        if v is not None:
+            inverse[u] = v
+    idempotents = {e for e in range(n) if mul(e, e) == e}
+    nilpotents = {x for x in range(n) if is_nilpotent(R, x)}
+    jacobson = {
+        x for x in range(n) if all(R.sub(one, mul(y, x)) in inverse for y in range(n))
+    }
+    return inverse, idempotents, nilpotents, jacobson
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS)
+def test_mask_engine_matches_scalar_deciders(ring):
+    R = freeze(ring)
+    assert R._mul_np is not None
+    inverse, idempotents, nilpotents, jacobson = _brute_force_sets(R)
+    assert R.caches.unit_inverse == inverse
+    assert R.caches.units == set(inverse)
+    assert R.caches.idempotents == idempotents
+    assert R.caches.nilpotents == nilpotents
+    assert R.caches.jacobson == jacobson
+    # byte-identical JSON, key order included
+    assert json.dumps(classify(R).to_json()) == json.dumps(_oracle_report(R))
+
+
+@pytest.mark.parametrize("index", range(len(standard_corpus())),
+                         ids=[R.label for R in standard_corpus()])
+def test_scalar_path_matches_table_path(index, monkeypatch):
+    R = freeze(standard_corpus()[index])
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    S = freeze(standard_corpus()[index])
+    assert R._mul_np is not None and S._mul_np is None
+    for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
+        assert getattr(S.caches, name) == getattr(R.caches, name), name
+    assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())

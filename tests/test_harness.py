@@ -2,7 +2,7 @@
 
 import json
 
-from finring import SearchConfig, cyclic, falsify, make_zmod, standard_corpus
+from finring import SearchConfig, cyclic, deciders, falsify, make_zmod, standard_corpus
 from finring.harness import (
     suite_connell,
     suite_group_ring_sunc,
@@ -57,6 +57,12 @@ def test_group_ring_sunc_subset():
 def test_periodic_subset():
     report = suite_periodic([(make_zmod(4), cyclic(2))])
     assert report.ok
+
+
+def test_periodic_catches_wrong_pair(monkeypatch):
+    monkeypatch.setattr(deciders, "periodic_indices", lambda R, x: (1, 2))
+    report = suite_periodic([(make_zmod(4), cyclic(2))])
+    assert not report.ok and report.failures[0]["got"] == "aperiodic"
 
 
 def test_standard_corpus_shape():

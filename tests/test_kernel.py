@@ -1,5 +1,10 @@
 """Base rings, caches, and ring-axiom checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from finring import (
@@ -158,3 +163,26 @@ def test_zmod_axioms(n):
 
 def test_product_axioms():
     verify_ring_axioms(direct_product(make_zmod(4), make_zmod(9)))
+
+
+# (a - b) mod 3 as "addition": has an identity and inverses, not commutative.
+_NON_RING = """
+from finring import Ring, verify_ring_axioms
+R = Ring(3, add=lambda a, b: (a - b) % 3, mul=lambda a, b: a * b % 3,
+         neg=lambda a: a, one=1, label="(a - b) mod 3")
+try:
+    verify_ring_axioms(R)
+except AssertionError as exc:
+    print(__debug__, type(exc).__name__)
+"""
+
+
+def test_axioms_reject_non_ring_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_RING], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "RingAxiomError"]
