@@ -2,14 +2,14 @@
 
 All constructions are positional: an element is a little-endian vector of
 base-ring digits, and the index is sum(digit_t * |base|^t).  Addition is
-always digitwise; only multiplication differs per construction.
+always digitwise and multiplication is bilinear in the digits, so each
+construction gives only its scalar ops and its radices (the base radices
+once per digit); ``kernel._build_tables`` derives the op tables from them.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from .errors import (
     AssociativityError,
@@ -19,7 +19,7 @@ from .errors import (
     WrongConstructionError,
 )
 from .groups import FiniteGroup
-from .kernel import ARITH_CAP, TABLE_LIMIT, Ring, _build_tables, is_nilpotent
+from .kernel import ARITH_CAP, Ring, _build_tables, _check_assoc_np, is_nilpotent
 
 _ASSOC_EXHAUSTIVE_LIMIT = 512
 _ASSOC_SAMPLES = 100_000
@@ -37,22 +37,6 @@ def _from_digits(digits, b):
     for d in reversed(digits):
         i = i * b + d
     return i
-
-
-def _digit_matrix(n, b, nd):
-    arr = np.arange(n, dtype=np.int64)
-    D = np.empty((n, nd), dtype=np.int64)
-    for t in range(nd):
-        D[:, t] = arr % b
-        arr = arr // b
-    return D
-
-
-def _base_tables(base: Ring):
-    if base.order > TABLE_LIMIT:
-        return None, None
-    _build_tables(base)
-    return base._add_np, base._mul_np
 
 
 def _digitwise_add(base: Ring, nd: int):
@@ -76,21 +60,9 @@ def _digitwise_add(base: Ring, nd: int):
     return add, neg
 
 
-def _digitwise_add_builder(base: Ring, n: int, nd: int):
-    def builder():
-        A, _ = _base_tables(base)
-        if A is None:
-            return None
-        D = _digit_matrix(n, base.order, nd)
-        res = np.zeros((n, n), dtype=np.int64)
-        w = 1
-        for t in range(nd):
-            col = D[:, t]
-            res += A[col[:, None], col[None, :]] * w
-            w *= base.order
-        return res
-
-    return builder
+def _radices(base: Ring, nd: int):
+    """Radices of nd base-ring digits; None over an opaque base."""
+    return None if base.radices is None else base.radices * nd
 
 
 def _check_cap(order, cap, label):
@@ -124,21 +96,6 @@ def matrix_ring(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
                 out[i * k + j] = acc
         return _from_digits(out, b)
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, nd)
-        res = np.zeros((n, n), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                acc = None
-                for t in range(k):
-                    term = M[D[:, i * k + t][:, None], D[:, t * k + j][None, :]]
-                    acc = term if acc is None else A[acc, term]
-                res += acc * (b ** (i * k + j))
-        return res
-
     one = _from_digits(
         [base.one if i == j else 0 for i in range(k) for j in range(k)], b
     )
@@ -158,8 +115,7 @@ def matrix_ring(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
         order=n, add=add, mul=mul, neg=neg, one=one, label=label,
         kind="matrix", decode=decode, encode=encode,
         fmt=lambda x: str([list(r) for r in decode(x)]),
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, nd) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, nd),
         meta={"base": base, "k": k},
     )
 
@@ -188,20 +144,6 @@ def upper_triangular(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
             out[t] = acc
         return _from_digits(out, b)
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, nd)
-        res = np.zeros((n, n), dtype=np.int64)
-        for (i, j), t in slot.items():
-            acc = None
-            for m in range(i, j + 1):
-                term = M[D[:, slot[(i, m)]][:, None], D[:, slot[(m, j)]][None, :]]
-                acc = term if acc is None else A[acc, term]
-            res += acc * (b**t)
-        return res
-
     one = _from_digits([base.one if i == j else 0 for (i, j) in positions], b)
 
     def decode(x):
@@ -219,8 +161,7 @@ def upper_triangular(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
         order=n, add=add, mul=mul, neg=neg, one=one, label=label,
         kind="upper_triangular", decode=decode, encode=encode,
         fmt=lambda x: str([list(r) for r in decode(x)]),
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, nd) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, nd),
         meta={"base": base, "k": k},
     )
 
@@ -254,20 +195,6 @@ def group_ring(base: Ring, G: FiniteGroup, cap: int = ARITH_CAP) -> Ring:
             out[g] = acc
         return _from_digits(out, b)
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, nd)
-        res = np.zeros((n, n), dtype=np.int64)
-        for g in range(nd):
-            acc = None
-            for h, t in pairs_by_target[g]:
-                term = M[D[:, h][:, None], D[:, t][None, :]]
-                acc = term if acc is None else A[acc, term]
-            res += acc * (b**g)
-        return res
-
     one = base.one * b**G.identity
 
     def decode(x):
@@ -285,8 +212,7 @@ def group_ring(base: Ring, G: FiniteGroup, cap: int = ARITH_CAP) -> Ring:
     return Ring(
         order=n, add=add, mul=mul, neg=neg, one=one, label=label,
         kind="group_ring", decode=decode, encode=encode, fmt=fmt,
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, nd) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, nd),
         meta={"base": base, "group": G},
     )
 
@@ -320,24 +246,13 @@ def trivial_extension(base: Ring, cap: int = ARITH_CAP) -> Ring:
         a2, m2 = y % b, y // b
         return base.mul(a1, a2) + base.add(base.mul(a1, m2), base.mul(m1, a2)) * b
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, 2)
-        a, m = D[:, 0], D[:, 1]
-        aa = M[a[:, None], a[None, :]]
-        am = A[M[a[:, None], m[None, :]], M[m[:, None], a[None, :]]]
-        return aa + am * b
-
     return Ring(
         order=n, add=add, mul=mul, neg=neg, one=base.one, label=label,
         kind="trivial_extension",
         decode=lambda x: (base.decode(x % b), base.decode(x // b)),
         encode=lambda v: base.encode(v[0]) + base.encode(v[1]) * b,
         fmt=lambda x: f"({base.format_element(x % b)} | {base.format_element(x // b)})",
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, 2) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, 2),
         meta={"base": base},
     )
 
@@ -376,19 +291,6 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
         rb = base.add(base.mul(s, base.mul(y1, x2)), base.mul(b1, b2))
         return _from_digits([ra, rx, ry, rb], b)
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, 4)
-        a, x, y, bb = (D[:, t] for t in range(4))
-        srow = M[s]
-        ra = A[M[a[:, None], a[None, :]], srow[M[x[:, None], y[None, :]]]]
-        rx = A[M[a[:, None], x[None, :]], M[x[:, None], bb[None, :]]]
-        ry = A[M[y[:, None], a[None, :]], M[bb[:, None], y[None, :]]]
-        rb = A[srow[M[y[:, None], x[None, :]]], M[bb[:, None], bb[None, :]]]
-        return ra + rx * b + ry * b**2 + rb * b**3
-
     one = base.one + base.one * b**3
 
     def decode(p):
@@ -401,8 +303,7 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
         order=n, add=add, mul=mul, neg=neg, one=one, label=label,
         kind="generalized_matrix", decode=decode, encode=encode,
         fmt=lambda p: str(list(decode(p))),
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, 4) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, 4),
         meta={"base": base, "s": s},
     )
 
@@ -410,17 +311,9 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
 def _verify_associativity(R: Ring, label: str):
     if R.order <= _ASSOC_EXHAUSTIVE_LIMIT:
         _build_tables(R)
-        M = R._mul_np
-        for a in range(R.order):
-            row = M[a]
-            left = M[row][:, :]
-            right = row[M]
-            if not np.array_equal(left, right):
-                bc = np.argwhere(left != right)[0]
-                raise AssociativityError(
-                    f"{label}: multiplication not associative at "
-                    f"({a}, {int(bc[0])}, {int(bc[1])})"
-                )
+        bad = _check_assoc_np(R._mul_np)
+        if bad is not None:
+            raise AssociativityError(f"{label}: multiplication not associative at {bad}")
     else:
         rng = random.Random(0)
         mul = R.mul
@@ -477,24 +370,6 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
                 out[i * k + j] = acc
         return _from_digits(out, b)
 
-    def mul_builder():
-        A, M = _base_tables(base)
-        if M is None:
-            return None
-        D = _digit_matrix(n, b, nd)
-        srow = M[s]
-        res = np.zeros((n, n), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                acc = None
-                for t in range(k):
-                    term = M[D[:, i * k + t][:, None], D[:, t * k + j][None, :]]
-                    if expo[(i, t, j)]:
-                        term = srow[term]
-                    acc = term if acc is None else A[acc, term]
-                res += acc * (b ** (i * k + j))
-        return res
-
     one = _from_digits(
         [base.one if i == j else 0 for i in range(k) for j in range(k)], b
     )
@@ -514,8 +389,7 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
         order=n, add=add, mul=mul, neg=neg, one=one, label=label,
         kind="formal_matrix", decode=decode, encode=encode,
         fmt=lambda x: str([list(r) for r in decode(x)]),
-        mul_table_builder=mul_builder if n <= TABLE_LIMIT else None,
-        add_table_builder=_digitwise_add_builder(base, n, nd) if n <= TABLE_LIMIT else None,
+        radices=_radices(base, nd),
         meta={"base": base, "k": k, "s": s},
     )
     _verify_associativity(R, label)

@@ -8,8 +8,9 @@ see indices.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class Ring:
     `add`, `mul`, `neg` are total evaluators on indices.  After freeze()
     the caches are populated, op tables are installed for small orders,
     and the ring must be treated as immutable.
+
+    `radices` lists the sizes r_i of the cyclic factors of the additive
+    group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
+    is sum(d_i * g_i) with generator g_i at index w_i.  Without it the
+    ring is opaque and its tables are filled pair by pair.
     """
 
     def __init__(
@@ -62,12 +68,13 @@ class Ring:
         decode: Optional[Callable[[int], object]] = None,
         encode: Optional[Callable[[object], int]] = None,
         fmt: Optional[Callable[[int], str]] = None,
-        mul_table_builder: Optional[Callable[[], np.ndarray]] = None,
-        add_table_builder: Optional[Callable[[], np.ndarray]] = None,
+        radices: Optional[Sequence[int]] = None,
         meta: Optional[dict] = None,
     ):
         if order < 1:
             raise ValueError("ring order must be >= 1")
+        if radices is not None and math.prod(radices) != order:
+            raise ValueError(f"radices {tuple(radices)} do not multiply to order {order}")
         self.order = order
         self.zero = 0
         self.one = one
@@ -79,8 +86,7 @@ class Ring:
         self._decode = decode or (lambda i: i)
         self._encode = encode or (lambda v: int(v))
         self._fmt = fmt or (lambda i: str(i))
-        self._mul_table_builder = mul_table_builder
-        self._add_table_builder = add_table_builder
+        self.radices = tuple(radices) if radices is not None else None
         self.meta = meta or {}
         self.caches: Optional[RingCaches] = None
         self._add_np: Optional[np.ndarray] = None
@@ -116,31 +122,66 @@ class Ring:
         return f"<Ring {self.label} order={self.order} {state}>"
 
 
+def _doubling_table(R: Ring, op, row0, combine) -> np.ndarray:
+    """Op table of `op` from row 0 and the scalar rows of the generators.
+
+    In the factor of weight w and radix r, rows [p*w, q*w), q = min(2p, r),
+    are T[p*w:q*w] = combine(T[0:(q-p)*w], T[p*w]), with row p*w taken from
+    (p/2)*w + (p/2)*w; rows below w are done before the factor starts.
+    """
+    n = R.order
+    T = np.empty((n, n), dtype=np.int64)
+    T[0] = row0
+    w = 1
+    for r in R.radices:
+        if r > 1:
+            T[w] = np.fromiter((op(w, z) for z in range(n)), dtype=np.int64, count=n)
+        p = 1
+        while p < r:
+            if p > 1:
+                h = (p // 2) * w
+                T[p * w] = combine(T[h:h + 1], T[h])[0]
+            q = min(2 * p, r)
+            T[p * w:q * w] = combine(T[0:(q - p) * w], T[p * w])
+            p = q
+        w *= r
+    return T
+
+
 def _build_tables(R: Ring) -> None:
-    """Install numpy op tables and table-backed evaluators (order <= TABLE_LIMIT)."""
+    """Install numpy op tables and table-backed evaluators (order <= TABLE_LIMIT).
+
+    With R.radices only the generator rows of add and mul are scalar calls:
+    row 0 is 0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
+    x + z = (x - p*w) + (p*w + z) by composing add rows and
+    x*z = (x - p*w)*z + (p*w)*z through the finished add table.  So the
+    tables equal the scalar ops exactly when the indices follow R.radices
+    and mul is additive in its left argument.  Every construction's mul is,
+    being bilinear in the base-ring digits; tests/test_kernel.py checks the
+    tables against the scalar ops on every construction.  Opaque rings
+    (radices None) evaluate all n^2 pairs.
+    """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
     n = R.order
-    mul_np = R._mul_table_builder() if R._mul_table_builder is not None else None
-    if mul_np is None:
-        mul_np = np.fromiter(
-            (R.mul(a, b) for a in range(n) for b in range(n)), dtype=np.int64, count=n * n
-        ).reshape(n, n)
+    if R.radices is None:
+        def table(op):
+            return np.fromiter(
+                (op(a, b) for a in range(n) for b in range(n)), dtype=np.int64, count=n * n
+            ).reshape(n, n)
+
+        add_np, mul_np = table(R.add), table(R.mul)
     else:
-        mul_np = np.asarray(mul_np, dtype=np.int64)
-    add_np = R._add_table_builder() if R._add_table_builder is not None else None
-    if add_np is None:
-        add_np = np.fromiter(
-            (R.add(a, b) for a in range(n) for b in range(n)), dtype=np.int64, count=n * n
-        ).reshape(n, n)
-    else:
-        add_np = np.asarray(add_np, dtype=np.int64)
+        add_np = _doubling_table(R, R.add, np.arange(n), lambda block, row: block[:, row])
+        mul_np = _doubling_table(R, R.mul, 0, lambda block, row: add_np[block, row])
     neg_np = np.fromiter((R.neg(a) for a in range(n)), dtype=np.int64, count=n)
     R._mul_np = mul_np
     R._add_np = add_np
     R._neg_np = neg_np
-    mt = mul_np.tolist()
-    at = add_np.tolist()
+    # One shared Python int per element, not a fresh int object per entry.
+    ints = np.array(range(n), dtype=object)
+    mt = ints[mul_np].tolist()
+    at = ints[add_np].tolist()
     nt = neg_np.tolist()
     R.mul = lambda a, b: mt[a][b]
     R.add = lambda a, b: at[a][b]
@@ -282,8 +323,7 @@ def make_zmod(n: int, cap: int = ARITH_CAP) -> Ring:
         one=1 % n,
         label=f"Z({n})",
         kind="zmod",
-        mul_table_builder=lambda: np.multiply.outer(np.arange(n), np.arange(n)) % n,
-        add_table_builder=lambda: np.add.outer(np.arange(n), np.arange(n)) % n,
+        radices=(n,),
         meta={"n": n},
     )
 
@@ -301,27 +341,6 @@ def direct_product(R: Ring, S: Ring, cap: int = ARITH_CAP) -> Ring:
     def mul(a, b):
         return R.mul(a // s, b // s) * s + S.mul(a % s, b % s)
 
-    def builder(tables):
-        tr, ts = tables
-        hi = np.arange(n) // s
-        lo = np.arange(n) % s
-        return tr[hi[:, None], hi[None, :]] * s + ts[lo[:, None], lo[None, :]]
-
-    def mul_builder():
-        _build_tables(R)
-        _build_tables(S)
-        if R._mul_np is None or S._mul_np is None:
-            return None
-        return builder((R._mul_np, S._mul_np))
-
-    def add_builder():
-        _build_tables(R)
-        _build_tables(S)
-        if R._add_np is None or S._add_np is None:
-            return None
-        return builder((R._add_np, S._add_np))
-
-    can_build = R.order <= TABLE_LIMIT and S.order <= TABLE_LIMIT
     return Ring(
         order=n,
         add=add,
@@ -333,8 +352,7 @@ def direct_product(R: Ring, S: Ring, cap: int = ARITH_CAP) -> Ring:
         decode=lambda i: (R.decode(i // s), S.decode(i % s)),
         encode=lambda v: R.encode(v[0]) * s + S.encode(v[1]),
         fmt=lambda i: f"({R.format_element(i // s)}, {S.format_element(i % s)})",
-        mul_table_builder=mul_builder if can_build else None,
-        add_table_builder=add_builder if can_build else None,
+        radices=None if None in (R.radices, S.radices) else S.radices + R.radices,
         meta={"factors": (R, S)},
     )
 

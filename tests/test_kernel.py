@@ -1,6 +1,8 @@
 """Base rings, caches, and ring-axiom checks."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,16 @@ import pytest
 
 from finring import (
     CapExceededError,
+    Ring,
     direct_product,
     freeze,
     is_nilpotent,
+    kernel,
     make_zmod,
     ring_pow,
     verify_ring_axioms,
 )
+from finring.cli import elaborate, parse
 
 
 def frozen_zmod(n):
@@ -186,3 +191,86 @@ def test_axioms_reject_non_ring_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "RingAxiomError"]
+
+
+# -- op tables against the scalar ops ----------------------------------------
+
+
+def _table_mismatch(R, pairs=None):
+    """First (op, a, b) where R's op tables differ from its scalar ops, or None.
+
+    The scalar ops are taken before the tables are built, because building
+    them rebinds R.add, R.mul and R.neg to table lookups.  All pairs unless
+    `pairs` is given; neg on every element.
+    """
+    add, mul, neg = R.add, R.mul, R.neg
+    kernel._build_tables(R)
+    n = R.order
+    for a in range(n):
+        if R._neg_np[a] != neg(a):
+            return ("neg", a, None)
+    for a, b in itertools.product(range(n), repeat=2) if pairs is None else pairs:
+        if R._add_np[a, b] != add(a, b):
+            return ("add", a, b)
+        if R._mul_np[a, b] != mul(a, b):
+            return ("mul", a, b)
+    return None
+
+
+# One ring per construction family, and the zero ring.
+_EXHAUSTIVE = [
+    "Z(12)", "Z(4) x Z(6)", "M(2, Z(3))", "U(2, Z(4))", "GR(Z(2), S(3))",
+    "Triv(Z(12))", "Ks(Z(4), 2)", "FM(2, Z(4), 2)", "M(2, Z(1))",
+]
+_SAMPLED = ["GR(Z(2), C(10))", "Triv(Z(32))", "U(2, Z(10))", "FM(3, Z(2), 0)"]
+
+
+@pytest.mark.parametrize("expr", _EXHAUSTIVE)
+def test_tables_match_scalar_ops(expr):
+    R = elaborate(parse(expr))
+    assert R.radices is not None
+    assert _table_mismatch(R) is None
+
+
+@pytest.mark.parametrize("expr", ["M(2, Z(2) x Z(2))", "M(2, GR(Z(2), C(2)))"])
+def test_tables_match_scalar_ops_nested_base(expr):
+    # The base is checked first; its table lookups then keep the n^2 scalar
+    # products of the matrix ring cheap.
+    R = elaborate(parse(expr))
+    assert _table_mismatch(R.meta["base"]) is None
+    assert _table_mismatch(R) is None
+
+
+@pytest.mark.parametrize("expr", _SAMPLED)
+def test_tables_match_scalar_ops_sampled(expr):
+    R = elaborate(parse(expr))
+    rng = random.Random(0)
+    pairs = [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)]
+    assert _table_mismatch(R, pairs) is None
+
+
+def test_table_mismatch_is_reported():
+    # x*y = x^2 y is not additive in x: the doubled row 2 is 2y, the scalar 4y = y.
+    R = Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: a * a * b % 3,
+             neg=lambda a: (-a) % 3, one=1, label="x^2 y mod 3", radices=(3,))
+    assert _table_mismatch(R) == ("mul", 2, 1)
+
+
+def test_opaque_ring_tables_match_scalar_ops():
+    R = Ring(6, add=lambda a, b: (a + b) % 6, mul=lambda a, b: a * b % 6,
+             neg=lambda a: (-a) % 6, one=1, label="Z(6) opaque")
+    assert R.radices is None
+    assert _table_mismatch(R) is None
+
+
+def test_product_radices():
+    assert direct_product(make_zmod(4), make_zmod(6)).radices == (6, 4)
+    opaque = Ring(2, add=lambda a, b: (a + b) % 2, mul=lambda a, b: a * b,
+                  neg=lambda a: a, one=1, label="opaque")
+    assert direct_product(make_zmod(3), opaque).radices is None
+
+
+def test_radices_must_multiply_to_order():
+    with pytest.raises(ValueError):
+        Ring(6, add=lambda a, b: (a + b) % 6, mul=lambda a, b: a * b % 6,
+             neg=lambda a: (-a) % 6, one=1, label="Z(6)", radices=(2, 2))
