@@ -9,7 +9,7 @@ once per digit); ``kernel._build_tables`` derives the op tables from them.
 
 from __future__ import annotations
 
-import random
+import numpy as np
 
 from .errors import (
     AssociativityError,
@@ -19,10 +19,7 @@ from .errors import (
     WrongConstructionError,
 )
 from .groups import FiniteGroup
-from .kernel import ARITH_CAP, Ring, _build_tables, _check_assoc_np, is_nilpotent
-
-_ASSOC_EXHAUSTIVE_LIMIT = 512
-_ASSOC_SAMPLES = 100_000
+from .kernel import ARITH_CAP, Ring, _additive_generators, _assoc_violation, is_nilpotent
 
 
 def _to_digits(i, b, nd):
@@ -41,20 +38,18 @@ def _from_digits(digits, b):
 
 def _digitwise_add(base: Ring, nd: int):
     b = base.order
+    weights = [b**t for t in range(nd)]
 
     def add(x, y):
         i = 0
-        for t in range(nd):
-            x, dx = divmod(x, b)
-            y, dy = divmod(y, b)
-            i += base.add(dx, dy) * b**t
+        for w in weights:
+            i += base.add(x // w % b, y // w % b) * w
         return i
 
     def neg(x):
         i = 0
-        for t in range(nd):
-            x, dx = divmod(x, b)
-            i += base.neg(dx) * b**t
+        for w in weights:
+            i += base.neg(x // w % b) * w
         return i
 
     return add, neg
@@ -308,23 +303,18 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
     )
 
 
-def _verify_associativity(R: Ring, label: str):
-    if R.order <= _ASSOC_EXHAUSTIVE_LIMIT:
-        _build_tables(R)
-        bad = _check_assoc_np(R._mul_np)
-        if bad is not None:
-            raise AssociativityError(f"{label}: multiplication not associative at {bad}")
-    else:
-        rng = random.Random(0)
-        mul = R.mul
-        for _ in range(_ASSOC_SAMPLES):
-            a = rng.randrange(R.order)
-            c = rng.randrange(R.order)
-            d = rng.randrange(R.order)
-            if mul(mul(a, c), d) != mul(a, mul(c, d)):
-                raise AssociativityError(
-                    f"{label}: multiplication not associative at ({a}, {c}, {d})"
-                )
+def _verify_associativity(R: Ring, label: str, gens=None):
+    """Raise AssociativityError on the least generator triple (g, h, k) with
+    (g*h)*k != g*(h*k), through the scalar mul.
+
+    `gens` must generate R's additive group (default: `_additive_generators`)
+    and R.mul must be additive in each argument; then the check is
+    exhaustive at every order in |gens|^3 triples.
+    """
+    mul = np.frompyfunc(lambda x, y: R.mul(int(x), int(y)), 2, 1)
+    bad = _assoc_violation(mul, _additive_generators(R) if gens is None else gens)
+    if bad is not None:
+        raise AssociativityError(f"{label}: multiplication not associative at {bad}")
 
 
 def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
@@ -333,8 +323,10 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
     The entry (i, j) of a product is sum over t of s^d(i,t,j) * x[i,t] * y[t,j]
     with d(i,t,j) = [i>t] + [t>j] - [i>j].  For k = 2 this is exactly the
     generalized 2x2 construction.  The exponent scheme is verified by an
-    associativity gate at construction time: exhaustive for order <= 512,
-    otherwise on 10^5 random triples.
+    associativity gate at construction time, exhaustive at every order: the
+    product is additive in each argument, so it is checked on all triples
+    of additive generators (each digit slot times a generator of the base,
+    or times every base element over an opaque base).
     """
     if k < 2:
         raise ValueError("formal matrix ring needs k >= 2")
@@ -392,5 +384,6 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
         radices=_radices(base, nd),
         meta={"base": base, "k": k, "s": s},
     )
-    _verify_associativity(R, label)
+    gens = [e * b**t for t in range(nd) for e in _additive_generators(base)]
+    _verify_associativity(R, label, gens)
     return R

@@ -53,7 +53,11 @@ class Ring:
     `radices` lists the sizes r_i of the cyclic factors of the additive
     group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
     is sum(d_i * g_i) with generator g_i at index w_i.  Without it the
-    ring is opaque and its tables are filled pair by pair.
+    ring is opaque and its tables are filled pair by pair.  With it, the
+    tables are derived from the generator rows, which is exact only when
+    mul is additive in each argument: verify_ring_axioms spot-checks that
+    on the squares x*x, and tests/test_kernel.py checks full scalar/table
+    agreement for every construction.
     """
 
     def __init__(
@@ -360,37 +364,134 @@ def direct_product(R: Ring, S: Ring, cap: int = ARITH_CAP) -> Ring:
 # -- axiom verification ----------------------------------------------------
 
 
-def _check_assoc_np(T: np.ndarray) -> Optional[tuple]:
-    """Chunked exhaustive associativity check on an op table."""
-    n = T.shape[0]
-    for a in range(n):
-        row = T[a]
-        left = T[row][:, :]          # left[b, c] = T[T[a, b], c]
-        right = row[T]               # right[b, c] = T[a, T[b, c]]
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            return (a, int(b), int(c))
+def _additive_generators(R: Ring) -> list:
+    """Elements that generate R's additive group.
+
+    The radix weights w_i with r_i > 1; every element of an opaque ring.
+    """
+    if R.radices is None:
+        return list(range(R.order))
+    gens, w = [], 1
+    for r in R.radices:
+        if r > 1:
+            gens.append(w)
+        w *= r
+    return gens
+
+
+def _assoc_violation(mul, gens) -> Optional[tuple]:
+    """Least (g, h, k) over `gens` with (g*h)*k != g*(h*k), or None.
+
+    `mul` multiplies index arrays elementwise, with broadcasting.  When mul
+    is additive in each argument and `gens` generate the additive group,
+    both sides are additive in each of g, h, k, so None means mul is
+    associative.
+    """
+    G = np.asarray(gens)
+    GG = mul(G[:, None], G[None, :])                   # [h, k] -> h*k
+    for i, g in enumerate(gens):
+        bad = mul(GG[i][:, None], G[None, :]) != mul(g, GG)
+        if bad.any():
+            h, k = np.argwhere(bad)[0]
+            return (g, gens[h], gens[k])
+    return None
+
+
+def _law_violation(A: np.ndarray, M: np.ndarray, gens) -> Optional[tuple]:
+    """First ring law that the op tables A (add) and M (mul) break, or None.
+
+    Returns (law, witness): a triple (a, b, c) that breaks the law as
+    written below, looked up in A and M, or (x,) for an element x that
+    the generators do not reach.  Given that 0 is an additive identity and
+    every element has an additive inverse in A, as verify_ring_axioms
+    checks first, the checks prove each law for all elements in
+    O(n^2 * |gens|) lookups:
+
+    - A == A.T;
+    - (a + g) + c == a + (g + c) for all a, c;
+    - the closure of {0} under + g is everything.  With the two checks
+      above, the b with (a + b) + c == a + (b + c) for all a, c contain 0
+      and are closed under + g, so A is associative;
+    - a*(b + g) == a*b + a*g and (b + g)*a == b*a + g*a for all a, b.  By
+      the same closure, M is additive in each argument (b = 0 gives
+      a*0 = 0 in the group A);
+    - (g*h)*k == g*(h*k) on generator triples (`_assoc_violation`).
+
+    With every element as a generator (an opaque ring) this is the
+    exhaustive O(n^3) check.
+    """
+    n = A.shape[0]
+    if not np.array_equal(A, A.T):
+        a, b = np.argwhere(A != A.T)[0]
+        return ("addition not commutative", (int(a), int(b)))
+    for g in gens:
+        bad = A[A[:, g]] != A[:, A[g]]
+        if bad.any():
+            a, c = np.argwhere(bad)[0]
+            return ("addition not associative", (int(a), g, int(c)))
+    # Breadth-first closure of {0} under + g, as a boolean-mask frontier.
+    G = np.asarray(gens)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        step = np.zeros(n, dtype=bool)
+        step[A[frontier[:, None], G]] = True
+        step &= ~reached
+        reached |= step
+        frontier = np.flatnonzero(step)
+    if not reached.all():
+        return ("additive generators do not generate", (int(np.argmin(reached)),))
+    for g in gens:
+        bad = M[:, A[:, g]] != A[M, M[:, g, None]]     # [a, b]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return ("left distributivity fails", (int(a), int(b), g))
+        bad = M[A[:, g]] != A[M, M[g]]                 # [b, a]
+        if bad.any():
+            b, a = np.argwhere(bad)[0]
+            return ("right distributivity fails", (int(a), int(b), g))
+    bad = _assoc_violation(lambda x, y: M[x, y], gens)
+    if bad is not None:
+        return ("multiplication not associative", bad)
     return None
 
 
 def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
-    Exhaustive for order <= EXHAUSTIVE_LAW_LIMIT (table-backed), sampled
-    on LAW_SAMPLES random triples otherwise.  The checks raise explicitly,
-    so they also hold under ``python -O``.
+    Up to TABLE_LIMIT the op tables are built and checked: identities and
+    inverses on every element, and every law exhaustively against the
+    additive generators (`_law_violation`).  Above it no tables exist: the
+    identities and inverses are checked through the scalar ops on the first
+    4096 elements, and the laws on LAW_SAMPLES random triples.  When this
+    call builds the tables, it also compares the scalar mul with its table
+    on the n squares x*x, a spot check that the scalar mul is additive, as
+    tables built from R.radices assume; tests/test_kernel.py checks full
+    scalar/table agreement for every construction.  The checks raise
+    explicitly, so they also hold under ``python -O``.
     """
     n = R.order
-    add, mul, neg = R.add, R.mul, R.neg
     zero, one = R.zero, R.one
     label = R.label
     if n == 1:
-        if not (add(0, 0) == 0 and mul(0, 0) == 0):
+        if not (R.add(0, 0) == 0 and R.mul(0, 0) == 0):
             raise RingAxiomError(f"{label}: the zero ring's operations do not fix 0")
         return
     if zero == one:
         raise RingAxiomError(f"{label}: zero == one with order > 1")
 
+    if n <= TABLE_LIMIT and R._mul_np is None:
+        scalar_mul = R.mul
+        _build_tables(R)
+        squares = np.fromiter((scalar_mul(x, x) for x in range(n)), dtype=np.int64, count=n)
+        bad = np.flatnonzero(squares != np.diagonal(R._mul_np))
+        if bad.size:
+            x = int(bad[0])
+            raise RingAxiomError(
+                f"{label}: scalar mul gives {x}*{x} = {squares[x]}, its table {R._mul_np[x, x]}")
+
+    add, mul, neg = R.add, R.mul, R.neg
     for x in range(min(n, 4096)):
         if add(x, zero) != x:
             raise RingAxiomError(f"{label}: additive identity fails at {x}")
@@ -399,40 +500,24 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
         if not (mul(x, one) == x and mul(one, x) == x):
             raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
-    if n <= EXHAUSTIVE_LAW_LIMIT:
-        _build_tables(R)
-        A, M = R._add_np, R._mul_np
-        if not np.array_equal(A, A.T):
-            raise RingAxiomError(f"{label}: addition not commutative")
-        bad = _check_assoc_np(A)
+    if R._mul_np is not None:
+        bad = _law_violation(R._add_np, R._mul_np, _additive_generators(R))
         if bad is not None:
-            raise RingAxiomError(f"{label}: addition not associative at {bad}")
-        bad = _check_assoc_np(M)
-        if bad is not None:
-            raise RingAxiomError(f"{label}: multiplication not associative at {bad}")
-        for a in range(n):
-            mrow = M[a]
-            left = mrow[A]                       # a*(b+c)
-            right = A[mrow[:, None], mrow[None, :]]  # a*b + a*c
-            if not np.array_equal(left, right):
-                raise RingAxiomError(f"{label}: left distributivity fails at a={a}")
-            mcol = M[:, a]
-            left = mcol[A]                       # (b+c)*a
-            right = A[mcol[:, None], mcol[None, :]]  # b*a + c*a
-            if not np.array_equal(left, right):
-                raise RingAxiomError(f"{label}: right distributivity fails at a={a}")
-    else:
-        rng = rng or random.Random(0)
-        for _ in range(LAW_SAMPLES):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if add(a, b) != add(b, a):
-                raise RingAxiomError(f"{label}: addition not commutative at {(a, b)}")
-            if add(add(a, b), c) != add(a, add(b, c)):
-                raise RingAxiomError(f"{label}: addition not associative at {(a, b, c)}")
-            if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                raise RingAxiomError(
-                    f"{label}: multiplication not associative at {(a, b, c)}")
-            if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-                raise RingAxiomError(f"{label}: left distributivity fails at {(a, b, c)}")
-            if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-                raise RingAxiomError(f"{label}: right distributivity fails at {(a, b, c)}")
+            law, at = bad
+            raise RingAxiomError(f"{label}: {law} at {at}")
+        return
+
+    rng = rng or random.Random(0)
+    for _ in range(LAW_SAMPLES):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        if add(a, b) != add(b, a):
+            raise RingAxiomError(f"{label}: addition not commutative at {(a, b)}")
+        if add(add(a, b), c) != add(a, add(b, c)):
+            raise RingAxiomError(f"{label}: addition not associative at {(a, b, c)}")
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            raise RingAxiomError(
+                f"{label}: multiplication not associative at {(a, b, c)}")
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            raise RingAxiomError(f"{label}: left distributivity fails at {(a, b, c)}")
+        if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
+            raise RingAxiomError(f"{label}: right distributivity fails at {(a, b, c)}")

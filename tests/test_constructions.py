@@ -1,5 +1,8 @@
 """Derived ring constructions and their censuses."""
 
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,10 @@ from finring import (
     upper_triangular,
     verify_ring_axioms,
 )
+from finring import constructions
 from finring.constructions import _verify_associativity
+from finring.kernel import _build_tables
+from test_kernel import _check_assoc_np, _closure, transposed_product
 
 
 def census(R):
@@ -230,3 +236,68 @@ class TestFormalMatrix:
         )
         with pytest.raises(AssociativityError, match=r"bogus: .* at \(0, 0, 1\)$"):
             _verify_associativity(bogus, "bogus")
+
+    @pytest.mark.parametrize("k,m", [(2, 4), (3, 2)])
+    def test_gate_matches_full_table(self, k, m):
+        # The gate passed on generator triples; the op table agrees on all n^3.
+        base = freeze(make_zmod(m))
+        for s in sorted(base.caches.nilpotents):
+            F = formal_matrix(base, k, s)
+            _build_tables(F)
+            assert _check_assoc_np(F._mul_np) is None, F.label
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gate_matches_full_table_on_bilinear_products(self, seed):
+        # A random product on Z(2)^4 that is additive in each argument:
+        # e_i * e_j = consts[i][j], mostly 0, so that 6 of the 20 are associative.
+        rng = random.Random(seed)
+        consts = [[rng.choice([0] * 7 + [rng.randrange(16)]) for _ in range(4)]
+                  for _ in range(4)]
+
+        def mul(x, y):
+            z = 0
+            for i in range(4):
+                for j in range(4):
+                    if x >> i & y >> j & 1:
+                        z ^= consts[i][j]
+            return z
+
+        R = Ring(16, add=lambda a, b: a ^ b, mul=mul, neg=lambda a: a, one=1,
+                 label="bilinear", radices=(2, 2, 2, 2))
+        gens = [1, 2, 4, 8]
+        least = next(((g, h, k) for g in gens for h in gens for k in gens
+                      if mul(mul(g, h), k) != mul(g, mul(h, k))), None)
+        if least is None:
+            _verify_associativity(R, R.label)
+        else:
+            with pytest.raises(AssociativityError, match=re.escape(f"at {least}")):
+                _verify_associativity(R, R.label)
+        _build_tables(R)
+        assert (_check_assoc_np(R._mul_np) is None) == (least is None)
+
+    def test_gate_spanning_set_generates(self, monkeypatch):
+        # Over a base with radices and over an opaque base.
+        spans = []
+
+        def record(R, label, gens=None):
+            spans.append((R, gens))
+            return gate(R, label, gens)
+
+        gate = constructions._verify_associativity
+        monkeypatch.setattr(constructions, "_verify_associativity", record)
+        z4 = make_zmod(4)
+        opaque = Ring(4, add=z4.add, mul=z4.mul, neg=z4.neg, one=1, label="Z(4) opaque")
+        formal_matrix(z4, 2, 2)
+        formal_matrix(opaque, 2, 2)
+        for R, gens in spans:
+            _build_tables(R)
+            assert _closure(R._add_np, gens) == set(range(R.order)), R.label
+
+    def test_gate_rejects_bilinear_nonassociative(self):
+        R = transposed_product()
+        with pytest.raises(AssociativityError) as err:
+            _verify_associativity(R, R.label)
+        a, b, c = map(int, re.search(r"at \((\d+), (\d+), (\d+)\)$", str(err.value)).groups())
+        assert R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c))
+        _build_tables(R)
+        assert _check_assoc_np(R._mul_np) is not None

@@ -7,16 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finring import (
     CapExceededError,
     Ring,
+    RingAxiomError,
     direct_product,
     freeze,
     is_nilpotent,
     kernel,
     make_zmod,
+    matrix_ring,
     ring_pow,
     verify_ring_axioms,
 )
@@ -170,15 +173,22 @@ def test_product_axioms():
     verify_ring_axioms(direct_product(make_zmod(4), make_zmod(9)))
 
 
-# (a - b) mod 3 as "addition": has an identity and inverses, not commutative.
-_NON_RING = """
+# Each ring is rejected by verify_ring_axioms.
+_NON_RINGS = """
 from finring import Ring, verify_ring_axioms
-R = Ring(3, add=lambda a, b: (a - b) % 3, mul=lambda a, b: a * b % 3,
-         neg=lambda a: a, one=1, label="(a - b) mod 3")
-try:
-    verify_ring_axioms(R)
-except AssertionError as exc:
-    print(__debug__, type(exc).__name__)
+non_rings = [
+    # (a - b) mod 3 as "addition": has an identity and inverses, not commutative.
+    Ring(3, add=lambda a, b: (a - b) % 3, mul=lambda a, b: a * b % 3,
+         neg=lambda a: a, one=1, label="(a - b) mod 3"),
+    # Z/3 with 2*2 = 0: not left-additive, which its radices claim.
+    Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 2, 0]][a][b],
+         neg=lambda a: (-a) % 3, one=1, label="2*2 = 0 mod 3", radices=(3,)),
+]
+for R in non_rings:
+    try:
+        verify_ring_axioms(R)
+    except AssertionError as exc:
+        print(__debug__, type(exc).__name__)
 """
 
 
@@ -186,11 +196,140 @@ def test_axioms_reject_non_ring_under_optimize():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _NON_RING], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-O", "-c", _NON_RINGS], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "RingAxiomError"]
+    assert done.stdout.split() == ["False", "RingAxiomError"] * 2
+
+
+def test_axioms_reject_non_additive_scalar_mul():
+    # The table built from the generator row 1*y has 2*2 = 1*2 + 1*2 = 1;
+    # the scalar mul says 0.  Without radices the table is the scalar mul
+    # and left distributivity fails.
+    table = [[0, 0, 0], [0, 1, 2], [0, 2, 0]]
+
+    def ring(radices):
+        return Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: table[a][b],
+                    neg=lambda a: (-a) % 3, one=1, label="2*2 = 0 mod 3", radices=radices)
+
+    with pytest.raises(RingAxiomError, match=r"scalar mul gives 2\*2 = 0, its table 1"):
+        verify_ring_axioms(ring((3,)))
+    with pytest.raises(RingAxiomError, match=r"left distributivity fails at \(2, 1, 1\)"):
+        verify_ring_axioms(ring(None))
+
+
+# -- the generator-based law check against the O(n^3) reference --------------
+
+
+def _check_assoc_np(T):
+    """Least (a, b, c) with T[T[a, b], c] != T[a, T[b, c]], or None; all n^3 triples."""
+    for a in range(T.shape[0]):
+        bad = T[T[a]] != T[a][T]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return (a, int(b), int(c))
+    return None
+
+
+def _laws_hold(A, M):
+    """Whether A and M satisfy every ring law, checked on all n^3 triples."""
+    if not np.array_equal(A, A.T) or _check_assoc_np(A) or _check_assoc_np(M):
+        return False
+    for a in range(A.shape[0]):
+        row, col = M[a], M[:, a]
+        if not np.array_equal(row[A], A[row[:, None], row[None, :]]):    # a*(b+c)
+            return False
+        if not np.array_equal(col[A], A[col[:, None], col[None, :]]):    # (b+c)*a
+            return False
+    return True
+
+
+def _closure(A, gens):
+    """The closure of {0} under + g, by plain lookups."""
+    reached, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if A[x, g] not in reached:
+                reached.add(int(A[x, g]))
+                todo.append(int(A[x, g]))
+    return reached
+
+
+_LAWS = {
+    "addition not commutative": lambda A, M, a, b: A[a, b] != A[b, a],
+    "addition not associative": lambda A, M, a, b, c: A[A[a, b], c] != A[a, A[b, c]],
+    "left distributivity fails": lambda A, M, a, b, c: M[a, A[b, c]] != A[M[a, b], M[a, c]],
+    "right distributivity fails": lambda A, M, a, b, c: M[A[b, c], a] != A[M[b, a], M[c, a]],
+    "multiplication not associative": lambda A, M, a, b, c: M[M[a, b], c] != M[a, M[b, c]],
+}
+
+
+def transposed_product():
+    """X o Y = (XY)^T on 2 x 2 matrices over Z(2): additive in X and in Y, not associative."""
+    M2 = matrix_ring(make_zmod(2), 2)
+
+    def mul(x, y):
+        return M2.encode(tuple(zip(*M2.decode(M2.mul(x, y)))))
+
+    return Ring(16, add=M2.add, mul=mul, neg=M2.neg, one=M2.one, label="(XY)^T",
+                radices=M2.radices)
+
+
+def test_law_check_names_the_broken_law():
+    R = freeze(matrix_ring(make_zmod(2), 2))
+    A, M, gens = R._add_np, R._mul_np, kernel._additive_generators(R)
+    T = transposed_product()
+    kernel._build_tables(T)
+    for M2, law in [(T._mul_np, "multiplication not associative"),
+                    (M[np.diagonal(M)], "right distributivity fails"),    # x^2 y
+                    (M[:, np.diagonal(M)], "left distributivity fails")]:  # x y^2
+        got = kernel._law_violation(A, M2, gens)
+        assert got[0] == law and _LAWS[law](A, M2, *got[1])
+        assert not _laws_hold(A, M2)
+    # Z(2) x Z(4) is a ring, but its generator 1 alone reaches only Z(4).
+    P = freeze(direct_product(make_zmod(2), make_zmod(4)))
+    law, at = kernel._law_violation(P._add_np, P._mul_np, [1])
+    assert law == "additive generators do not generate" and at == (4,)
+    assert at[0] not in _closure(P._add_np, [1])
+
+
+def _opaque(R):
+    return Ring(R.order, add=R.add, mul=R.mul, neg=R.neg, one=R.one, label=f"{R.label} opaque")
+
+
+@pytest.mark.parametrize("expr,opaque", [
+    ("Z(6)", True), ("Z(2) x Z(4)", True),
+    ("Z(2) x Z(4)", False), ("M(2, Z(2))", False), ("GR(Z(2), C(2) x C(2))", False),
+])
+def test_law_check_matches_reference_on_mutants(expr, opaque):
+    R = elaborate(parse(expr))
+    if opaque:
+        R = _opaque(R)
+    kernel._build_tables(R)
+    gens = kernel._additive_generators(R)
+    assert len(gens) == (R.order if opaque else len(R.radices))
+    A, M, n = R._add_np, R._mul_np, R.order
+    assert kernel._law_violation(A, M, gens) is None and _laws_hold(A, M)
+    rng = random.Random(0)
+    for k in range(120):
+        # Half of the add mutants sit on the diagonal, where A stays symmetric.
+        A2, M2 = A.copy(), M.copy()
+        T = A2 if k % 2 else M2
+        i, j = rng.randrange(n), rng.randrange(n)
+        if T is A2 and k % 4 == 1:
+            j = i
+        v = rng.randrange(n - 1)
+        T[i, j] = v + (v >= T[i, j])
+        got = kernel._law_violation(A2, M2, gens)
+        assert (got is None) == _laws_hold(A2, M2), (k, got)
+        if got is not None:
+            law, at = got
+            if law == "additive generators do not generate":
+                assert at[0] not in _closure(A2, gens)
+            else:
+                assert _LAWS[law](A2, M2, *at), (k, got)
 
 
 # -- op tables against the scalar ops ----------------------------------------
