@@ -303,16 +303,16 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
     )
 
 
-def _verify_associativity(R: Ring, label: str, gens=None):
+def _verify_associativity(R: Ring, label: str, gens):
     """Raise AssociativityError on the least generator triple (g, h, k) with
     (g*h)*k != g*(h*k), through the scalar mul.
 
-    `gens` must generate R's additive group (default: `_additive_generators`)
-    and R.mul must be additive in each argument; then the check is
-    exhaustive at every order in |gens|^3 triples.
+    `gens` must generate R's additive group and R.mul must be additive in
+    each argument; then the check is exhaustive at every order in |gens|^3
+    triples.
     """
     mul = np.frompyfunc(lambda x, y: R.mul(int(x), int(y)), 2, 1)
-    bad = _assoc_violation(mul, _additive_generators(R) if gens is None else gens)
+    bad = _assoc_violation(mul, gens)
     if bad is not None:
         raise AssociativityError(f"{label}: multiplication not associative at {bad}")
 

@@ -25,8 +25,8 @@ ARITH_CAP = 65536
 # scalar evaluators.
 TABLE_LIMIT = 1024
 
-# Axiom checking: exhaustive below the limit, sampled above.
-EXHAUSTIVE_LAW_LIMIT = 256
+# Axiom checking above TABLE_LIMIT, where no op tables exist: the laws are
+# checked on this many random triples.
 LAW_SAMPLES = 10_000
 
 
@@ -460,16 +460,17 @@ def _law_violation(A: np.ndarray, M: np.ndarray, gens) -> Optional[tuple]:
 def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
-    Up to TABLE_LIMIT the op tables are built and checked: identities and
-    inverses on every element, and every law exhaustively against the
-    additive generators (`_law_violation`).  Above it no tables exist: the
-    identities and inverses are checked through the scalar ops on the first
-    4096 elements, and the laws on LAW_SAMPLES random triples.  When this
-    call builds the tables, it also compares the scalar mul with its table
-    on the n squares x*x, a spot check that the scalar mul is additive, as
-    tables built from R.radices assume; tests/test_kernel.py checks full
-    scalar/table agreement for every construction.  The checks raise
-    explicitly, so they also hold under ``python -O``.
+    Identities and inverses are first checked through the scalar ops on
+    the first 4096 elements.  Up to TABLE_LIMIT the op tables are then
+    built and checked: identities and inverses on every element, and
+    every law exhaustively against the additive generators
+    (`_law_violation`).  Above it no tables exist and the laws are checked
+    on LAW_SAMPLES random triples.  When this call builds the tables, it
+    also compares the scalar mul with its table on the n squares x*x, a
+    spot check that the scalar mul is additive, as tables built from
+    R.radices assume; tests/test_kernel.py checks full scalar/table
+    agreement for every construction.  The checks raise explicitly, so
+    they also hold under ``python -O``.
     """
     n = R.order
     zero, one = R.zero, R.one
@@ -481,16 +482,6 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     if zero == one:
         raise RingAxiomError(f"{label}: zero == one with order > 1")
 
-    if n <= TABLE_LIMIT and R._mul_np is None:
-        scalar_mul = R.mul
-        _build_tables(R)
-        squares = np.fromiter((scalar_mul(x, x) for x in range(n)), dtype=np.int64, count=n)
-        bad = np.flatnonzero(squares != np.diagonal(R._mul_np))
-        if bad.size:
-            x = int(bad[0])
-            raise RingAxiomError(
-                f"{label}: scalar mul gives {x}*{x} = {squares[x]}, its table {R._mul_np[x, x]}")
-
     add, mul, neg = R.add, R.mul, R.neg
     for x in range(min(n, 4096)):
         if add(x, zero) != x:
@@ -500,8 +491,24 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
         if not (mul(x, one) == x and mul(one, x) == x):
             raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
+    if n <= TABLE_LIMIT and R._mul_np is None:
+        _build_tables(R)
+        squares = np.fromiter((mul(x, x) for x in range(n)), dtype=np.int64, count=n)
+        bad = np.flatnonzero(squares != np.diagonal(R._mul_np))
+        if bad.size:
+            x = int(bad[0])
+            raise RingAxiomError(
+                f"{label}: scalar mul gives {x}*{x} = {squares[x]}, its table {R._mul_np[x, x]}")
+
     if R._mul_np is not None:
-        bad = _law_violation(R._add_np, R._mul_np, _additive_generators(R))
+        A, M, N = R._add_np, R._mul_np, R._neg_np
+        x = np.arange(n)
+        for law, bad in [("additive identity", A[:, zero] != x),
+                         ("inverse", A[x, N] != zero),
+                         ("multiplicative identity", (M[:, one] != x) | (M[one] != x))]:
+            if bad.any():
+                raise RingAxiomError(f"{label}: {law} fails at {int(bad.argmax())}")
+        bad = _law_violation(A, M, _additive_generators(R))
         if bad is not None:
             law, at = bad
             raise RingAxiomError(f"{label}: {law} at {at}")

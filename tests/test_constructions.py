@@ -28,8 +28,9 @@ from finring import (
 )
 from finring import constructions
 from finring.constructions import _verify_associativity
-from finring.kernel import _build_tables
-from test_kernel import _check_assoc_np, _closure, transposed_product
+from finring.kernel import _additive_generators, _build_tables
+
+from _oracles import _check_assoc_np, _closure, transposed_product
 
 
 def census(R):
@@ -235,7 +236,7 @@ class TestFormalMatrix:
             label="bogus",
         )
         with pytest.raises(AssociativityError, match=r"bogus: .* at \(0, 0, 1\)$"):
-            _verify_associativity(bogus, "bogus")
+            _verify_associativity(bogus, "bogus", _additive_generators(bogus))
 
     @pytest.mark.parametrize("k,m", [(2, 4), (3, 2)])
     def test_gate_matches_full_table(self, k, m):
@@ -268,10 +269,10 @@ class TestFormalMatrix:
         least = next(((g, h, k) for g in gens for h in gens for k in gens
                       if mul(mul(g, h), k) != mul(g, mul(h, k))), None)
         if least is None:
-            _verify_associativity(R, R.label)
+            _verify_associativity(R, R.label, _additive_generators(R))
         else:
             with pytest.raises(AssociativityError, match=re.escape(f"at {least}")):
-                _verify_associativity(R, R.label)
+                _verify_associativity(R, R.label, _additive_generators(R))
         _build_tables(R)
         assert (_check_assoc_np(R._mul_np) is None) == (least is None)
 
@@ -279,7 +280,7 @@ class TestFormalMatrix:
         # Over a base with radices and over an opaque base.
         spans = []
 
-        def record(R, label, gens=None):
+        def record(R, label, gens):
             spans.append((R, gens))
             return gate(R, label, gens)
 
@@ -296,7 +297,7 @@ class TestFormalMatrix:
     def test_gate_rejects_bilinear_nonassociative(self):
         R = transposed_product()
         with pytest.raises(AssociativityError) as err:
-            _verify_associativity(R, R.label)
+            _verify_associativity(R, R.label, _additive_generators(R))
         a, b, c = map(int, re.search(r"at \((\d+), (\d+), (\d+)\)$", str(err.value)).groups())
         assert R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c))
         _build_tables(R)

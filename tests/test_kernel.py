@@ -25,6 +25,8 @@ from finring import (
 )
 from finring.cli import elaborate, parse
 
+from _oracles import _check_assoc_np, _closure, transposed_product
+
 
 def frozen_zmod(n):
     return freeze(make_zmod(n))
@@ -183,6 +185,9 @@ non_rings = [
     # Z/3 with 2*2 = 0: not left-additive, which its radices claim.
     Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 2, 0]][a][b],
          neg=lambda a: (-a) % 3, one=1, label="2*2 = 0 mod 3", radices=(3,)),
+    # Z/3 with 2*1 = 0: its generator row 1*y is right, so its table is Z/3's.
+    Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 0, 1]][a][b],
+         neg=lambda a: (-a) % 3, one=1, label="2*1 = 0 mod 3", radices=(3,)),
 ]
 for R in non_rings:
     try:
@@ -200,36 +205,56 @@ def test_axioms_reject_non_ring_under_optimize():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "RingAxiomError"] * 2
+    assert done.stdout.split() == ["False", "RingAxiomError"] * 3
 
 
 def test_axioms_reject_non_additive_scalar_mul():
     # The table built from the generator row 1*y has 2*2 = 1*2 + 1*2 = 1;
     # the scalar mul says 0.  Without radices the table is the scalar mul
     # and left distributivity fails.
-    table = [[0, 0, 0], [0, 1, 2], [0, 2, 0]]
-
-    def ring(radices):
+    def ring(table, radices):
         return Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: table[a][b],
-                    neg=lambda a: (-a) % 3, one=1, label="2*2 = 0 mod 3", radices=radices)
+                    neg=lambda a: (-a) % 3, one=1, label="non-additive mod 3", radices=radices)
 
+    two_squared_zero = [[0, 0, 0], [0, 1, 2], [0, 2, 0]]
     with pytest.raises(RingAxiomError, match=r"scalar mul gives 2\*2 = 0, its table 1"):
-        verify_ring_axioms(ring((3,)))
+        verify_ring_axioms(ring(two_squared_zero, (3,)))
     with pytest.raises(RingAxiomError, match=r"left distributivity fails at \(2, 1, 1\)"):
-        verify_ring_axioms(ring(None))
+        verify_ring_axioms(ring(two_squared_zero, None))
+    # With 2*1 = 0 the generator row 1*y is right, so the table is Z/3's;
+    # the identity checks through the scalar mul catch it.
+    with pytest.raises(RingAxiomError, match="multiplicative identity fails at 2"):
+        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 0, 1]], (3,)))
+
+
+def test_axioms_reject_wrong_scalar_add_beyond_generator_rows():
+    # 2 + 0 = 1, but the generator row 1 + y is right, so the table is Z/3's.
+    table = [[0, 1, 2], [1, 2, 0], [1, 0, 1]]
+    R = Ring(3, add=lambda a, b: table[a][b], mul=lambda a, b: a * b % 3,
+             neg=lambda a: (-a) % 3, one=1, label="2 + 0 = 1 mod 3", radices=(3,))
+    with pytest.raises(RingAxiomError, match="additive identity fails at 2"):
+        verify_ring_axioms(R)
+
+
+@pytest.mark.parametrize("table,entry,message", [
+    ("_add_np", (3, 0), "additive identity fails at 3"),
+    ("_add_np", (2, 3), "inverse fails at 2"),
+    ("_mul_np", (4, 1), "multiplicative identity fails at 4"),
+    ("_mul_np", (1, 4), "multiplicative identity fails at 4"),
+])
+def test_axioms_check_identities_on_tables(table, entry, message):
+    # Tampering with a built table leaves the table-backed scalar ops intact,
+    # so only the checks on the tables see it.
+    R = make_zmod(5)
+    kernel._build_tables(R)
+    T = getattr(R, table).copy()
+    T[entry] = (T[entry] + 1) % 5
+    setattr(R, table, T)
+    with pytest.raises(RingAxiomError, match=message):
+        verify_ring_axioms(R)
 
 
 # -- the generator-based law check against the O(n^3) reference --------------
-
-
-def _check_assoc_np(T):
-    """Least (a, b, c) with T[T[a, b], c] != T[a, T[b, c]], or None; all n^3 triples."""
-    for a in range(T.shape[0]):
-        bad = T[T[a]] != T[a][T]
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            return (a, int(b), int(c))
-    return None
 
 
 def _laws_hold(A, M):
@@ -245,18 +270,6 @@ def _laws_hold(A, M):
     return True
 
 
-def _closure(A, gens):
-    """The closure of {0} under + g, by plain lookups."""
-    reached, todo = {0}, [0]
-    while todo:
-        x = todo.pop()
-        for g in gens:
-            if A[x, g] not in reached:
-                reached.add(int(A[x, g]))
-                todo.append(int(A[x, g]))
-    return reached
-
-
 _LAWS = {
     "addition not commutative": lambda A, M, a, b: A[a, b] != A[b, a],
     "addition not associative": lambda A, M, a, b, c: A[A[a, b], c] != A[a, A[b, c]],
@@ -264,17 +277,6 @@ _LAWS = {
     "right distributivity fails": lambda A, M, a, b, c: M[A[b, c], a] != A[M[b, a], M[c, a]],
     "multiplication not associative": lambda A, M, a, b, c: M[M[a, b], c] != M[a, M[b, c]],
 }
-
-
-def transposed_product():
-    """X o Y = (XY)^T on 2 x 2 matrices over Z(2): additive in X and in Y, not associative."""
-    M2 = matrix_ring(make_zmod(2), 2)
-
-    def mul(x, y):
-        return M2.encode(tuple(zip(*M2.decode(M2.mul(x, y)))))
-
-    return Ring(16, add=M2.add, mul=mul, neg=M2.neg, one=M2.one, label="(XY)^T",
-                radices=M2.radices)
 
 
 def test_law_check_names_the_broken_law():
