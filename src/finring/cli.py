@@ -425,7 +425,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = harness.SearchConfig(seed=args.seed, count=args.count, order_cap=args.cap)
+    config = harness.SearchConfig(seed=args.seed, count=args.count, order_cap=args.cap,
+                                  only=args.only)
     report = harness.falsify(config)
     if args.json:
         _emit(report.to_json(include_timing=False))
@@ -433,7 +434,9 @@ def cmd_search(args) -> int:
         print(f"search seed={args.seed} count={args.count}: "
               f"{report.passed}/{report.attempted} clean")
         for f in report.failures:
-            print(f"  FAIL {f['case']}: {f['expected']} -> {f['got']}")
+            print(f"  FAIL {f['case']}: {f['expected']} -> {f['got']}"
+                  f" (replay: finring search --seed {f['seed']} --cap {args.cap}"
+                  f" --only {f['index']})")
     return 0 if report.ok else 1
 
 
@@ -505,6 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--json", action="store_true")
     p.add_argument("--cap", type=int, default=256, help="order cap per instance")
+    p.add_argument("--only", type=int, default=None, metavar="INDEX",
+                   help="check only the instance of this index (replays a failure)")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("radicals", help="print J(R) and Nil(R)")

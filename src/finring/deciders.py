@@ -1,9 +1,12 @@
 """Element- and ring-level decision procedures, all over frozen caches.
 
-The ``is_*`` functions decide one element by scalar search.  ``classify``
-decides every ring-level flag at once: on rings with op tables each flag is
-a whole-ring boolean mask (``_element_masks``), and above TABLE_LIMIT it
-sweeps the scalar deciders element by element.
+The ``is_*`` functions decide one element.  The regularity deciders, the
+unit-multiple loops and the NI check read whole product rows x*R and
+columns R*x from ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT,
+structure constants above it); the rest search with scalar ops.
+``classify`` decides every ring-level flag at once: on rings with op tables
+each flag is a whole-ring boolean mask (``_element_masks``), and above
+TABLE_LIMIT it sweeps the element deciders element by element.
 """
 
 from __future__ import annotations
@@ -14,7 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapExceededError, RingAxiomError
-from .kernel import CLASSIFY_CAP, Ring, _indicator, freeze, ring_pow
+from .kernel import (
+    CLASSIFY_CAP,
+    Ring,
+    _add_many,
+    _indicator,
+    _mul_many,
+    freeze,
+    ring_pow,
+)
 
 RING_FLAGS = (
     "regular",
@@ -65,40 +76,57 @@ def _require_frozen(R: Ring) -> Ring:
     return R
 
 
-def _remembered(R: Ring, decide, x: int) -> bool:
-    """Whether decide(R, x) holds, decided once per frozen ring and element."""
-    memo = R._verdicts.setdefault(decide, {})
-    verdict = memo.get(x)
-    if verdict is None:
-        verdict = memo[x] = bool(decide(R, x))
-    return verdict
+def _first_holding(R: Ring, decide, xs: np.ndarray) -> Optional[int]:
+    """Position of the first x in xs at which decide(R, x) holds, or None.
+
+    The verdicts are decided in the order of xs, up to the first that
+    holds, and remembered once per frozen ring and element.
+    """
+    memo = R._verdicts.get(decide)
+    if memo is None:                     # 1 holds, 0 fails, -1 not decided yet
+        memo = R._verdicts[decide] = np.full(R.order, -1, dtype=np.int8)
+    while True:
+        verdicts = memo[xs]
+        open_ = verdicts != 0
+        i = int(open_.argmax())
+        if not open_[i]:
+            return None
+        if verdicts[i] == 1:
+            return i
+        memo[xs[i]] = bool(decide(R, int(xs[i])))
 
 
 # -- regularity ------------------------------------------------------------
 
 
 def is_regular(R: Ring, x: int) -> bool:
-    """x = x*y*x for some y."""
+    """x = x*y*x for some y.
+
+    With op tables the lookups stop at the first witness, which is cheaper
+    on small rings than a whole row; above TABLE_LIMIT the row x*R is
+    multiplied by x at once.
+    """
     _require_frozen(R)
-    mul = R.mul
-    return any(mul(mul(x, y), x) == x for y in R.elements())
+    if R._mul_np is not None:
+        mul = R.mul
+        return any(mul(mul(x, y), x) == x for y in R.elements())
+    return bool((_mul_many(R, _mul_many(R, x, np.arange(R.order)), x) == x).any())
 
 
 def is_unit_regular(R: Ring, x: int) -> bool:
-    """x = x*u*x for some unit u."""
+    """x = x*u*x for some unit u; searched as is_regular searches."""
     _require_frozen(R)
-    mul = R.mul
-    return any(mul(mul(x, u), x) == x for u in sorted(R.caches.units))
+    if R._mul_np is not None:
+        mul = R.mul
+        return any(mul(mul(x, u), x) == x for u in sorted(R.caches.units))
+    return bool((_mul_many(R, _mul_many(R, x, R.caches.unit_array), x) == x).any())
 
 
 def is_strongly_regular(R: Ring, x: int) -> bool:
     """x lies in x^2*R and in R*x^2."""
     _require_frozen(R)
-    mul = R.mul
-    sq = mul(x, x)
-    return any(mul(sq, y) == x for y in R.elements()) and any(
-        mul(z, sq) == x for z in R.elements()
-    )
+    sq, every = _mul_many(R, x, x), np.arange(R.order)
+    return bool((_mul_many(R, sq, every) == x).any() and (_mul_many(R, every, sq) == x).any())
 
 
 # -- morphic ---------------------------------------------------------------
@@ -175,46 +203,48 @@ def is_clean(R: Ring, x: int) -> Optional[Decomposition]:
 
 def is_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
     """Some unit multiple u*x is nil-clean; the least such u is recorded on
-    the decomposition.  Nil-cleanness of each u*x is remembered per ring."""
+    the decomposition.  The multiples u*x of every unit are one column;
+    nil-cleanness of each u*x is remembered per ring."""
     _require_frozen(R)
-    for u in sorted(R.caches.units):
-        ux = R.mul(u, x)
-        if _remembered(R, is_nil_clean, ux):
-            dec = is_nil_clean(R, ux)
-            dec.unit = u
-            return dec
-    return None
+    units = R.caches.unit_array
+    multiples = _mul_many(R, units, x)
+    j = _first_holding(R, is_nil_clean, multiples)
+    if j is None:
+        return None
+    dec = is_nil_clean(R, int(multiples[j]))
+    dec.unit = int(units[j])
+    return dec
 
 
 def is_strongly_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
     """Some unit multiple u*x is strongly nil-clean.
 
-    Units are screened with the fast polynomial criterion on u*x
-    (remembered per ring); the explicit commuting decomposition is then
-    reconstructed by idempotent search and must exist: RingAxiomError is
-    raised if the two routes disagree.
+    Units are screened with the fast polynomial criterion on u*x, read
+    from one column of unit multiples (remembered per ring); the explicit
+    commuting decomposition is then reconstructed by idempotent search and
+    must exist: RingAxiomError is raised if the two routes disagree.
     """
     _require_frozen(R)
-    for u in sorted(R.caches.units):
-        ux = R.mul(u, x)
-        if _remembered(R, snc_poly_criterion, ux):
-            dec = is_strongly_nil_clean(R, ux)
-            if dec is None:
-                raise RingAxiomError(
-                    f"{R.label}: Diesl's criterion and the idempotent search "
-                    f"disagree at {ux}"
-                )
-            dec.unit = u
-            return dec
-    return None
+    units = R.caches.unit_array
+    multiples = _mul_many(R, units, x)
+    j = _first_holding(R, snc_poly_criterion, multiples)
+    if j is None:
+        return None
+    ux = int(multiples[j])
+    dec = is_strongly_nil_clean(R, ux)
+    if dec is None:
+        raise RingAxiomError(
+            f"{R.label}: Diesl's criterion and the idempotent search disagree at {ux}"
+        )
+    dec.unit = int(units[j])
+    return dec
 
 
 # -- periodicity -----------------------------------------------------------
 
 
-def periodic_indices(R: Ring, x: int) -> tuple[int, int]:
-    """Lexicographically least (m, n), 1 <= m < n, with x^m = x^n."""
-    _require_frozen(R)
+def _power_orbit(R: Ring, x: int) -> tuple[list, int]:
+    """The distinct powers x^1, ..., x^(k-1), and the m < k with x^k = x^m."""
     seen = {}
     power = x
     k = 1
@@ -222,7 +252,14 @@ def periodic_indices(R: Ring, x: int) -> tuple[int, int]:
         seen[power] = k
         power = R.mul(power, x)
         k += 1
-    return seen[power], k
+    return list(seen), seen[power]
+
+
+def periodic_indices(R: Ring, x: int) -> tuple[int, int]:
+    """Lexicographically least (m, n), 1 <= m < n, with x^m = x^n."""
+    _require_frozen(R)
+    powers, m = _power_orbit(R, x)
+    return m, len(powers) + 1
 
 
 def is_periodic(R: Ring, x: int) -> bool:
@@ -234,13 +271,8 @@ def is_periodic(R: Ring, x: int) -> bool:
 def is_strongly_pi_regular(R: Ring, x: int) -> bool:
     """Some power of x is strongly regular (remembered per ring and power)."""
     _require_frozen(R)
-    _, bound = periodic_indices(R, x)
-    power = R.one
-    for _ in range(1, bound + 1):
-        power = R.mul(power, x)
-        if _remembered(R, is_strongly_regular, power):
-            return True
-    return False
+    powers, _ = _power_orbit(R, x)
+    return _first_holding(R, is_strongly_regular, np.array(powers)) is not None
 
 
 # -- m-potents -------------------------------------------------------------
@@ -283,7 +315,8 @@ def is_NI(R: Ring) -> bool:
     """The nilpotents form a two-sided ideal.
 
     With op tables the sums and products of nilpotents are checked as
-    whole-ring masks; above TABLE_LIMIT by scalar loops.
+    whole-ring masks; above TABLE_LIMIT one nilpotent at a time, by its
+    sums with every nilpotent and its row and column of products.
     """
     _require_frozen(R)
     return _ni_witness(R) is None
@@ -296,29 +329,22 @@ def _ni_witness(R: Ring) -> Optional[int]:
     Search order: a + b over nilpotents a, b in index order; then, for each
     nilpotent a in index order and each r, the product r*a and then a*r.
     """
-    nils = R.caches.nilpotents
-    ordered = sorted(nils)
-    if R._mul_np is not None:
-        is_nil = _indicator(R.order, nils)
-        N = np.array(ordered)
-        sums = R._add_np[N[:, None], N].ravel()
+    is_nil = _indicator(R.order, R.caches.nilpotents)
+    N = np.flatnonzero(is_nil)
+    every = np.arange(R.order)
+    # With op tables every nilpotent a at once, as [a, b] and [a, r];
+    # otherwise one a at a time, in O(n) memory.
+    blocks = [N[:, None]] if R._mul_np is not None else N.tolist()
+    for a in blocks:
+        sums = _add_many(R, a, N).ravel()
         bad = ~is_nil[sums]
         if bad.any():
             return int(sums[bad.argmax()])
-        M = R._mul_np
-        products = np.stack((M[:, N].T, M[N]), axis=-1).ravel()   # [a, r] -> (r*a, a*r)
-        bad = ~is_nil[products]
-        return int(products[bad.argmax()]) if bad.any() else None
-    for a in ordered:
-        for b in ordered:
-            s = R.add(a, b)
-            if s not in nils:
-                return s
-    for a in ordered:
-        for r in R.elements():
-            for p in (R.mul(r, a), R.mul(a, r)):
-                if p not in nils:
-                    return p
+    for a in blocks:
+        products = np.stack((_mul_many(R, every, a), _mul_many(R, a, every)), axis=-1).ravel()
+        bad = ~is_nil[products]                     # (r*a, a*r) for every r
+        if bad.any():
+            return int(products[bad.argmax()])
     return None
 
 
@@ -422,7 +448,7 @@ def _element_masks(R: Ring) -> dict:
     caches = R.caches
     x = np.arange(n)
     col = x[:, None]
-    units = np.array(sorted(caches.units))
+    units = caches.unit_array
     idempotents = np.array(sorted(caches.idempotents))
     is_unit = _indicator(n, caches.units)
     is_nil = _indicator(n, caches.nilpotents)
@@ -461,10 +487,13 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     tables (order <= TABLE_LIMIT) all element flags come from whole-ring
     masks (``_element_masks``) and the witness is the first False in the
     mask.  Above TABLE_LIMIT each flag sweeps its ``_ELEMENT_DECIDERS`` entry
-    in index order and stops at the first failure; there the unit nil-clean,
-    strongly unit nil-clean and strongly pi-regular deciders read per-ring
-    memos of the nil-clean, Diesl and strongly-regular verdicts instead of
-    deciding them again.  Both paths give the same report.
+    in index order and stops at the first failure.  There the regularity
+    deciders read rows x*R and columns R*x from ``kernel._mul_many`` (in
+    O(n * |g|) memory for a ring with radices), the unit nil-clean and
+    strongly unit nil-clean deciders read the column of unit multiples u*x,
+    and they and the strongly pi-regular decider read per-ring memos of the
+    nil-clean, Diesl and strongly-regular verdicts instead of deciding them
+    again.  Both paths give the same report.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")

@@ -350,6 +350,7 @@ class SearchConfig:
     count: int = 100
     order_cap: int = 256
     weights: Optional[dict] = None
+    only: Optional[int] = None      # check only the instance of this index
 
     DEFAULT_WEIGHTS = {
         "zmod": 3, "product": 1, "matrix": 1, "upper": 1,
@@ -489,16 +490,26 @@ def falsify(config: SearchConfig) -> SuiteReport:
     """Random constructions cross-checked against every applicable predicate.
 
     Deterministic under a fixed seed; the serialized report excludes
-    timing so two runs are byte-identical.
+    timing so two runs are byte-identical.  Each failure record carries
+    the `seed` and the instance `index` that reproduce it: with
+    ``config.only = index`` the instances before it are drawn (which
+    advances the generator) but only that one is checked.
     """
+    if config.only is not None and config.only < 0:
+        raise ValueError("the instance index must be >= 0")
     report = SuiteReport("falsify", "discriminating")
     rng = random.Random(config.seed)
     cap = config.order_cap
-    for _ in range(config.count):
+    count = config.count if config.only is None else config.only + 1
+    for index in range(count):
+        replayed = config.only is None or index == config.only
         try:
             R = _random_instance(rng, cap, config.weights)
         except CapExceededError as exc:
-            report.skipped.append(str(exc))
+            if replayed:
+                report.skipped.append(str(exc))
+            continue
+        if not replayed:
             continue
         if R.order > cap:
             report.skipped.append(f"{R.label}: order {R.order} > cap {cap}")
@@ -508,4 +519,6 @@ def falsify(config: SearchConfig) -> SuiteReport:
         report.attempted += 1
         if len(report.failures) == before:
             report.passed += 1
+        for failure in report.failures[before:]:
+            failure.update(seed=config.seed, index=index)
     return report

@@ -4,6 +4,12 @@ Elements of a ring of order n are the integers 0..n-1.  Each construction
 supplies encode/decode maps between indices and its natural element shape
 (residues, matrices, coefficient vectors, ...), so the deciders only ever
 see indices.
+
+Products of many elements at once go through ``_mul_many`` (and sums and
+differences through ``_add_many`` and ``_sub_many``): a lookup in the op
+tables up to TABLE_LIMIT; above it, for a ring with radices, the product of
+digit vectors through the |g|^2 structure constants of its additive
+generators, so a whole row x*R or column R*x costs O(n * |g|) memory.
 """
 
 from __future__ import annotations
@@ -21,22 +27,26 @@ from .errors import CapExceededError, RingAxiomError
 CLASSIFY_CAP = 4096
 ARITH_CAP = 65536
 
-# Full op tables above this order cost too much memory; fall back to the
-# scalar evaluators.
+# Full op tables above this order cost too much memory; rings with radices
+# then multiply through their structure constants (`_mul_many`), opaque
+# rings through the scalar evaluators.
 TABLE_LIMIT = 1024
 
-# Axiom checking above TABLE_LIMIT, where no op tables exist: the laws are
-# checked on this many random triples.
+# Axiom checking above TABLE_LIMIT, where no op tables exist: the laws other
+# than the associativity of a ring with radices are checked on this many
+# random triples.
 LAW_SAMPLES = 10_000
 
 
 class RingCaches:
     """Structural sets populated by freeze()."""
 
-    __slots__ = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson")
+    __slots__ = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson",
+                 "unit_array")
 
     def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson):
         self.units = frozenset(units)
+        self.unit_array = np.array(sorted(self.units), dtype=np.int64)   # in index order
         self.unit_inverse = dict(unit_inverse)
         self.idempotents = frozenset(idempotents)
         self.nilpotents = frozenset(nilpotents)
@@ -97,7 +107,9 @@ class Ring:
         self._mul_np: Optional[np.ndarray] = None
         self._neg_np: Optional[np.ndarray] = None
         self._morphic: Optional[tuple] = None
-        # decider -> {element: verdict}, filled by the scalar deciders once frozen
+        self._structure: Optional[tuple] = None     # see _structure_constants
+        # decider -> int8 verdict per element (-1: not decided yet), filled by
+        # the element deciders once frozen
         self._verdicts: dict = {}
 
     # -- basic derived ops -------------------------------------------------
@@ -199,64 +211,135 @@ def _indicator(n: int, members) -> np.ndarray:
     return mask
 
 
-def _compute_units(R: Ring):
-    n, one = R.order, R.one
+def _structure_constants(R: Ring) -> tuple:
+    """(D, C, r, w) of a ring with radices, built on first use and cached.
+
+    w are the additive generators (`_additive_generators`) and r their
+    radices.  D[x, l] = x // w_l % r_l is digit l of x, an n x |g| matrix,
+    and C[i, j, l] is digit l of g_i*g_j, from |g|^2 scalar products.
+    """
+    if R._structure is None:
+        w = np.array(_additive_generators(R), dtype=np.int64)
+        r = np.array([q for q in R.radices if q > 1], dtype=np.int64)
+        D = np.arange(R.order)[:, None] // w % r
+        products = [R.mul(g, h) for g in w.tolist() for h in w.tolist()]
+        C = D.take(products, 0).reshape(len(w), len(w), len(w))
+        R._structure = (D, C, r, w)
+    return R._structure
+
+
+def _index(R: Ring, digits: np.ndarray) -> np.ndarray:
+    """Element indices of unreduced digit vectors (last axis)."""
+    _, _, r, w = _structure_constants(R)
+    return digits % r @ w
+
+
+def _scalar_many(op, *args) -> np.ndarray:
+    """op on every (broadcast) element of the index arrays, by scalar calls."""
+    return np.asarray(np.frompyfunc(op, len(args), 1)(*args), dtype=np.int64)
+
+
+def _mul_many(R: Ring, a, b) -> np.ndarray:
+    """The elementwise products a*b of two index arrays, which broadcast.
+
+    With op tables this is a lookup.  Above TABLE_LIMIT, a ring with
+    radices multiplies digit vectors: mul is additive in each argument, so
+    a*b = sum over i, j of a_i * b_j * (g_i*g_j), reduced mod r digit by
+    digit after each contraction.  A scalar a gives the row a*b as one
+    |g| x |g| matrix (the digits of a*g_j) applied to the digits of b, a
+    scalar b likewise the column; otherwise the sum runs over j.  Opaque
+    rings call the scalar mul on every pair.
+    """
     if R._mul_np is not None:
-        # A one-sided inverse is two-sided in a finite ring, so the first
-        # right inverse v of u is the inverse exactly when v*u is one too.
+        return R._mul_np[a, b]
+    if R.radices is None:
+        return _scalar_many(R.mul, a, b)
+    D, C, r, _ = _structure_constants(R)
+    a, b = np.asarray(a), np.asarray(b)
+    L = len(r)
+    if a.ndim == 0:          # [j, l] -> digit l of a*g_j
+        return _index(R, D.take(b, 0) @ ((D[a] @ C.reshape(L, L * L)).reshape(L, L) % r))
+    if b.ndim == 0:          # [i, l] -> digit l of g_i*b
+        return _index(R, D.take(a, 0) @ (C.transpose(0, 2, 1) @ D[b] % r))
+    da, db = D.take(a, 0), D.take(b, 0)
+    digits = np.zeros(np.broadcast_shapes(a.shape, b.shape) + (L,), dtype=np.int64)
+    for j in range(L):       # the digits of a*g_j, times b_j
+        digits += db[..., j, None] * (da @ C[:, j] % r)
+    return _index(R, digits)
+
+
+def _add_many(R: Ring, a, b) -> np.ndarray:
+    """The elementwise sums a + b of two index arrays, which broadcast;
+    digit by digit above TABLE_LIMIT (see `_mul_many`)."""
+    if R._add_np is not None:
+        return R._add_np[a, b]
+    if R.radices is None:
+        return _scalar_many(R.add, a, b)
+    D = _structure_constants(R)[0]
+    return _index(R, D.take(a, 0) + D.take(b, 0))
+
+
+def _sub_many(R: Ring, a, b) -> np.ndarray:
+    """The elementwise differences a - b, as `_add_many`."""
+    if R._add_np is not None:
+        return R._add_np[a, R._neg_np[b]]
+    if R.radices is None:
+        return _scalar_many(R.sub, a, b)
+    D = _structure_constants(R)[0]
+    return _index(R, D.take(a, 0) - D.take(b, 0))
+
+
+def _compute_units(R: Ring):
+    # A one-sided inverse is two-sided in a finite ring, so the first
+    # right inverse v of u is the inverse exactly when v*u is one too.
+    n, one = R.order, R.one
+    x = np.arange(n)
+    if R._mul_np is not None:
         M = R._mul_np
-        u = np.arange(n)
         v = (M == one).argmax(1)
-        ok = (M[u, v] == one) & (M[v, u] == one)
-        return dict(zip(u[ok].tolist(), v[ok].tolist()))
-    inverse = {}
-    mul = R.mul
-    for u in range(n):
-        for v in range(n):
-            if mul(u, v) == one and mul(v, u) == one:
-                inverse[u] = v
-                break
-    return inverse
+        ok = (M[x, v] == one) & (M[v, x] == one)
+        return dict(zip(x[ok].tolist(), v[ok].tolist()))
+    # One column u*v per v over the u still open, in index order of v.  An
+    # u with u*v = 0 for some v != 0 is no unit (v = u^-1*u*v = 0) and drops out.
+    u, v = [], []
+    open_ = x
+    for z in range(n):
+        if not open_.size:
+            break
+        column = _mul_many(R, open_, z)
+        right = column == one
+        u += open_[right].tolist()
+        v += [z] * int(right.sum())
+        open_ = open_[~right & ((column != 0) | (z == 0))]
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    ok = _mul_many(R, v, u) == one
+    return dict(sorted(zip(u[ok].tolist(), v[ok].tolist())))
 
 
 def _compute_nilpotents(R: Ring):
     # x is nilpotent iff x^(2^k) = 0 for 2^k >= order (nilpotency index
     # is at most the order in a finite ring).
     n = R.order
-    squarings = max(1, (n - 1).bit_length())
-    if R._mul_np is not None:
-        M = R._mul_np
-        y = np.arange(n)
-        for _ in range(squarings):
-            y = M[y, y]
-        return set(np.flatnonzero(y == 0).tolist())
-    mul = R.mul
-    out = set()
-    for x in range(n):
-        y = x
-        for _ in range(squarings):
-            y = mul(y, y)
-            if y == 0:
-                break
-        if y == 0:
-            out.add(x)
-    return out
+    y = np.arange(n)
+    for _ in range(max(1, (n - 1).bit_length())):
+        y = _mul_many(R, y, y)
+    return set(np.flatnonzero(y == 0).tolist())
 
 
 def _compute_jacobson(R: Ring, units):
     # J(R) = { x : 1 - yx is a unit for all y }; one-sided quasi-regularity
     # suffices in a finite ring.
     n, one = R.order, R.one
+    is_unit = _indicator(n, units)
     if R._mul_np is not None:
         # [y, x] -> 1 - y*x
         one_minus = R._add_np[one][R._neg_np[R._mul_np]]
-        return set(np.flatnonzero(_indicator(n, units)[one_minus].all(0)).tolist())
-    mul, sub = R.mul, R.sub
-    jac = set()
-    for x in range(n):
-        if all(sub(one, mul(y, x)) in units for y in range(n)):
-            jac.add(x)
-    return jac
+        return set(np.flatnonzero(is_unit[one_minus].all(0)).tolist())
+    # One row y*x per y over the x that passed every earlier y.
+    x = np.arange(n)
+    for y in range(n):
+        x = x[is_unit[_sub_many(R, one, _mul_many(R, y, x))]]
+    return set(x.tolist())
 
 
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
@@ -264,8 +347,10 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
 
     Op tables are built up to TABLE_LIMIT; with them, units, idempotents,
     nilpotents and the Jacobson radical are each one whole-ring numpy mask
-    over the tables.  Above TABLE_LIMIT each set is an elementwise sweep of
-    scalar products.  Both paths give the same sets.
+    over the tables.  Above TABLE_LIMIT idempotents and nilpotents are
+    still whole-ring products (`_mul_many`), while units and the Jacobson
+    radical take one row u*R or column R*x per element, in O(n * |g|)
+    memory for a ring with radices.  Both paths give the same sets.
     """
     if R.caches is not None:
         return R
@@ -276,11 +361,8 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     _build_tables(R)
     inverse = _compute_units(R)
     units = frozenset(inverse)
-    if R._mul_np is not None:
-        diagonal = np.diagonal(R._mul_np)
-        idempotents = frozenset(np.flatnonzero(diagonal == np.arange(R.order)).tolist())
-    else:
-        idempotents = frozenset(e for e in range(R.order) if R.mul(e, e) == e)
+    x = np.arange(R.order)
+    idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
     nilpotents = frozenset(_compute_nilpotents(R))
     jacobson = frozenset(_compute_jacobson(R, units))
     R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson)
@@ -461,16 +543,22 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
     Identities and inverses are first checked through the scalar ops on
-    the first 4096 elements.  Up to TABLE_LIMIT the op tables are then
-    built and checked: identities and inverses on every element, and
-    every law exhaustively against the additive generators
-    (`_law_violation`).  Above it no tables exist and the laws are checked
-    on LAW_SAMPLES random triples.  When this call builds the tables, it
-    also compares the scalar mul with its table on the n squares x*x, a
-    spot check that the scalar mul is additive, as tables built from
-    R.radices assume; tests/test_kernel.py checks full scalar/table
-    agreement for every construction.  The checks raise explicitly, so
-    they also hold under ``python -O``.
+    the first 4096 elements (all of them up to CLASSIFY_CAP).  Up to
+    TABLE_LIMIT the op tables are then built and checked: identities and
+    inverses on every element, and every law exhaustively against the
+    additive generators (`_law_violation`).  Above it no tables exist.
+    For a ring with radices the scalar add must then agree with the
+    digitwise sum on x + g for the same x and every generator g,
+    associativity is checked on all |g|^3 generator triples through the
+    scalar mul (exhaustive when mul is additive), and the other laws,
+    additivity included, on LAW_SAMPLES random triples; an opaque ring
+    gets the sampled laws only.  When this call builds the tables, or
+    above TABLE_LIMIT, it also compares the scalar mul with the table or
+    with `_mul_many` on the squares x*x of those x, a spot check that the
+    scalar mul is additive, as tables and structure constants built from
+    R.radices assume; tests/test_kernel.py checks full agreement for every
+    construction.  The checks raise explicitly, so they also hold under
+    ``python -O``.
     """
     n = R.order
     zero, one = R.zero, R.one
@@ -483,7 +571,8 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
         raise RingAxiomError(f"{label}: zero == one with order > 1")
 
     add, mul, neg = R.add, R.mul, R.neg
-    for x in range(min(n, 4096)):
+    checked = min(n, 4096)      # elements checked through the scalar ops
+    for x in range(checked):
         if add(x, zero) != x:
             raise RingAxiomError(f"{label}: additive identity fails at {x}")
         if add(x, neg(x)) != zero:
@@ -491,14 +580,28 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
         if not (mul(x, one) == x and mul(one, x) == x):
             raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
+    # What the scalar ops are compared with: the tables this call builds,
+    # or above TABLE_LIMIT the digits and structure constants of R.radices.
+    derived = None
+    x = np.arange(checked)
     if n <= TABLE_LIMIT and R._mul_np is None:
         _build_tables(R)
-        squares = np.fromiter((mul(x, x) for x in range(n)), dtype=np.int64, count=n)
-        bad = np.flatnonzero(squares != np.diagonal(R._mul_np))
+        derived = "table"
+    elif R._mul_np is None and R.radices is not None:
+        derived = "structure constants"
+        G = np.array(_additive_generators(R))[:, None]
+        sums, digitwise = _scalar_many(add, G, x), _add_many(R, G, x)    # [g, y] -> g + y
+        if (sums != digitwise).any():
+            g, y = np.argwhere(sums != digitwise)[0]
+            raise RingAxiomError(f"{label}: scalar add gives {G[g, 0]}+{y} = {sums[g, y]}, "
+                                 f"its digits {digitwise[g, y]}")
+    if derived is not None:
+        squares, products = _scalar_many(mul, x, x), _mul_many(R, x, x)
+        bad = np.flatnonzero(squares != products)
         if bad.size:
-            x = int(bad[0])
+            y = int(bad[0])
             raise RingAxiomError(
-                f"{label}: scalar mul gives {x}*{x} = {squares[x]}, its table {R._mul_np[x, x]}")
+                f"{label}: scalar mul gives {y}*{y} = {squares[y]}, its {derived} {products[y]}")
 
     if R._mul_np is not None:
         A, M, N = R._add_np, R._mul_np, R._neg_np
@@ -514,6 +617,11 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
             raise RingAxiomError(f"{label}: {law} at {at}")
         return
 
+    if R.radices is not None:
+        bad = _assoc_violation(np.frompyfunc(lambda a, b: mul(int(a), int(b)), 2, 1),
+                               _additive_generators(R))
+        if bad is not None:
+            raise RingAxiomError(f"{label}: multiplication not associative at {bad}")
     rng = rng or random.Random(0)
     for _ in range(LAW_SAMPLES):
         a, b, c = (rng.randrange(n) for _ in range(3))

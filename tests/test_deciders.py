@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,3 +452,29 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
     for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
         assert getattr(S.caches, name) == getattr(R.caches, name), name
     assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())
+
+
+def test_row_path_matches_table_path_above_limit(monkeypatch):
+    S = freeze(trivial_extension(make_zmod(33)))
+    assert S.order > kernel.TABLE_LIMIT and S._mul_np is None
+    row_path = json.dumps(classify(S).to_json())
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 2048)
+    R = freeze(trivial_extension(make_zmod(33)))
+    assert R._mul_np is not None
+    for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
+        assert getattr(S.caches, name) == getattr(R.caches, name), name
+    assert row_path == json.dumps(classify(R).to_json())
+
+
+def test_row_path_memory_is_linear_in_order():
+    # One 1089 x 1089 int64 array alone is 9.0 MiB; the row path keeps to
+    # O(n * |g|) arrays.
+    R = trivial_extension(make_zmod(33))
+    tracemalloc.start()
+    try:
+        classify(freeze(R))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R._mul_np is None
+    assert peak < 2 * 2**20, peak

@@ -1,8 +1,10 @@
 """Theorem suites and the randomized falsifier."""
 
 import json
+import random
 
-from finring import SearchConfig, cyclic, deciders, falsify, make_zmod, standard_corpus
+from finring import SearchConfig, cyclic, deciders, falsify, harness, make_zmod, standard_corpus
+from finring.cli import main
 from finring.harness import (
     suite_connell,
     suite_group_ring_sunc,
@@ -88,3 +90,31 @@ def test_falsify_seed_changes_sequence():
     b = falsify(SearchConfig(seed=2, count=10))
     assert a.attempted == b.attempted == 10
     assert a.ok and b.ok
+
+
+def test_falsify_failure_replays_from_seed_and_index(monkeypatch, capsys):
+    rng = random.Random(0)
+    labels = [harness._random_instance(rng, 256).label for _ in range(8)]
+    assert labels[3] not in labels[:3] + labels[4:]
+
+    def check(R, failures):      # fails at instance 3 only
+        if R.label == labels[3]:
+            failures.append({"case": R.label, "expected": "planted", "got": "failure",
+                             "witness": None})
+
+    monkeypatch.setattr(harness, "_check_instance", check)
+    report = falsify(SearchConfig(seed=0, count=8))
+    assert (report.attempted, report.passed) == (8, 7)
+    [failure] = report.failures
+    assert (failure["case"], failure["seed"], failure["index"]) == (labels[3], 0, 3)
+    replay = falsify(SearchConfig(seed=0, only=3))
+    assert (replay.attempted, replay.failures) == (1, [failure])
+    assert main(["search", "--seed", "0", "--only", "3", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["attempted"], payload["failures"]) == (1, [failure])
+    assert main(["search", "--seed", "0", "--count", "8"]) == 1
+    assert "replay: finring search --seed 0 --cap 256 --only 3" in capsys.readouterr().out
+    # Every other index replays a passing instance.
+    assert falsify(SearchConfig(seed=0, only=5)).to_json(False) == {
+        "suite": "falsify", "kind": "discriminating", "attempted": 1, "passed": 1,
+        "failures": [], "skipped": []}

@@ -1,5 +1,6 @@
 """Base rings, caches, and ring-axiom checks."""
 
+import functools
 import itertools
 import os
 import random
@@ -208,6 +209,64 @@ def test_axioms_reject_non_ring_under_optimize():
     assert done.stdout.split() == ["False", "RingAxiomError"] * 3
 
 
+# Rings above TABLE_LIMIT, each rejected by verify_ring_axioms with the
+# message after it.
+_NON_RINGS_ABOVE_LIMIT = """
+from finring import Ring, verify_ring_axioms
+
+
+def digitwise(op):
+    return lambda x, y: sum(op(x // 11**t % 11, y // 11**t % 11) % 11 * 11**t for t in range(3))
+
+
+def ef_is_e(x, y):
+    # Basis 1, e, f (digits a, b, c) over Z(11), with e*f = e and every other
+    # product of e and f zero: bilinear and unital, but (e*f)*f = e, e*(f*f) = 0.
+    (a, b, c), (p, q, r) = ((z % 11, z // 11 % 11, z // 121) for z in (x, y))
+    return (a * p) % 11 + (a * q + b * p + b * r) % 11 * 11 + (a * r + c * p) % 11 * 121
+
+
+non_rings = [
+    # x^2 y: not additive in x; 2*1 = 4.
+    Ring(1031, add=lambda a, b: (a + b) % 1031, mul=lambda a, b: a * a * b % 1031,
+         neg=lambda a: -a % 1031, one=1, label="x^2 y", radices=(1031,)),
+    # xy + 5(x^2 - x)(y^2 - y): unital, but not additive.
+    Ring(1031, add=lambda a, b: (a + b) % 1031,
+         mul=lambda a, b: (a * b + 5 * (a * a - a) * (b * b - b)) % 1031,
+         neg=lambda a: -a % 1031, one=1, label="xy + 5(x^2 - x)(y^2 - y)", radices=(1031,)),
+    # Z(1296) is a ring, but its generator 1 has order 1296, not the radix 6.
+    Ring(1296, add=lambda a, b: (a + b) % 1296, mul=lambda a, b: a * b % 1296,
+         neg=lambda a: -a % 1296, one=1, label="Z(1296) as (6, 216)", radices=(6, 216)),
+    Ring(1331, add=digitwise(lambda a, b: a + b), mul=ef_is_e,
+         neg=lambda x: digitwise(lambda a, b: -a)(x, 0), one=1, label="ef = e",
+         radices=(11, 11, 11)),
+]
+for R in non_rings:
+    try:
+        verify_ring_axioms(R)
+        print("accepted", R.label)
+    except AssertionError as exc:
+        print(__debug__, type(exc).__name__, exc, sep="|")
+"""
+
+
+def test_axioms_above_table_limit_reject_non_rings_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_RINGS_ABOVE_LIMIT],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split("|") for line in done.stdout.splitlines()] == [
+        ["False", "RingAxiomError", "x^2 y: multiplicative identity fails at 2"],
+        ["False", "RingAxiomError",
+         "xy + 5(x^2 - x)(y^2 - y): scalar mul gives 2*2 = 24, its structure constants 4"],
+        ["False", "RingAxiomError", "Z(1296) as (6, 216): scalar add gives 1+5 = 6, its digits 0"],
+        ["False", "RingAxiomError", "ef = e: multiplication not associative at (11, 121, 121)"],
+    ]
+
+
 def test_axioms_reject_non_additive_scalar_mul():
     # The table built from the generator row 1*y has 2*2 = 1*2 + 1*2 = 1;
     # the scalar mul says 0.  Without radices the table is the scalar mul
@@ -402,6 +461,77 @@ def test_opaque_ring_tables_match_scalar_ops():
              neg=lambda a: (-a) % 6, one=1, label="Z(6) opaque")
     assert R.radices is None
     assert _table_mismatch(R) is None
+
+
+# -- the vectorised product against the scalar ops -------------------------
+
+
+def _products_mismatch(R, pairs, rows):
+    """First (form, a, b) at which kernel._mul_many, _add_many or _sub_many
+    differ from R's scalar ops, or None.
+
+    The scalar ops are captured before R is frozen.  The elementwise forms
+    are checked on `pairs`; the row a*R and the column R*a of _mul_many
+    for every a in `rows`.
+    """
+    add, mul = functools.cache(R.add), functools.cache(R.mul)
+    neg = R.neg
+    freeze(R)
+    n = R.order
+    every = np.arange(n)
+    a, b = (np.array(t, dtype=np.int64) for t in zip(*pairs))
+    forms = [("mul", a, b, kernel._mul_many(R, a, b), mul),
+             ("add", a, b, kernel._add_many(R, a, b), add),
+             ("sub", a, b, kernel._sub_many(R, a, b), lambda p, q: add(p, neg(q)))]
+    for x in rows:
+        same = np.full(n, x)
+        forms += [("row", same, every, kernel._mul_many(R, x, every), mul),
+                  ("column", every, same, kernel._mul_many(R, every, x), mul)]
+    for form, xs, ys, got, op in forms:
+        for p, q, g in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            if op(p, q) != g:
+                return (form, p, q)
+    return None
+
+
+def _all_pairs_mismatch(R):
+    return _products_mismatch(R, itertools.product(range(R.order), repeat=2), range(R.order))
+
+
+@pytest.mark.parametrize("expr", _EXHAUSTIVE)
+def test_mul_many_matches_scalar_ops(expr, monkeypatch):
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    R = elaborate(parse(expr))
+    assert _all_pairs_mismatch(R) is None
+    assert R._mul_np is None and R._structure is not None
+
+
+@pytest.mark.parametrize("expr", ["M(2, Z(2) x Z(2))", "M(2, GR(Z(2), C(2)))"])
+def test_mul_many_matches_scalar_ops_nested_base(expr, monkeypatch):
+    R = elaborate(parse(expr))
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    assert _all_pairs_mismatch(R.meta["base"]) is None
+    # The base's table lookups then keep the n^2 scalar products of R cheap.
+    monkeypatch.undo()
+    kernel._build_tables(R.meta["base"])
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    assert _all_pairs_mismatch(R) is None
+
+
+def test_mul_many_on_opaque_ring_calls_scalar_ops(monkeypatch):
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    R = _opaque(elaborate(parse("Z(2) x Z(4)")))
+    assert _all_pairs_mismatch(R) is None
+    assert R._structure is None
+
+
+@pytest.mark.parametrize("expr", ["Triv(Z(33))", "Z(5) x Triv(Z(15))", "M(2, Z(6))"])
+def test_mul_many_matches_scalar_ops_sampled(expr):
+    R = elaborate(parse(expr))
+    assert R.order > kernel.TABLE_LIMIT
+    rng = random.Random(0)
+    pairs = [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)]
+    assert _products_mismatch(R, pairs, rng.sample(range(R.order), 10)) is None
 
 
 def test_product_radices():
