@@ -1,12 +1,12 @@
 """Element- and ring-level decision procedures, all over frozen caches.
 
-The ``is_*`` functions decide one element.  The regularity deciders, the
-unit-multiple loops and the NI check read whole product rows x*R and
-columns R*x from ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT,
-structure constants above it); the rest search with scalar ops.
-``classify`` decides every ring-level flag at once: on rings with op tables
-each flag is a whole-ring boolean mask (``_element_masks``), and above
-TABLE_LIMIT it sweeps the element deciders element by element.
+The ``is_*`` functions decide one element; they are the API and the
+reference the tests hold the masks to.  The regularity deciders and the
+unit-multiple columns read whole product rows x*R and columns R*x from
+``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
+constants above it); the rest search with scalar ops.  ``classify``
+decides every ring-level flag at once, on every ring, as whole-ring boolean
+masks (``_element_masks``) read in the row blocks of ``kernel._row_blocks``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .kernel import (
     _add_many,
     _indicator,
     _mul_many,
+    _powers,
+    _row_blocks,
+    _sub_many,
     freeze,
     ring_pow,
 )
@@ -76,26 +79,6 @@ def _require_frozen(R: Ring) -> Ring:
     return R
 
 
-def _first_holding(R: Ring, decide, xs: np.ndarray) -> Optional[int]:
-    """Position of the first x in xs at which decide(R, x) holds, or None.
-
-    The verdicts are decided in the order of xs, up to the first that
-    holds, and remembered once per frozen ring and element.
-    """
-    memo = R._verdicts.get(decide)
-    if memo is None:                     # 1 holds, 0 fails, -1 not decided yet
-        memo = R._verdicts[decide] = np.full(R.order, -1, dtype=np.int8)
-    while True:
-        verdicts = memo[xs]
-        open_ = verdicts != 0
-        i = int(open_.argmax())
-        if not open_[i]:
-            return None
-        if verdicts[i] == 1:
-            return i
-        memo[xs[i]] = bool(decide(R, int(xs[i])))
-
-
 # -- regularity ------------------------------------------------------------
 
 
@@ -135,18 +118,13 @@ def is_strongly_regular(R: Ring, x: int) -> bool:
 def _morphic_tables(R: Ring):
     """Per-element left annihilators and principal left ideals, cached."""
     if R._morphic is None:
-        n = R.order
-        mul = R.mul
-        left_ann = []
-        principal = []
-        by_principal = {}
-        for a in range(n):
-            col = [mul(y, a) for y in range(n)]
-            la = frozenset(y for y in range(n) if col[y] == 0)
-            pr = frozenset(col)
-            left_ann.append(la)
-            principal.append(pr)
-            by_principal.setdefault(pr, []).append(a)
+        every = np.arange(R.order)
+        left_ann, principal, by_principal = [], [], {}
+        for a in range(R.order):
+            col = _mul_many(R, every, a)                # R*a
+            left_ann.append(frozenset(every[col == 0].tolist()))
+            principal.append(frozenset(col.tolist()))
+            by_principal.setdefault(principal[-1], []).append(a)
         R._morphic = (left_ann, principal, by_principal)
     return R._morphic
 
@@ -203,41 +181,37 @@ def is_clean(R: Ring, x: int) -> Optional[Decomposition]:
 
 def is_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
     """Some unit multiple u*x is nil-clean; the least such u is recorded on
-    the decomposition.  The multiples u*x of every unit are one column;
-    nil-cleanness of each u*x is remembered per ring."""
+    the decomposition.  The multiples u*x of every unit are one column."""
     _require_frozen(R)
     units = R.caches.unit_array
-    multiples = _mul_many(R, units, x)
-    j = _first_holding(R, is_nil_clean, multiples)
-    if j is None:
-        return None
-    dec = is_nil_clean(R, int(multiples[j]))
-    dec.unit = int(units[j])
-    return dec
+    for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
+        dec = is_nil_clean(R, ux)
+        if dec is not None:
+            dec.unit = u
+            return dec
+    return None
 
 
 def is_strongly_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
     """Some unit multiple u*x is strongly nil-clean.
 
     Units are screened with the fast polynomial criterion on u*x, read
-    from one column of unit multiples (remembered per ring); the explicit
-    commuting decomposition is then reconstructed by idempotent search and
-    must exist: RingAxiomError is raised if the two routes disagree.
+    from one column of unit multiples; the explicit commuting decomposition
+    is then reconstructed by idempotent search and must exist:
+    RingAxiomError is raised if the two routes disagree.
     """
     _require_frozen(R)
     units = R.caches.unit_array
-    multiples = _mul_many(R, units, x)
-    j = _first_holding(R, snc_poly_criterion, multiples)
-    if j is None:
-        return None
-    ux = int(multiples[j])
-    dec = is_strongly_nil_clean(R, ux)
-    if dec is None:
-        raise RingAxiomError(
-            f"{R.label}: Diesl's criterion and the idempotent search disagree at {ux}"
-        )
-    dec.unit = int(units[j])
-    return dec
+    for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
+        if snc_poly_criterion(R, ux):
+            dec = is_strongly_nil_clean(R, ux)
+            if dec is None:
+                raise RingAxiomError(
+                    f"{R.label}: Diesl's criterion and the idempotent search disagree at {ux}"
+                )
+            dec.unit = u
+            return dec
+    return None
 
 
 # -- periodicity -----------------------------------------------------------
@@ -269,10 +243,10 @@ def is_periodic(R: Ring, x: int) -> bool:
 
 
 def is_strongly_pi_regular(R: Ring, x: int) -> bool:
-    """Some power of x is strongly regular (remembered per ring and power)."""
+    """Some power x^1, ..., x^(k-1) of x is strongly regular, tried in order."""
     _require_frozen(R)
     powers, _ = _power_orbit(R, x)
-    return _first_holding(R, is_strongly_regular, np.array(powers)) is not None
+    return any(is_strongly_regular(R, p) for p in powers)
 
 
 # -- m-potents -------------------------------------------------------------
@@ -312,11 +286,8 @@ def nil_set(R: Ring) -> frozenset:
 
 
 def is_NI(R: Ring) -> bool:
-    """The nilpotents form a two-sided ideal.
-
-    With op tables the sums and products of nilpotents are checked as
-    whole-ring masks; above TABLE_LIMIT one nilpotent at a time, by its
-    sums with every nilpotent and its row and column of products.
+    """The nilpotents form a two-sided ideal: every sum of two nilpotents and
+    every product of a nilpotent with an element is nilpotent (`_ni_witness`).
     """
     _require_frozen(R)
     return _ni_witness(R) is None
@@ -327,20 +298,18 @@ def _ni_witness(R: Ring) -> Optional[int]:
     when R is NI.
 
     Search order: a + b over nilpotents a, b in index order; then, for each
-    nilpotent a in index order and each r, the product r*a and then a*r.
+    nilpotent a in index order and each r, the product r*a and then a*r;
+    a block of a (``kernel._row_blocks``) at a time.
     """
     is_nil = _indicator(R.order, R.caches.nilpotents)
     N = np.flatnonzero(is_nil)
     every = np.arange(R.order)
-    # With op tables every nilpotent a at once, as [a, b] and [a, r];
-    # otherwise one a at a time, in O(n) memory.
-    blocks = [N[:, None]] if R._mul_np is not None else N.tolist()
-    for a in blocks:
+    for a in _row_blocks(R, N):
         sums = _add_many(R, a, N).ravel()
         bad = ~is_nil[sums]
         if bad.any():
             return int(sums[bad.argmax()])
-    for a in blocks:
+    for a in _row_blocks(R, N):
         products = np.stack((_mul_many(R, every, a), _mul_many(R, a, every)), axis=-1).ravel()
         bad = ~is_nil[products]                     # (r*a, a*r) for every r
         if bad.any():
@@ -391,91 +360,85 @@ _ELEMENT_DECIDERS = {
 }
 
 
-def _power_scan(M: np.ndarray, strongly_regular: np.ndarray):
-    """For every element x at once: the least (m, k), m < k, with x^m == x^k
-    (as periodic_indices finds it), and whether some power of x is strongly
-    regular.  Returns the arrays (m, k, strongly_pi_regular)."""
-    n = len(strongly_regular)
-    first_seen = np.zeros((n, n), dtype=np.int32)   # [x, v] -> least j with x^j == v; 0: none
-    m = np.zeros(n, dtype=np.int64)
-    k = np.zeros(n, dtype=np.int64)
-    pi_regular = np.zeros(n, dtype=bool)
-    live = np.arange(n)         # elements whose powers have not repeated yet
-    power = live.copy()         # power[i] == live[i]^j
-    j = 1
-    while live.size:
-        seen = first_seen[live, power]
-        done = seen > 0
-        if done.any():
-            m[live[done]] = seen[done]
-            k[live[done]] = j
-            live, power = live[~done], power[~done]
-        first_seen[live, power] = j
-        pi_regular[live] |= strongly_regular[power]
-        power = M[power, live]
-        j += 1
-    return m, k, pi_regular
-
-
-def _powers(M: np.ndarray, one: int, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """base[i]^exponent[i] for every i, multiplied in the order ring_pow uses."""
-    result = np.full_like(base, one)
-    while exponent.any():
-        result = np.where((exponent & 1) == 1, M[result, base], result)
-        base = M[base, base]
-        exponent = exponent >> 1
-    return result
-
-
-def _periodic_mask(M: np.ndarray, one: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _periodic_mask(R: Ring, m: np.ndarray, k: np.ndarray) -> np.ndarray:
     """1 <= m < k and x^m == x^k, the powers recomputed independently of the
     scan that found (m, k)."""
     x = np.arange(len(m))
-    both = _powers(M, one, np.concatenate((x, x)), np.concatenate((m, k)))
+    both = _powers(R, np.concatenate((x, x)), np.concatenate((m, k)))
     power_m, power_k = both.reshape(2, -1)
     return (1 <= m) & (m < k) & (power_m == power_k)
 
 
+def _until_failure(R: Ring, test) -> np.ndarray:
+    """The verdicts test(xs) of R's row blocks xs in index order, up to the
+    first block with a False: a mask prefix that ends past its first False."""
+    verdicts = []
+    for xs in _row_blocks(R, np.arange(R.order)):
+        verdicts.append(test(xs))
+        if not verdicts[-1].all():
+            break
+    return np.concatenate(verdicts)
+
+
 def _element_masks(R: Ring) -> dict:
-    """Every _ELEMENT_DECIDERS flag as a whole-ring boolean mask over the op
-    tables: mask[x] is the decider's verdict at x.
+    """Every _ELEMENT_DECIDERS flag as a boolean mask: mask[x] is the
+    decider's verdict at x; regular and strongly_regular stop after the first
+    row block with a False.  x is strongly regular iff it has a group inverse,
+    iff its power index m is 1 (Drazin).  The rows u*R of the units give
+    unit_regular (x*u*x == x iff u*x is idempotent) and both unit nil-clean
+    flags; x - e for each idempotent e gives the clean and nil-clean flags.
 
     Raises RingAxiomError where strong nil-cleanness by idempotent search and
-    Diesl's criterion (x - x^2 nilpotent) disagree.
+    Diesl's criterion (x - x^2 nilpotent) disagree, or where m == 1 and the
+    definition x in x^2*R and in R*x^2 do on a row block read.
     """
-    n, one = R.order, R.one
-    M, A, neg = R._mul_np, R._add_np, R._neg_np
+    n = R.order
     caches = R.caches
     x = np.arange(n)
-    col = x[:, None]
-    units = caches.unit_array
-    idempotents = np.array(sorted(caches.idempotents))
+    m, k = caches.power_indices
+    group = m == 1
     is_unit = _indicator(n, caches.units)
     is_nil = _indicator(n, caches.nilpotents)
-    square = np.diagonal(M)
-    masks = {
-        "regular": (M[M, col] == col).any(1),                    # x*y*x == x
-        "unit_regular": (M[M[:, units], col] == col).any(1),     # x*u*x == x
-        # x in x^2*R and x in R*x^2
-        "strongly_regular": (M[square] == col).any(1) & (M[:, square] == x).any(0),
-    }
-    diff = A[:, neg[idempotents]]                                # [x, i] -> x - e_i
-    nil_diff = is_nil[diff]
-    masks["clean"] = is_unit[diff].any(1)
-    masks["nil_clean"] = nil_diff.any(1)
-    commute = M[idempotents, diff] == M[diff, idempotents]
-    masks["strongly_nil_clean"] = snc = (nil_diff & commute).any(1)
-    diesl = is_nil[A[x, neg[square]]]
+    is_idempotent = _indicator(n, caches.idempotents)
+
+    def regular(xs):                                    # x*y*x == x
+        return (_mul_many(R, _mul_many(R, xs, x), xs) == xs).any(1)
+
+    def strongly_regular(xs):                           # x in x^2*R and in R*x^2
+        sq = _mul_many(R, xs, xs)
+        defined = (_mul_many(R, sq, x) == xs).any(1) & (_mul_many(R, x, sq) == xs).any(1)
+        bad = defined != group[xs[:, 0]]
+        if bad.any():
+            raise RingAxiomError(
+                f"{R.label}: strong regularity and its power index m = 1 disagree "
+                f"at {int(xs[bad.argmax(), 0])}")
+        return defined
+
+    masks = {"regular": _until_failure(R, regular),
+             "strongly_regular": _until_failure(R, strongly_regular)}
+    clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
+    for es in _row_blocks(R, sorted(caches.idempotents)):
+        diff = _sub_many(R, x, es)                      # [i, x] -> x - e_i
+        nil_diff = is_nil[diff]
+        clean |= is_unit[diff].any(0)
+        nil_clean |= nil_diff.any(0)
+        snc |= (nil_diff & (_mul_many(R, es, diff) == _mul_many(R, diff, es))).any(0)
+    diesl = is_nil[_sub_many(R, x, _mul_many(R, x, x))]
     if not np.array_equal(snc, diesl):
         bad = int((snc != diesl).argmax())
         raise RingAxiomError(
             f"{R.label}: Diesl's criterion and the idempotent search disagree at {bad}"
         )
-    unit_multiples = M[units]                                    # [j, x] -> u_j*x
-    masks["unit_nil_clean"] = masks["nil_clean"][unit_multiples].any(0)
-    masks["strongly_unit_nil_clean"] = snc[unit_multiples].any(0)
-    m, k, masks["strongly_pi_regular"] = _power_scan(M, masks["strongly_regular"])
-    masks["periodic"] = _periodic_mask(M, one, m, k)
+    unit_regular, unc, sunc = (np.zeros(n, dtype=bool) for _ in range(3))
+    for us in _row_blocks(R, caches.unit_array):
+        ux = _mul_many(R, us, x)                        # [j, x] -> u_j*x
+        unit_regular |= is_idempotent[ux].any(0)
+        unc |= nil_clean[ux].any(0)
+        sunc |= snc[ux].any(0)
+    masks.update(unit_regular=unit_regular, clean=clean, nil_clean=nil_clean,
+                 strongly_nil_clean=snc, unit_nil_clean=unc, strongly_unit_nil_clean=sunc,
+                 strongly_pi_regular=group[_powers(R, x, m)],
+                 periodic=_periodic_mask(R, m, k))
     return masks
 
 
@@ -483,17 +446,14 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     """Classify every ring-level flag, with least-index witnesses.
 
     A flag holds when its element decider holds at every element; a false
-    flag's witness is the least element index at which it fails.  With op
-    tables (order <= TABLE_LIMIT) all element flags come from whole-ring
-    masks (``_element_masks``) and the witness is the first False in the
-    mask.  Above TABLE_LIMIT each flag sweeps its ``_ELEMENT_DECIDERS`` entry
-    in index order and stops at the first failure.  There the regularity
-    deciders read rows x*R and columns R*x from ``kernel._mul_many`` (in
-    O(n * |g|) memory for a ring with radices), the unit nil-clean and
-    strongly unit nil-clean deciders read the column of unit multiples u*x,
-    and they and the strongly pi-regular decider read per-ring memos of the
-    nil-clean, Diesl and strongly-regular verdicts instead of deciding them
-    again.  Both paths give the same report.
+    flag's witness is the least element index at which it fails.  The
+    element flags come from the whole-ring masks of ``_element_masks`` on
+    every ring, and the witness is the first False in the mask.  Their
+    products are read in the row blocks of ``kernel._row_blocks``: the whole
+    op table when the ring has one, and above TABLE_LIMIT one row x*R at a
+    time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
+    radices.  The ``_ELEMENT_DECIDERS`` give the same verdicts element by
+    element.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")
@@ -501,13 +461,10 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     report = PropertyReport(label=R.label, order=R.order)
     report.jacobson_size = len(R.caches.jacobson)
     report.nil_size = len(R.caches.nilpotents)
-    masks = _element_masks(R) if R._mul_np is not None else None
-    for name, decider in _ELEMENT_DECIDERS.items():
-        if masks is not None:
-            mask = masks[name]
-            failure = None if mask.all() else int(mask.argmin())
-        else:
-            failure = next((x for x in R.elements() if not decider(R, x)), None)
+    masks = _element_masks(R)
+    for name in _ELEMENT_DECIDERS:
+        mask = masks[name]
+        failure = None if mask.all() else int(mask.argmin())
         report.flags[name] = failure is None
         if failure is not None:
             report.witnesses[name] = {

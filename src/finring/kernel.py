@@ -10,6 +10,9 @@ differences through ``_add_many`` and ``_sub_many``): a lookup in the op
 tables up to TABLE_LIMIT; above it, for a ring with radices, the product of
 digit vectors through the |g|^2 structure constants of its additive
 generators, so a whole row x*R or column R*x costs O(n * |g|) memory.
+Besides these three, only ``_row_blocks`` knows whether the tables exist:
+whole-ring reads take all elements as one block with them, one row at a
+time without them.
 """
 
 from __future__ import annotations
@@ -39,18 +42,20 @@ LAW_SAMPLES = 10_000
 
 
 class RingCaches:
-    """Structural sets populated by freeze()."""
+    """Structural sets populated by freeze(), and the power indices (m, k):
+    for every element x the least m < k with x^m == x^k (`_power_scan`)."""
 
     __slots__ = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson",
-                 "unit_array")
+                 "unit_array", "power_indices")
 
-    def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson):
+    def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson, power_indices):
         self.units = frozenset(units)
         self.unit_array = np.array(sorted(self.units), dtype=np.int64)   # in index order
         self.unit_inverse = dict(unit_inverse)
         self.idempotents = frozenset(idempotents)
         self.nilpotents = frozenset(nilpotents)
         self.jacobson = frozenset(jacobson)
+        self.power_indices = power_indices
 
 
 class Ring:
@@ -108,9 +113,6 @@ class Ring:
         self._neg_np: Optional[np.ndarray] = None
         self._morphic: Optional[tuple] = None
         self._structure: Optional[tuple] = None     # see _structure_constants
-        # decider -> int8 verdict per element (-1: not decided yet), filled by
-        # the element deciders once frozen
-        self._verdicts: dict = {}
 
     # -- basic derived ops -------------------------------------------------
 
@@ -242,30 +244,39 @@ def _scalar_many(op, *args) -> np.ndarray:
 def _mul_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise products a*b of two index arrays, which broadcast.
 
-    With op tables this is a lookup.  Above TABLE_LIMIT, a ring with
-    radices multiplies digit vectors: mul is additive in each argument, so
-    a*b = sum over i, j of a_i * b_j * (g_i*g_j), reduced mod r digit by
-    digit after each contraction.  A scalar a gives the row a*b as one
-    |g| x |g| matrix (the digits of a*g_j) applied to the digits of b, a
-    scalar b likewise the column; otherwise the sum runs over j.  Opaque
-    rings call the scalar mul on every pair.
+    With op tables this is a lookup, of whole rows or columns when one side
+    is a column block (k, 1) and the other every element in order.  Above
+    TABLE_LIMIT, a ring with radices multiplies digit vectors: mul is
+    additive in each argument, so a*b = sum over i, j of a_i * b_j *
+    (g_i*g_j), reduced mod r digit by digit after each contraction.  A
+    single a gives the row a*b as one |g| x |g| matrix (the digits of
+    a*g_j) applied to the digits of b, a single b likewise the column;
+    otherwise the sum runs over j.  Opaque rings call the scalar mul on
+    every pair.
     """
+    a, b = np.asarray(a), np.asarray(b)
     if R._mul_np is not None:
+        every = (R.order,)
+        if a.shape[1:] == (1,) and b.shape == every and (b == np.arange(R.order)).all():
+            return R._mul_np[a[:, 0]]                  # the rows a*R
+        if b.shape[1:] == (1,) and a.shape == every and (a == np.arange(R.order)).all():
+            return R._mul_np[:, b[:, 0]].T             # the columns R*b
         return R._mul_np[a, b]
     if R.radices is None:
         return _scalar_many(R.mul, a, b)
     D, C, r, _ = _structure_constants(R)
-    a, b = np.asarray(a), np.asarray(b)
+    shape = np.broadcast_shapes(a.shape, b.shape)
     L = len(r)
-    if a.ndim == 0:          # [j, l] -> digit l of a*g_j
-        return _index(R, D.take(b, 0) @ ((D[a] @ C.reshape(L, L * L)).reshape(L, L) % r))
-    if b.ndim == 0:          # [i, l] -> digit l of g_i*b
-        return _index(R, D.take(a, 0) @ (C.transpose(0, 2, 1) @ D[b] % r))
-    da, db = D.take(a, 0), D.take(b, 0)
-    digits = np.zeros(np.broadcast_shapes(a.shape, b.shape) + (L,), dtype=np.int64)
-    for j in range(L):       # the digits of a*g_j, times b_j
-        digits += db[..., j, None] * (da @ C[:, j] % r)
-    return _index(R, digits)
+    if a.size == 1:          # [j, l] -> digit l of a*g_j
+        digits = D.take(b, 0) @ ((D[a.item()] @ C.reshape(L, L * L)).reshape(L, L) % r)
+    elif b.size == 1:        # [i, l] -> digit l of g_i*b
+        digits = D.take(a, 0) @ (C.transpose(0, 2, 1) @ D[b.item()] % r)
+    else:
+        da, db = D.take(a, 0), D.take(b, 0)
+        digits = np.zeros(shape + (L,), dtype=np.int64)
+        for j in range(L):   # the digits of a*g_j, times b_j
+            digits += db[..., j, None] * (da @ C[:, j] % r)
+    return _index(R, digits).reshape(shape)
 
 
 def _add_many(R: Ring, a, b) -> np.ndarray:
@@ -289,31 +300,71 @@ def _sub_many(R: Ring, a, b) -> np.ndarray:
     return _index(R, D.take(a, 0) - D.take(b, 0))
 
 
-def _compute_units(R: Ring):
-    # A one-sided inverse is two-sided in a finite ring, so the first
-    # right inverse v of u is the inverse exactly when v*u is one too.
-    n, one = R.order, R.one
-    x = np.arange(n)
+def _row_blocks(R: Ring, xs) -> list:
+    """The index array xs as column blocks (b, 1) in index order, so that
+    ``_mul_many(R, block, every)`` is the rows x*R of the block's x: all of
+    xs in one block with op tables, else one x per block, in O(n * |g|)
+    memory for a ring with radices."""
+    xs = np.asarray(xs, dtype=np.int64)[:, None]
     if R._mul_np is not None:
-        M = R._mul_np
-        v = (M == one).argmax(1)
-        ok = (M[x, v] == one) & (M[v, x] == one)
-        return dict(zip(x[ok].tolist(), v[ok].tolist()))
-    # One column u*v per v over the u still open, in index order of v.  An
-    # u with u*v = 0 for some v != 0 is no unit (v = u^-1*u*v = 0) and drops out.
-    u, v = [], []
-    open_ = x
-    for z in range(n):
-        if not open_.size:
-            break
-        column = _mul_many(R, open_, z)
-        right = column == one
-        u += open_[right].tolist()
-        v += [z] * int(right.sum())
-        open_ = open_[~right & ((column != 0) | (z == 0))]
-    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
-    ok = _mul_many(R, v, u) == one
-    return dict(sorted(zip(u[ok].tolist(), v[ok].tolist())))
+        return [xs]
+    return [xs[i:i + 1] for i in range(len(xs))]
+
+
+def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base[i]^exponent[i] for every i, multiplied in the order ring_pow uses."""
+    result = np.full_like(base, R.one)
+    while exponent.any():
+        result = np.where((exponent & 1) == 1, _mul_many(R, result, base), result)
+        base = _mul_many(R, base, base)
+        exponent = exponent >> 1
+    return result
+
+
+def _power_scan(R: Ring) -> tuple:
+    """For every element x at once: the least (m, k), m < k, with x^m == x^k
+    (as periodic_indices finds it), in O(n) memory.  Brent's cycle detection
+    steps x^j -> x^(j+1) for the open x and compares x^j with x (a hit gives
+    m = 1, k = j) and with the saved x^s, s = 2^i < j <= 2s (a hit gives
+    k - m = j - s once s >= m, k - m); for those x m is then the least j
+    with x^j == x^(j+k-m)."""
+    n = R.order
+    x = np.arange(n)
+    m, period = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    live, saved, power = x, x, _mul_many(R, x, x)    # x^s and x^j, s = 1, j = 2
+    s, j = 1, 2
+    while live.size:
+        back = power == live                           # x^j == x
+        hit = back | (power == saved)
+        if hit.any():
+            m[live[back]] = 1
+            period[live[hit]] = np.where(back, j - 1, j - s)[hit]
+            live, saved, power = live[~hit], saved[~hit], power[~hit]
+        if j == 2 * s:
+            saved, s = power, j
+        power = _mul_many(R, power, live)
+        j += 1
+    live = np.flatnonzero(m == 0)
+    low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+k-m), j = 1
+    j = 1
+    while live.size:
+        hit = low == high
+        m[live[hit]] = j
+        live, low, high = live[~hit], low[~hit], high[~hit]
+        low, high = _mul_many(R, np.stack((low, high)), live)
+        j += 1
+    return m, m + period
+
+
+def _compute_units(R: Ring):
+    """(unit -> inverse, power indices (m, k) of `_power_scan`).  x is a unit
+    iff m = 1 and x^(k-1) = 1, and then x^(k-2) is its inverse; every pair
+    is checked two-sided, u*v == v*u == 1."""
+    m, k = _power_scan(R)
+    u = np.flatnonzero(m == 1)
+    v = _powers(R, u, k[u] - 2)
+    ok = (_mul_many(R, u, v) == R.one) & (_mul_many(R, v, u) == R.one)
+    return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k)
 
 
 def _compute_nilpotents(R: Ring):
@@ -328,29 +379,25 @@ def _compute_nilpotents(R: Ring):
 
 def _compute_jacobson(R: Ring, units):
     # J(R) = { x : 1 - yx is a unit for all y }; one-sided quasi-regularity
-    # suffices in a finite ring.
-    n, one = R.order, R.one
-    is_unit = _indicator(n, units)
-    if R._mul_np is not None:
-        # [y, x] -> 1 - y*x
-        one_minus = R._add_np[one][R._neg_np[R._mul_np]]
-        return set(np.flatnonzero(is_unit[one_minus].all(0)).tolist())
-    # One row y*x per y over the x that passed every earlier y.
-    x = np.arange(n)
-    for y in range(n):
-        x = x[is_unit[_sub_many(R, one, _mul_many(R, y, x))]]
+    # suffices in a finite ring.  Rows y*x over the x that passed every
+    # earlier y, a block of y at a time.
+    every = np.arange(R.order)
+    quasi = _indicator(R.order, units)[_sub_many(R, R.one, every)]     # 1 - z is a unit
+    x = every
+    for ys in _row_blocks(R, every):
+        x = x[quasi[_mul_many(R, ys, x)].all(0)]
     return set(x.tolist())
 
 
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     """Populate the structural caches; idempotent; returns the same ring.
 
-    Op tables are built up to TABLE_LIMIT; with them, units, idempotents,
-    nilpotents and the Jacobson radical are each one whole-ring numpy mask
-    over the tables.  Above TABLE_LIMIT idempotents and nilpotents are
-    still whole-ring products (`_mul_many`), while units and the Jacobson
-    radical take one row u*R or column R*x per element, in O(n * |g|)
-    memory for a ring with radices.  Both paths give the same sets.
+    Op tables are built up to TABLE_LIMIT.  On either side of it every set
+    is read through `_mul_many` and `_row_blocks`, in O(n * |g|) memory per
+    read above the limit for a ring with radices: one power scan gives the
+    power indices (m, k) of every element and from them the units and their
+    inverses (`_compute_units`); idempotents and nilpotents are whole-ring
+    products; the Jacobson radical reads the rows y*R.
     """
     if R.caches is not None:
         return R
@@ -359,13 +406,13 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
             f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
         )
     _build_tables(R)
-    inverse = _compute_units(R)
+    inverse, power_indices = _compute_units(R)
     units = frozenset(inverse)
     x = np.arange(R.order)
     idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
     nilpotents = frozenset(_compute_nilpotents(R))
     jacobson = frozenset(_compute_jacobson(R, units))
-    R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson)
+    R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices)
     return R
 
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from finring import (
+    RingAxiomError,
     classify,
     cyclic,
     deciders,
+    direct_product,
     freeze,
     group_ring,
     harness,
@@ -26,7 +28,6 @@ from finring.deciders import (
     _ELEMENT_DECIDERS,
     Decomposition,
     _periodic_mask,
-    _power_scan,
     is_clean,
     is_left_morphic,
     is_m_potent,
@@ -240,15 +241,15 @@ class TestPeriodic:
         assert not is_periodic(z4, 2)
 
     def test_mask_engine_pairs(self, z6):
-        m, k, _ = _power_scan(z6._mul_np, np.ones(z6.order, dtype=bool))
+        m, k = kernel._power_scan(z6)
         assert list(zip(m.tolist(), k.tolist())) == [
             periodic_indices(z6, x) for x in z6.elements()
         ]
-        assert _periodic_mask(z6._mul_np, z6.one, m, k).all()
+        assert _periodic_mask(z6, m, k).all()
 
     def test_mask_engine_catches_wrong_pair(self, z4):
         ones, twos = np.ones(4, dtype=np.int64), np.full(4, 2, dtype=np.int64)
-        mask = _periodic_mask(z4._mul_np, z4.one, ones, twos)
+        mask = _periodic_mask(z4, ones, twos)
         assert mask.tolist() == [True, True, False, False]
 
 
@@ -468,13 +469,43 @@ def test_row_path_matches_table_path_above_limit(monkeypatch):
 
 def test_row_path_memory_is_linear_in_order():
     # One 1089 x 1089 int64 array alone is 9.0 MiB; the row path keeps to
-    # O(n * |g|) arrays.
-    R = trivial_extension(make_zmod(33))
-    tracemalloc.start()
-    try:
-        classify(freeze(R))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert R._mul_np is None
-    assert peak < 2 * 2**20, peak
+    # O(n * |g|) arrays, with two and with three additive generators.
+    for R in (trivial_extension(make_zmod(33)),
+              direct_product(make_zmod(5), trivial_extension(make_zmod(15)))):
+        tracemalloc.start()
+        try:
+            classify(freeze(R))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R._mul_np is None
+        assert peak < 2 * 2**20, (R.label, peak)
+
+
+ABOVE_LIMIT = [
+    pytest.param(trivial_extension(make_zmod(33)), id="Triv(Z(33))"),
+    pytest.param(direct_product(make_zmod(5), trivial_extension(make_zmod(15))),
+                 id="Z(5) x Triv(Z(15))"),
+]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT)
+def test_power_scan_matches_scalar_deciders(ring):
+    # Below the limit test_mask_engine_matches_scalar_deciders also holds
+    # the units and inverses read from the scan to brute force.
+    R = freeze(ring)
+    m, k = R.caches.power_indices
+    assert list(zip(m.tolist(), k.tolist())) == [periodic_indices(R, x) for x in R.elements()]
+    assert (m == 1).tolist() == [is_strongly_regular(R, x) for x in R.elements()]
+    assert R.caches.units == set(R.caches.unit_inverse)
+    for u, v in R.caches.unit_inverse.items():
+        assert R.mul(u, v) == R.one == R.mul(v, u)
+
+
+@pytest.mark.parametrize("ring", [make_zmod(4), trivial_extension(make_zmod(33))],
+                         ids=lambda R: R.label)
+def test_classify_rejects_a_wrong_power_scan(ring):
+    R = freeze(ring)
+    R.caches.power_indices[0][0] = 2        # 0 = 0^2 loses its group inverse
+    with pytest.raises(RingAxiomError, match="strong regularity .* disagree at 0"):
+        classify(R)

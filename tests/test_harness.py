@@ -3,7 +3,8 @@
 import json
 import random
 
-from finring import SearchConfig, cyclic, deciders, falsify, harness, make_zmod, standard_corpus
+from finring import (SearchConfig, cyclic, deciders, falsify, harness, kernel, make_zmod,
+                     standard_corpus)
 from finring.cli import main
 from finring.harness import (
     suite_connell,
@@ -118,3 +119,27 @@ def test_falsify_failure_replays_from_seed_and_index(monkeypatch, capsys):
     assert falsify(SearchConfig(seed=0, only=5)).to_json(False) == {
         "suite": "falsify", "kind": "discriminating", "attempted": 1, "passed": 1,
         "failures": [], "skipped": []}
+
+
+def test_falsify_records_classify_cross_check_failure(monkeypatch, capsys):
+    rng = random.Random(0)
+    labels = [harness._random_instance(rng, 256).label for _ in range(8)]
+    scan = kernel._power_scan
+
+    def wrong_scan(R):       # at instance 3 only, 0 = 0^2 loses its group inverse
+        m, k = scan(R)
+        if R.label == labels[3]:
+            m[0] = 2
+        return m, k
+
+    monkeypatch.setattr(kernel, "_power_scan", wrong_scan)
+    report = falsify(SearchConfig(seed=0, count=8))
+    assert (report.attempted, report.passed) == (8, 7)
+    [failure] = report.failures
+    assert (failure["case"], failure["expected"], failure["seed"], failure["index"]) == (
+        labels[3], "classify cross-checks", 0, 3)
+    assert failure["got"] == f"{labels[3]}: strong regularity and its power index m = 1 " \
+                             "disagree at 0"
+    assert main(["search", "--seed", "0", "--only", "3", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["attempted"], payload["failures"]) == (1, [failure])

@@ -176,9 +176,9 @@ def test_product_axioms():
     verify_ring_axioms(direct_product(make_zmod(4), make_zmod(9)))
 
 
-# Each ring is rejected by verify_ring_axioms.
+# Each ring is rejected by verify_ring_axioms, the last one by classify.
 _NON_RINGS = """
-from finring import Ring, verify_ring_axioms
+from finring import Ring, classify, freeze, make_zmod, verify_ring_axioms
 non_rings = [
     # (a - b) mod 3 as "addition": has an identity and inverses, not commutative.
     Ring(3, add=lambda a, b: (a - b) % 3, mul=lambda a, b: a * b % 3,
@@ -195,6 +195,14 @@ for R in non_rings:
         verify_ring_axioms(R)
     except AssertionError as exc:
         print(__debug__, type(exc).__name__)
+# A power scan that denies 0 = 0^2 its group inverse: classify's check of
+# strong regularity against m = 1 rejects it.
+R = freeze(make_zmod(4))
+R.caches.power_indices[0][0] = 2
+try:
+    classify(R)
+except AssertionError as exc:
+    print(__debug__, type(exc).__name__)
 """
 
 
@@ -206,7 +214,7 @@ def test_axioms_reject_non_ring_under_optimize():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "RingAxiomError"] * 3
+    assert done.stdout.split() == ["False", "RingAxiomError"] * 4
 
 
 # Rings above TABLE_LIMIT, each rejected by verify_ring_axioms with the
