@@ -4,9 +4,11 @@ The ``is_*`` functions decide one element; they are the API and the
 reference the tests hold the masks to.  The regularity deciders and the
 unit-multiple columns read whole product rows x*R and columns R*x from
 ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
-constants above it); the rest search with scalar ops.  ``classify``
-decides every ring-level flag at once, on every ring, as whole-ring boolean
-masks (``_element_masks``) read in the row blocks of ``kernel._row_blocks``.
+constants above it), ``is_left_morphic`` reads the whole-ring mask, and the
+clean and nil-clean searches and the power orbits use scalar ops.
+``classify`` decides every ring-level flag at once, on every ring, as
+whole-ring boolean masks (``_element_masks``) read in the row blocks of
+``kernel._row_blocks``; ``_left_morphic_mask`` is read the same way.
 """
 
 from __future__ import annotations
@@ -83,25 +85,15 @@ def _require_frozen(R: Ring) -> Ring:
 
 
 def is_regular(R: Ring, x: int) -> bool:
-    """x = x*y*x for some y.
-
-    With op tables the lookups stop at the first witness, which is cheaper
-    on small rings than a whole row; above TABLE_LIMIT the row x*R is
-    multiplied by x at once.
-    """
+    """x = x*y*x for some y: the row x*R multiplied by x holds x."""
     _require_frozen(R)
-    if R._mul_np is not None:
-        mul = R.mul
-        return any(mul(mul(x, y), x) == x for y in R.elements())
     return bool((_mul_many(R, _mul_many(R, x, np.arange(R.order)), x) == x).any())
 
 
 def is_unit_regular(R: Ring, x: int) -> bool:
-    """x = x*u*x for some unit u; searched as is_regular searches."""
+    """x = x*u*x for some unit u: the products x*u over the units, multiplied
+    by x, hold x."""
     _require_frozen(R)
-    if R._mul_np is not None:
-        mul = R.mul
-        return any(mul(mul(x, u), x) == x for u in sorted(R.caches.units))
     return bool((_mul_many(R, _mul_many(R, x, R.caches.unit_array), x) == x).any())
 
 
@@ -112,29 +104,43 @@ def is_strongly_regular(R: Ring, x: int) -> bool:
     return bool((_mul_many(R, sq, every) == x).any() and (_mul_many(R, every, sq) == x).any())
 
 
+def _regular_rows(R: Ring, xs: np.ndarray) -> np.ndarray:
+    """For each x of the column block xs, whether x*y*x == x for some y."""
+    return (_mul_many(R, _mul_many(R, xs, np.arange(R.order)), xs) == xs).any(1)
+
+
 # -- morphic ---------------------------------------------------------------
 
 
-def _morphic_tables(R: Ring):
-    """Per-element left annihilators and principal left ideals, cached."""
-    if R._morphic is None:
-        every = np.arange(R.order)
-        left_ann, principal, by_principal = [], [], {}
-        for a in range(R.order):
-            col = _mul_many(R, every, a)                # R*a
-            left_ann.append(frozenset(every[col == 0].tolist()))
-            principal.append(frozenset(col.tolist()))
-            by_principal.setdefault(principal[-1], []).append(a)
-        R._morphic = (left_ann, principal, by_principal)
-    return R._morphic
+def _left_morphic_mask(R: Ring) -> np.ndarray:
+    """mask[x]: x is left-morphic, some b has l(x) = R*b and l(b) = R*x,
+    where l(x) = {y : y*x = 0} is the left annihilator.
+
+    The column R*b gives both l(b) and the principal left ideal R*b, each
+    keyed as one ``np.packbits`` row; x is left-morphic iff its key pair
+    (l(x), R*x) is among the pairs (R*b, l(b)).  Columns are read in the
+    row blocks of ``kernel._row_blocks``.
+    """
+    n = R.order
+    every = np.arange(n)
+    ann, ideal = [], []
+    for bs in _row_blocks(R, every):
+        cols = _mul_many(R, every, bs)                  # [i, y] -> y*b_i
+        members = np.zeros(cols.shape, dtype=bool)
+        np.put_along_axis(members, cols, True, axis=1)
+        ann.append(np.packbits(cols == 0, axis=1))
+        ideal.append(np.packbits(members, axis=1))
+    ann, ideal = np.concatenate(ann), np.concatenate(ideal)
+    pairs = set(map(bytes, np.concatenate((ideal, ann), axis=1)))
+    keys = np.concatenate((ann, ideal), axis=1)
+    return np.fromiter((bytes(key) in pairs for key in keys), dtype=bool, count=n)
 
 
 def is_left_morphic(R: Ring, x: int) -> bool:
-    """Some b has left-ann(x) = R*b and left-ann(b) = R*x."""
+    """Some b has left-ann(x) = R*b and left-ann(b) = R*x; read from the
+    whole-ring mask ``_left_morphic_mask``."""
     _require_frozen(R)
-    left_ann, principal, by_principal = _morphic_tables(R)
-    candidates = by_principal.get(left_ann[x], ())
-    return any(left_ann[b] == principal[x] for b in candidates)
+    return bool(_left_morphic_mask(R)[x])
 
 
 # -- clean / nil-clean families --------------------------------------------
@@ -305,15 +311,16 @@ def _ni_witness(R: Ring) -> Optional[int]:
     N = np.flatnonzero(is_nil)
     every = np.arange(R.order)
     for a in _row_blocks(R, N):
-        sums = _add_many(R, a, N).ravel()
-        bad = ~is_nil[sums]
+        bad = ~is_nil[_add_many(R, a, N)]               # [i, j]: a_i + N_j
         if bad.any():
-            return int(sums[bad.argmax()])
+            i, j = np.unravel_index(bad.argmax(), bad.shape)
+            return int(_add_many(R, a[i, 0], N[j]))
     for a in _row_blocks(R, N):
-        products = np.stack((_mul_many(R, every, a), _mul_many(R, a, every)), axis=-1).ravel()
-        bad = ~is_nil[products]                     # (r*a, a*r) for every r
-        if bad.any():
-            return int(products[bad.argmax()])
+        bad = np.stack((~is_nil[_mul_many(R, every, a)], ~is_nil[_mul_many(R, a, every)]), -1)
+        if bad.any():                                   # [i, r, side]: r*a_i, a_i*r
+            i, r, side = np.unravel_index(bad.argmax(), bad.shape)
+            a_i = a[i, 0]
+            return int(_mul_many(R, r, a_i) if side == 0 else _mul_many(R, a_i, r))
     return None
 
 
@@ -401,9 +408,6 @@ def _element_masks(R: Ring) -> dict:
     is_nil = _indicator(n, caches.nilpotents)
     is_idempotent = _indicator(n, caches.idempotents)
 
-    def regular(xs):                                    # x*y*x == x
-        return (_mul_many(R, _mul_many(R, xs, x), xs) == xs).any(1)
-
     def strongly_regular(xs):                           # x in x^2*R and in R*x^2
         sq = _mul_many(R, xs, xs)
         defined = (_mul_many(R, sq, x) == xs).any(1) & (_mul_many(R, x, sq) == xs).any(1)
@@ -414,7 +418,7 @@ def _element_masks(R: Ring) -> dict:
                 f"at {int(xs[bad.argmax(), 0])}")
         return defined
 
-    masks = {"regular": _until_failure(R, regular),
+    masks = {"regular": _until_failure(R, lambda xs: _regular_rows(R, xs)),
              "strongly_regular": _until_failure(R, strongly_regular)}
     clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
     for es in _row_blocks(R, sorted(caches.idempotents)):
@@ -449,11 +453,11 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     flag's witness is the least element index at which it fails.  The
     element flags come from the whole-ring masks of ``_element_masks`` on
     every ring, and the witness is the first False in the mask.  Their
-    products are read in the row blocks of ``kernel._row_blocks``: the whole
-    op table when the ring has one, and above TABLE_LIMIT one row x*R at a
-    time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
-    radices.  The ``_ELEMENT_DECIDERS`` give the same verdicts element by
-    element.
+    products are read in the row blocks of ``kernel._row_blocks``: up to
+    ROW_BLOCK // n rows of the op table when the ring has one, and above
+    TABLE_LIMIT one row x*R at a time from ``kernel._mul_many``, in
+    O(n * |g|) memory for a ring with radices.  The ``_ELEMENT_DECIDERS``
+    give the same verdicts element by element.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")

@@ -7,6 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import deciders, fastpath
 from .constructions import (
     generalized_matrix,
@@ -17,7 +19,7 @@ from .constructions import (
 )
 from .errors import CapExceededError, RingAxiomError
 from .groups import FiniteGroup, cyclic, group_product, symmetric
-from .kernel import Ring, direct_product, freeze, make_zmod, verify_ring_axioms
+from .kernel import Ring, _row_blocks, direct_product, freeze, make_zmod, verify_ring_axioms
 
 DEFAULT_RING_CAP = 1296
 
@@ -71,24 +73,14 @@ def _timed(fn):
     return wrapper
 
 
-# -- brute-force ring-level sweeps ----------------------------------------
+# -- verdicts from classify -------------------------------------------------
 
 
-def ring_regular(R: Ring) -> tuple[bool, Optional[int]]:
-    """(flag, least failing element) by exhaustive sweep."""
-    freeze(R)
-    for x in R.elements():
-        if not deciders.is_regular(R, x):
-            return False, x
-    return True, None
-
-
-def ring_unit_regular(R: Ring) -> tuple[bool, Optional[int]]:
-    freeze(R)
-    for x in R.elements():
-        if not deciders.is_unit_regular(R, x):
-            return False, x
-    return True, None
+def _verdict(report: deciders.PropertyReport, name: str) -> tuple[bool, Optional[str]]:
+    """A classify flag and its least failing element, formatted (None when
+    the flag holds)."""
+    witness = report.witnesses.get(name)
+    return report.flags[name], None if witness is None else witness["element"]
 
 
 # -- default case lists ----------------------------------------------------
@@ -126,13 +118,9 @@ def suite_lemma_4_4(n_max: int = 60) -> SuiteReport:
         raise ValueError("n_max must be <= 256")
     report = SuiteReport("lemma-4-4", "discriminating")
     for n in range(1, n_max + 1):
-        R = make_zmod(n)
-        brute, witness = ring_unit_regular(R)
+        brute, witness = _verdict(deciders.classify(make_zmod(n)), "unit_regular")
         fast = fastpath.zn_unit_regular(n)
-        report.record(
-            f"Z({n})", brute == fast, expected=fast, got=brute,
-            witness=None if witness is None else R.format_element(witness),
-        )
+        report.record(f"Z({n})", brute == fast, expected=fast, got=brute, witness=witness)
     return report
 
 
@@ -148,12 +136,9 @@ def suite_theorem_4_5(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         except CapExceededError as exc:
             report.skipped.append(f"{case}: {exc}")
             continue
-        brute, witness = ring_unit_regular(R)
+        brute, witness = _verdict(deciders.classify(R), "unit_regular")
         fast = fastpath.zng_unit_regular(n, G)
-        report.record(
-            case, brute == fast, expected=fast, got=brute,
-            witness=None if witness is None else R.format_element(witness),
-        )
+        report.record(case, brute == fast, expected=fast, got=brute, witness=witness)
     return report
 
 
@@ -170,13 +155,11 @@ def suite_connell(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         except CapExceededError as exc:
             report.skipped.append(f"{case}: {exc}")
             continue
-        brute, witness = ring_regular(R)
+        classified = deciders.classify(R)
+        brute, witness = _verdict(classified, "regular")
         fast = fastpath.connell_regular_zn(n, G)
-        report.record(
-            case, brute == fast, expected=fast, got=brute,
-            witness=None if witness is None else R.format_element(witness),
-        )
-        brute_ur, _ = ring_unit_regular(R)
+        report.record(case, brute == fast, expected=fast, got=brute, witness=witness)
+        brute_ur, _ = _verdict(classified, "unit_regular")
         report.record(
             f"{case} regular<=>unit-regular", brute == brute_ur,
             expected=brute, got=brute_ur,
@@ -438,17 +421,23 @@ def _check_instance(R: Ring, failures: list):
             "case": case, "expected": "NI <=> Nil == J",
             "got": {"NI": ni, "Nil==J": collapse}, "witness": None,
         })
-    if R.order <= 512:
-        for x in R.elements():
-            ur = deciders.is_unit_regular(R, x)
-            ehrlich = deciders.is_regular(R, x) and deciders.is_left_morphic(R, x)
-            if ur != ehrlich:
-                failures.append({
-                    "case": case, "expected": "Ehrlich equivalence",
-                    "got": {"unit_regular": ur, "regular&morphic": ehrlich},
-                    "witness": R.format_element(x),
-                })
-                break
+    # Ehrlich: unit-regular <=> regular and left-morphic, at every element.
+    # The regular mask stops after the first row block with a False; the
+    # remaining rows are read here.
+    masks = deciders._element_masks(R)
+    regular = masks["regular"]
+    rest = _row_blocks(R, np.arange(len(regular), R.order))
+    regular = np.concatenate([regular] + [deciders._regular_rows(R, xs) for xs in rest])
+    ehrlich = regular & deciders._left_morphic_mask(R)
+    unit_regular = masks["unit_regular"]
+    bad = unit_regular != ehrlich
+    if bad.any():
+        x = int(bad.argmax())
+        failures.append({
+            "case": case, "expected": "Ehrlich equivalence",
+            "got": {"unit_regular": bool(unit_regular[x]), "regular&morphic": bool(ehrlich[x])},
+            "witness": R.format_element(x),
+        })
     if R.kind == "zmod":
         fast = fastpath.zn_unit_regular(R.meta["n"])
         if fast != flags["unit_regular"]:

@@ -11,7 +11,7 @@ tables up to TABLE_LIMIT; above it, for a ring with radices, the product of
 digit vectors through the |g|^2 structure constants of its additive
 generators, so a whole row x*R or column R*x costs O(n * |g|) memory.
 Besides these three, only ``_row_blocks`` knows whether the tables exist:
-whole-ring reads take all elements as one block with them, one row at a
+whole-ring reads take blocks of ROW_BLOCK // n rows with them, one row at a
 time without them.
 """
 
@@ -34,6 +34,9 @@ ARITH_CAP = 65536
 # then multiply through their structure constants (`_mul_many`), opaque
 # rings through the scalar evaluators.
 TABLE_LIMIT = 1024
+# Products per row block on the table path (2 MiB of int64): the whole ring
+# up to order 512, so a read never holds more than a few such arrays.
+ROW_BLOCK = 2**18
 
 # Axiom checking above TABLE_LIMIT, where no op tables exist: the laws other
 # than the associativity of a ring with radices are checked on this many
@@ -111,7 +114,6 @@ class Ring:
         self._add_np: Optional[np.ndarray] = None
         self._mul_np: Optional[np.ndarray] = None
         self._neg_np: Optional[np.ndarray] = None
-        self._morphic: Optional[tuple] = None
         self._structure: Optional[tuple] = None     # see _structure_constants
 
     # -- basic derived ops -------------------------------------------------
@@ -302,13 +304,12 @@ def _sub_many(R: Ring, a, b) -> np.ndarray:
 
 def _row_blocks(R: Ring, xs) -> list:
     """The index array xs as column blocks (b, 1) in index order, so that
-    ``_mul_many(R, block, every)`` is the rows x*R of the block's x: all of
-    xs in one block with op tables, else one x per block, in O(n * |g|)
-    memory for a ring with radices."""
+    ``_mul_many(R, block, every)`` is the rows x*R of the block's x: blocks
+    of ROW_BLOCK // n of them with op tables, else one x per block, in
+    O(n * |g|) memory for a ring with radices."""
     xs = np.asarray(xs, dtype=np.int64)[:, None]
-    if R._mul_np is not None:
-        return [xs]
-    return [xs[i:i + 1] for i in range(len(xs))]
+    rows = max(1, ROW_BLOCK // R.order) if R._mul_np is not None else 1
+    return [xs[i:i + rows] for i in range(0, len(xs), rows)]
 
 
 def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from finring import Ring, make_zmod, matrix_ring
+from finring.kernel import _mul_many
 
 
 def _check_assoc_np(T):
@@ -36,3 +37,17 @@ def transposed_product():
 
     return Ring(16, add=M2.add, mul=mul, neg=M2.neg, one=M2.one, label="(XY)^T",
                 radices=M2.radices)
+
+
+def left_morphic_reference(R):
+    """Per element x, whether some b has l(x) = R*b and l(b) = R*x, where
+    l(x) = {y : y*x = 0}: frozensets of each column R*a, searched by ideal."""
+    every = np.arange(R.order)
+    left_ann, principal, by_principal = [], [], {}
+    for a in R.elements():
+        col = _mul_many(R, every, a)                # R*a
+        left_ann.append(frozenset(every[col == 0].tolist()))
+        principal.append(frozenset(col.tolist()))
+        by_principal.setdefault(principal[-1], []).append(a)
+    return [any(left_ann[b] == principal[x] for b in by_principal.get(left_ann[x], ()))
+            for x in R.elements()]

@@ -27,6 +27,9 @@ from finring import (
 from finring.deciders import (
     _ELEMENT_DECIDERS,
     Decomposition,
+    _element_masks,
+    _left_morphic_mask,
+    _ni_witness,
     _periodic_mask,
     is_clean,
     is_left_morphic,
@@ -47,6 +50,8 @@ from finring.deciders import (
     snc_poly_criterion,
     is_strongly_unit_nil_clean,
 )
+
+from _oracles import left_morphic_reference
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +446,7 @@ def test_mask_engine_matches_scalar_deciders(ring):
     assert R.caches.jacobson == jacobson
     # byte-identical JSON, key order included
     assert json.dumps(classify(R).to_json()) == json.dumps(_oracle_report(R))
+    assert _left_morphic_mask(R).tolist() == left_morphic_reference(R)
 
 
 @pytest.mark.parametrize("index", range(len(standard_corpus())),
@@ -453,6 +459,7 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
     for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
         assert getattr(S.caches, name) == getattr(R.caches, name), name
     assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())
+    assert (_left_morphic_mask(S) == _left_morphic_mask(R)).all()
 
 
 def test_row_path_matches_table_path_above_limit(monkeypatch):
@@ -465,6 +472,7 @@ def test_row_path_matches_table_path_above_limit(monkeypatch):
     for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
         assert getattr(S.caches, name) == getattr(R.caches, name), name
     assert row_path == json.dumps(classify(R).to_json())
+    assert (_left_morphic_mask(S) == _left_morphic_mask(R)).all()
 
 
 def test_row_path_memory_is_linear_in_order():
@@ -480,6 +488,22 @@ def test_row_path_memory_is_linear_in_order():
             tracemalloc.stop()
         assert R._mul_np is None
         assert peak < 2 * 2**20, (R.label, peak)
+
+
+def test_ni_witness_peak_is_below_the_mask_engine():
+    # _ni_witness keeps boolean escape masks, not a stack of the products,
+    # and the mask engine holds a few row blocks of the 1024 x 1024 table
+    # (8 MiB of int64) at a time, not the whole of it.
+    R = freeze(trivial_extension(make_zmod(32)))
+    peaks = []
+    for phase in (_ni_witness, _element_masks):
+        tracemalloc.start()
+        try:
+            phase(R)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] < 3 * kernel.ROW_BLOCK * 8, peaks
 
 
 ABOVE_LIMIT = [

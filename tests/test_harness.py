@@ -3,8 +3,10 @@
 import json
 import random
 
-from finring import (SearchConfig, cyclic, deciders, falsify, harness, kernel, make_zmod,
-                     standard_corpus)
+import pytest
+
+from finring import (SearchConfig, cyclic, deciders, falsify, fastpath, freeze, harness, kernel,
+                     make_zmod, standard_corpus, trivial_extension)
 from finring.cli import main
 from finring.harness import (
     suite_connell,
@@ -32,6 +34,23 @@ def test_theorem_4_5_cap_skip():
     report = suite_theorem_4_5([(2, cyclic(3))], cap=4)
     assert report.attempted == 0
     assert len(report.skipped) == 1
+
+
+def test_lemma_4_4_records_the_least_failing_element(monkeypatch):
+    zn_unit_regular = fastpath.zn_unit_regular
+    monkeypatch.setattr(fastpath, "zn_unit_regular", lambda n: n == 4 or zn_unit_regular(n))
+    report = suite_lemma_4_4(4)
+    assert (report.attempted, report.passed) == (4, 3)
+    assert report.failures == [{"case": "Z(4)", "expected": True, "got": False, "witness": "2"}]
+
+
+def test_connell_records_the_least_failing_element(monkeypatch):
+    monkeypatch.setattr(fastpath, "connell_regular_zn", lambda n, G: True)
+    report = suite_connell([(2, cyclic(2))])
+    # 1 + g is nilpotent in F2[C2]; the regular<=>unit-regular check still passes
+    assert (report.attempted, report.passed) == (2, 1)
+    assert report.failures == [{"case": "GR(Z(2), C(2))", "expected": True, "got": False,
+                                "witness": "1*g0 + 1*g1"}]
 
 
 def test_connell_subset():
@@ -143,3 +162,56 @@ def test_falsify_records_classify_cross_check_failure(monkeypatch, capsys):
     assert main(["search", "--seed", "0", "--only", "3", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert (payload["attempted"], payload["failures"]) == (1, [failure])
+
+
+def _flip_last_unit(monkeypatch, label):
+    """Make the left-morphic mask of the ring called label false at its last
+    unit, which is unit-regular; return that unit."""
+    morphic = deciders._left_morphic_mask
+    flipped = []
+
+    def wrong_mask(R):
+        mask = morphic(R)
+        if R.label == label:
+            flipped.append(int(R.caches.unit_array[-1]))
+            mask[flipped[-1]] = False
+        return mask
+
+    monkeypatch.setattr(deciders, "_left_morphic_mask", wrong_mask)
+    return flipped
+
+
+def test_falsify_records_ehrlich_mismatch(monkeypatch, capsys):
+    rng = random.Random(0)
+    instances = [harness._random_instance(rng, 256) for _ in range(8)]
+    R = instances[3]
+    assert R.label not in [S.label for S in instances[:3] + instances[4:]]
+    flipped = _flip_last_unit(monkeypatch, R.label)
+    report = falsify(SearchConfig(seed=0, count=8))
+    assert (report.attempted, report.passed) == (8, 7)
+    [failure] = report.failures
+    assert failure == {
+        "case": R.label, "expected": "Ehrlich equivalence",
+        "got": {"unit_regular": True, "regular&morphic": False},
+        "witness": R.format_element(flipped[0]), "seed": 0, "index": 3}
+    assert main(["search", "--seed", "0", "--only", "3", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["attempted"], payload["failures"]) == (1, [failure])
+
+
+@pytest.mark.parametrize("n, table_limit", [(24, None), (6, 0)])
+def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
+    # Triv(Z(24)) has op tables and order 576 > 512, Triv(Z(6)) has none.
+    # In both the regular mask of _element_masks stops after the row block
+    # of the first non-regular element, before the flipped unit.
+    if table_limit is not None:
+        monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
+    R = freeze(trivial_extension(make_zmod(n)))
+    assert (R._mul_np is None) == (table_limit is not None)
+    flipped = _flip_last_unit(monkeypatch, R.label)
+    failures = []
+    harness._check_instance(R, failures)
+    assert failures == [{"case": R.label, "expected": "Ehrlich equivalence",
+                         "got": {"unit_regular": True, "regular&morphic": False},
+                         "witness": R.format_element(flipped[0])}]
+    assert len(deciders._element_masks(R)["regular"]) < flipped[0]
