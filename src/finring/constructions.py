@@ -4,12 +4,13 @@ All constructions are positional: an element is a little-endian vector of
 base-ring digits, and the index is sum(digit_t * |base|^t).  Addition is
 always digitwise and multiplication is bilinear in the digits, so each
 construction gives only its scalar ops and its radices (the base radices
-once per digit); ``kernel._build_tables`` derives the op tables from them.
+once per digit).  The op tables and ``kernel._mul_many`` take the product
+from the structure constants, the scalar products of pairs of additive
+generators extended bilinearly; ``verify_ring_axioms`` compares the scalar
+ops with them.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import (
     AssociativityError,
@@ -19,7 +20,9 @@ from .errors import (
     WrongConstructionError,
 )
 from .groups import FiniteGroup
-from .kernel import ARITH_CAP, Ring, _additive_generators, _assoc_violation, is_nilpotent
+from .kernel import (
+    ARITH_CAP, Ring, _additive_generators, _assoc_violation, _mul_many, is_nilpotent,
+)
 
 
 def _to_digits(i, b, nd):
@@ -305,14 +308,16 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
 
 def _verify_associativity(R: Ring, label: str, gens):
     """Raise AssociativityError on the least generator triple (g, h, k) with
-    (g*h)*k != g*(h*k), through the scalar mul.
+    (g*h)*k != g*(h*k), read through `_mul_many`.
 
     `gens` must generate R's additive group and R.mul must be additive in
     each argument; then the check is exhaustive at every order in |gens|^3
-    triples.
+    triples.  Over a base with radices the products are those of R's
+    structure constants, the |g|^2 scalar products of the generators, which
+    the op tables are built from later; over an opaque base each product is
+    a scalar mul call.
     """
-    mul = np.frompyfunc(lambda x, y: R.mul(int(x), int(y)), 2, 1)
-    bad = _assoc_violation(mul, gens)
+    bad = _assoc_violation(lambda a, b: _mul_many(R, a, b), gens)
     if bad is not None:
         raise AssociativityError(f"{label}: multiplication not associative at {bad}")
 

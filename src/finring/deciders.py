@@ -334,7 +334,11 @@ def is_reduced(R: Ring) -> bool:
 
 @dataclass
 class PropertyReport:
-    """Per-ring classification with least-index witnesses for false flags."""
+    """Per-ring classification with least-index witnesses for false flags.
+
+    `masks` holds the element masks of ``_element_masks`` that the flags were
+    read from, for cross-checks on the same ring; it is not serialized.
+    """
 
     label: str
     order: int
@@ -342,6 +346,7 @@ class PropertyReport:
     witnesses: dict = field(default_factory=dict)
     jacobson_size: int = 0
     nil_size: int = 0
+    masks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -465,9 +470,9 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     report = PropertyReport(label=R.label, order=R.order)
     report.jacobson_size = len(R.caches.jacobson)
     report.nil_size = len(R.caches.nilpotents)
-    masks = _element_masks(R)
+    report.masks = _element_masks(R)
     for name in _ELEMENT_DECIDERS:
-        mask = masks[name]
+        mask = report.masks[name]
         failure = None if mask.all() else int(mask.argmin())
         report.flags[name] = failure is None
         if failure is not None:

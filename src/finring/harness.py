@@ -424,12 +424,11 @@ def _check_instance(R: Ring, failures: list):
     # Ehrlich: unit-regular <=> regular and left-morphic, at every element.
     # The regular mask stops after the first row block with a False; the
     # remaining rows are read here.
-    masks = deciders._element_masks(R)
-    regular = masks["regular"]
+    regular = report.masks["regular"]
     rest = _row_blocks(R, np.arange(len(regular), R.order))
     regular = np.concatenate([regular] + [deciders._regular_rows(R, xs) for xs in rest])
     ehrlich = regular & deciders._left_morphic_mask(R)
-    unit_regular = masks["unit_regular"]
+    unit_regular = report.masks["unit_regular"]
     bad = unit_regular != ehrlich
     if bad.any():
         x = int(bad.argmax())

@@ -5,14 +5,16 @@ supplies encode/decode maps between indices and its natural element shape
 (residues, matrices, coefficient vectors, ...), so the deciders only ever
 see indices.
 
-Products of many elements at once go through ``_mul_many`` (and sums and
-differences through ``_add_many`` and ``_sub_many``): a lookup in the op
-tables up to TABLE_LIMIT; above it, for a ring with radices, the product of
-digit vectors through the |g|^2 structure constants of its additive
-generators, so a whole row x*R or column R*x costs O(n * |g|) memory.
-Besides these three, only ``_row_blocks`` knows whether the tables exist:
-whole-ring reads take blocks of ROW_BLOCK // n rows with them, one row at a
-time without them.
+A ring with radices has one definition of its product: the |g|^2 structure
+constants of its additive generators, the digits of g_i*g_j, extended
+bilinearly.  Up to TABLE_LIMIT the op tables are built from them; above it
+products are computed from them directly.  Products of many elements at once
+go through ``_mul_many`` (and sums and differences through ``_add_many`` and
+``_sub_many``): a lookup in the op tables when they exist, else the product
+of digit vectors through the structure constants, so a whole row x*R or
+column R*x costs O(n * |g|) memory.  Besides these three, only
+``_row_blocks`` knows whether the tables exist: whole-ring reads take blocks
+of ROW_BLOCK // n rows with them, one row at a time without them.
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ class Ring:
     group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
     is sum(d_i * g_i) with generator g_i at index w_i.  Without it the
     ring is opaque and its tables are filled pair by pair.  With it, the
-    tables are derived from the generator rows, which is exact only when
-    mul is additive in each argument: verify_ring_axioms spot-checks that
-    on the squares x*x, and tests/test_kernel.py checks full scalar/table
-    agreement for every construction.
+    tables and `_mul_many` both take the product from the structure
+    constants, the scalar products g_i*g_j extended bilinearly, which is
+    exact only when mul is additive in each argument: verify_ring_axioms
+    compares the scalar ops with them on generator rows, columns and
+    squares, and tests/test_kernel.py checks full scalar/table agreement
+    for every construction.
     """
 
     def __init__(
@@ -142,8 +146,9 @@ class Ring:
         return f"<Ring {self.label} order={self.order} {state}>"
 
 
-def _doubling_table(R: Ring, op, row0, combine) -> np.ndarray:
-    """Op table of `op` from row 0 and the scalar rows of the generators.
+def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
+    """Op table from row 0 and `rows`, the rows of the additive generators
+    (`_additive_generators`), in their order.
 
     In the factor of weight w and radix r, rows [p*w, q*w), q = min(2p, r),
     are T[p*w:q*w] = combine(T[0:(q-p)*w], T[p*w]), with row p*w taken from
@@ -152,10 +157,9 @@ def _doubling_table(R: Ring, op, row0, combine) -> np.ndarray:
     n = R.order
     T = np.empty((n, n), dtype=np.int64)
     T[0] = row0
+    T[_additive_generators(R)] = rows
     w = 1
     for r in R.radices:
-        if r > 1:
-            T[w] = np.fromiter((op(w, z) for z in range(n)), dtype=np.int64, count=n)
         p = 1
         while p < r:
             if p > 1:
@@ -171,15 +175,17 @@ def _doubling_table(R: Ring, op, row0, combine) -> np.ndarray:
 def _build_tables(R: Ring) -> None:
     """Install numpy op tables and table-backed evaluators (order <= TABLE_LIMIT).
 
-    With R.radices only the generator rows of add and mul are scalar calls:
-    row 0 is 0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
+    With R.radices the generator rows g + z and g*z come from the digits and
+    structure constants (`_add_many`, `_mul_many`), so the build calls the
+    scalar mul only |g|^2 times, for C, and the scalar add never.  Row 0 is
+    0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
     x + z = (x - p*w) + (p*w + z) by composing add rows and
     x*z = (x - p*w)*z + (p*w)*z through the finished add table.  So the
-    tables equal the scalar ops exactly when the indices follow R.radices
-    and mul is additive in its left argument.  Every construction's mul is,
-    being bilinear in the base-ring digits; tests/test_kernel.py checks the
-    tables against the scalar ops on every construction.  Opaque rings
-    (radices None) evaluate all n^2 pairs.
+    tables are the bilinear extension of the products g_i*g_j, the same
+    product `_mul_many` gives above TABLE_LIMIT; they equal the scalar ops
+    exactly when mul is additive in each argument, which
+    verify_ring_axioms compares on generator rows, columns and squares.
+    Opaque rings (radices None) evaluate all n^2 pairs.
     """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
@@ -192,8 +198,12 @@ def _build_tables(R: Ring) -> None:
 
         add_np, mul_np = table(R.add), table(R.mul)
     else:
-        add_np = _doubling_table(R, R.add, np.arange(n), lambda block, row: block[:, row])
-        mul_np = _doubling_table(R, R.mul, 0, lambda block, row: add_np[block, row])
+        every = np.arange(n)
+        G = np.array(_additive_generators(R), dtype=np.int64)[:, None]
+        add_np = _doubling_table(R, _add_many(R, G, every), every,
+                                 lambda block, row: block[:, row])
+        mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
+                                 lambda block, row: add_np[block, row])
     neg_np = np.fromiter((R.neg(a) for a in range(n)), dtype=np.int64, count=n)
     R._mul_np = mul_np
     R._add_np = add_np
@@ -247,8 +257,9 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise products a*b of two index arrays, which broadcast.
 
     With op tables this is a lookup, of whole rows or columns when one side
-    is a column block (k, 1) and the other every element in order.  Above
-    TABLE_LIMIT, a ring with radices multiplies digit vectors: mul is
+    is a column block (k, 1) and the other every element in order.  Without
+    tables (above TABLE_LIMIT, or while `_build_tables` derives them), a
+    ring with radices multiplies digit vectors: mul is
     additive in each argument, so a*b = sum over i, j of a_i * b_j *
     (g_i*g_j), reduced mod r digit by digit after each contraction.  A
     single a gives the row a*b as one |g| x |g| matrix (the digits of
@@ -283,7 +294,7 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
 
 def _add_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise sums a + b of two index arrays, which broadcast;
-    digit by digit above TABLE_LIMIT (see `_mul_many`)."""
+    digit by digit without op tables (see `_mul_many`)."""
     if R._add_np is not None:
         return R._add_np[a, b]
     if R.radices is None:
@@ -591,22 +602,21 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
     Identities and inverses are first checked through the scalar ops on
-    the first 4096 elements (all of them up to CLASSIFY_CAP).  Up to
-    TABLE_LIMIT the op tables are then built and checked: identities and
-    inverses on every element, and every law exhaustively against the
-    additive generators (`_law_violation`).  Above it no tables exist.
-    For a ring with radices the scalar add must then agree with the
-    digitwise sum on x + g for the same x and every generator g,
-    associativity is checked on all |g|^3 generator triples through the
-    scalar mul (exhaustive when mul is additive), and the other laws,
-    additivity included, on LAW_SAMPLES random triples; an opaque ring
-    gets the sampled laws only.  When this call builds the tables, or
-    above TABLE_LIMIT, it also compares the scalar mul with the table or
-    with `_mul_many` on the squares x*x of those x, a spot check that the
-    scalar mul is additive, as tables and structure constants built from
-    R.radices assume; tests/test_kernel.py checks full agreement for every
-    construction.  The checks raise explicitly, so they also hold under
-    ``python -O``.
+    the first 4096 elements x (all of them up to CLASSIFY_CAP).  For a ring
+    with radices and no tables yet, the scalar ops are then compared, on
+    both sides of TABLE_LIMIT, with the one product definition the tables
+    and `_mul_many` share, the digits and structure constants of R.radices:
+    on every generator row g + x and g*x, every column x*g and the squares
+    x*x of those x.  Up to TABLE_LIMIT the op tables are then built and
+    checked: identities and inverses on every element, and every law
+    exhaustively against the additive generators (`_law_violation`).
+    Above it no tables exist.  For a ring with radices associativity is
+    then checked on all |g|^3 generator triples through the scalar mul
+    (exhaustive when mul is additive), and the other laws, additivity
+    included, on LAW_SAMPLES random triples; an opaque ring gets the
+    sampled laws only.  tests/test_kernel.py checks full scalar agreement
+    for every construction.  The checks raise explicitly, so they also
+    hold under ``python -O``.
     """
     n = R.order
     zero, one = R.zero, R.one
@@ -628,28 +638,23 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
         if not (mul(x, one) == x and mul(one, x) == x):
             raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
-    # What the scalar ops are compared with: the tables this call builds,
-    # or above TABLE_LIMIT the digits and structure constants of R.radices.
-    derived = None
-    x = np.arange(checked)
-    if n <= TABLE_LIMIT and R._mul_np is None:
-        _build_tables(R)
-        derived = "table"
-    elif R._mul_np is None and R.radices is not None:
-        derived = "structure constants"
-        G = np.array(_additive_generators(R))[:, None]
-        sums, digitwise = _scalar_many(add, G, x), _add_many(R, G, x)    # [g, y] -> g + y
-        if (sums != digitwise).any():
-            g, y = np.argwhere(sums != digitwise)[0]
-            raise RingAxiomError(f"{label}: scalar add gives {G[g, 0]}+{y} = {sums[g, y]}, "
-                                 f"its digits {digitwise[g, y]}")
-    if derived is not None:
-        squares, products = _scalar_many(mul, x, x), _mul_many(R, x, x)
-        bad = np.flatnonzero(squares != products)
-        if bad.size:
-            y = int(bad[0])
-            raise RingAxiomError(
-                f"{label}: scalar mul gives {y}*{y} = {squares[y]}, its {derived} {products[y]}")
+    if R.radices is not None and R._mul_np is None:
+        # The scalar ops against the digits and structure constants of
+        # R.radices, which the tables are built from: the rows g + x and
+        # g*x, the columns x*g and the squares x*x.
+        gens, x = _additive_generators(R), np.arange(checked)
+        g, y = np.repeat(gens, checked), np.tile(x, len(gens))     # every pair (g, y)
+        for name, sign, op, many, derived, a, b in [
+                ("add", "+", add, _add_many, "digits", g, y),
+                ("mul", "*", mul, _mul_many, "structure constants",
+                 np.concatenate((g, y, x)), np.concatenate((y, g, x)))]:
+            scalar, expected = _scalar_many(op, a, b), many(R, a, b)
+            bad = np.flatnonzero(scalar != expected)
+            if bad.size:
+                i = bad[0]
+                raise RingAxiomError(f"{label}: scalar {name} gives {a[i]}{sign}{b[i]} = "
+                                     f"{scalar[i]}, its {derived} {expected[i]}")
+    _build_tables(R)
 
     if R._mul_np is not None:
         A, M, N = R._add_np, R._mul_np, R._neg_np

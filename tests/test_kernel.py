@@ -189,6 +189,10 @@ non_rings = [
     # Z/3 with 2*1 = 0: its generator row 1*y is right, so its table is Z/3's.
     Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 0, 1]][a][b],
          neg=lambda a: (-a) % 3, one=1, label="2*1 = 0 mod 3", radices=(3,)),
+    # Z(2) x Z(2) with 0*1 = 1: its generator rows and squares are right,
+    # its column z*1 is not.
+    Ring(4, add=lambda a, b: a ^ b, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b,
+         neg=lambda a: a, one=3, label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2)),
 ]
 for R in non_rings:
     try:
@@ -214,7 +218,7 @@ def test_axioms_reject_non_ring_under_optimize():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "RingAxiomError"] * 4
+    assert done.stdout.split() == ["False", "RingAxiomError"] * 5
 
 
 # Rings above TABLE_LIMIT, each rejected by verify_ring_axioms with the
@@ -276,15 +280,16 @@ def test_axioms_above_table_limit_reject_non_rings_under_optimize():
 
 
 def test_axioms_reject_non_additive_scalar_mul():
-    # The table built from the generator row 1*y has 2*2 = 1*2 + 1*2 = 1;
-    # the scalar mul says 0.  Without radices the table is the scalar mul
-    # and left distributivity fails.
+    # The structure constant 1*1 = 1 gives 2*2 = 1*2 + 1*2 = 1; the scalar
+    # mul says 0.  Without radices the table is the scalar mul and left
+    # distributivity fails.
     def ring(table, radices):
         return Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: table[a][b],
                     neg=lambda a: (-a) % 3, one=1, label="non-additive mod 3", radices=radices)
 
     two_squared_zero = [[0, 0, 0], [0, 1, 2], [0, 2, 0]]
-    with pytest.raises(RingAxiomError, match=r"scalar mul gives 2\*2 = 0, its table 1"):
+    with pytest.raises(RingAxiomError,
+                       match=r"scalar mul gives 2\*2 = 0, its structure constants 1"):
         verify_ring_axioms(ring(two_squared_zero, (3,)))
     with pytest.raises(RingAxiomError, match=r"left distributivity fails at \(2, 1, 1\)"):
         verify_ring_axioms(ring(two_squared_zero, None))
@@ -292,6 +297,13 @@ def test_axioms_reject_non_additive_scalar_mul():
     # the identity checks through the scalar mul catch it.
     with pytest.raises(RingAxiomError, match="multiplicative identity fails at 2"):
         verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 0, 1]], (3,)))
+    # Z(2) x Z(2) with 0*1 = 1: the generator rows g*y, the squares and the
+    # identities are right; only the column y*g compares the scalar 0*1.
+    R = Ring(4, add=lambda a, b: a ^ b, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b,
+             neg=lambda a: a, one=3, label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2))
+    with pytest.raises(RingAxiomError,
+                       match=r"scalar mul gives 0\*1 = 1, its structure constants 0"):
+        verify_ring_axioms(R)
 
 
 def test_axioms_reject_wrong_scalar_add_beyond_generator_rows():
@@ -455,6 +467,24 @@ def test_tables_match_scalar_ops_sampled(expr):
     rng = random.Random(0)
     pairs = [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)]
     assert _table_mismatch(R, pairs) is None
+
+
+@pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
+def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
+    # The generator rows come from the structure constants, so the build
+    # calls the scalar mul once per pair of generators and the scalar add never.
+    R = elaborate(parse(expr))
+    calls = {"add": 0, "mul": 0}
+
+    def counted(name, op):
+        def call(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return call
+
+    R.add, R.mul = counted("add", R.add), counted("mul", R.mul)
+    kernel._build_tables(R)
+    assert calls == {"add": 0, "mul": generators ** 2}
 
 
 def test_table_mismatch_is_reported():
