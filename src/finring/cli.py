@@ -1,5 +1,13 @@
 """Command-line front end: ring DSL, classification, suites, search.
 
+The ring DSL is defined once, by the constructor tables RINGS and GROUPS.
+Each row gives a keyword, its syntax-tree node class (generated from the
+row, and a module attribute under its name: ZExpr, MatExpr, ..., Q8Expr),
+the kinds of its arguments, the check run on them once parsed, and the
+builder of the ring or group.  `parse`, `unparse`, `elaborate` and
+`elaborate_group` read those rows; the infix product ``x`` of each sort
+(ProdExpr, GProdExpr) is the one rule outside them.
+
 Exit codes: 0 success, 1 theorem violation found, 2 parse/usage error,
 3 cap exceeded.
 """
@@ -11,7 +19,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from typing import Callable, Optional
 
 from . import deciders, fastpath, harness
 from .constructions import (
@@ -27,80 +36,86 @@ from .groups import cyclic, dihedral, group_product, quaternion8, symmetric
 from .kernel import ARITH_CAP, CLASSIFY_CAP, Ring, direct_product, freeze, make_zmod
 
 
-# -- abstract syntax -------------------------------------------------------
+# -- the constructor tables ------------------------------------------------
+
+
+def _node(name: str, fields) -> type:
+    """A frozen dataclass syntax-tree node; nodes of different classes
+    compare unequal even with equal fields."""
+    return make_dataclass(name, fields, frozen=True, namespace={"__module__": __name__})
 
 
 @dataclass(frozen=True)
-class ZExpr:
-    n: int
+class Constructor:
+    """One DSL keyword.  fields are (name, kind) in positional order, kind
+    "int", "ring" or "group"; check takes the parsed fields and returns an
+    error message or None; build takes the elaborated fields, and for a
+    ring also cap=."""
+
+    keyword: str
+    node: type
+    fields: tuple
+    build: Callable
+    check: Callable
+
+    @staticmethod
+    def row(keyword: str, name: str, fields: str, build: Callable,
+            check: Callable = lambda *args: None) -> "Constructor":
+        """fields is "name:kind ...", e.g. "k:int inner:ring"."""
+        pairs = tuple(tuple(field.split(":")) for field in fields.split())
+        node = _node(name, [(f, int if kind == "int" else object) for f, kind in pairs])
+        return Constructor(keyword, node, pairs, build, check)
 
 
-@dataclass(frozen=True)
-class MatExpr:
-    k: int
-    inner: object
+def _int_in_ring(R: Ring, s: int) -> int:
+    """The image of the integer s in R (s copies of one)."""
+    if s < 0:
+        return R.neg(_int_in_ring(R, -s))
+    acc, base, k = 0, R.one, s
+    while k:
+        if k & 1:
+            acc = R.add(acc, base)
+        base = R.add(base, base)
+        k >>= 1
+    return acc
 
 
-@dataclass(frozen=True)
-class TriExpr:
-    k: int
-    inner: object
+def _matrix_size(k, inner) -> Optional[str]:
+    return "matrix size must be >= 1" if k < 1 else None
 
 
-@dataclass(frozen=True)
-class GrExpr:
-    inner: object
-    group: object
+def _group_size(keyword: str, most: Optional[int] = None) -> Callable:
+    return lambda m: (f"{keyword}({m}) is invalid; argument must be >= 1" if m < 1 else
+                      f"{keyword}(k) supports k <= {most} only" if most and m > most else None)
 
 
-@dataclass(frozen=True)
-class TrivExpr:
-    inner: object
-
-
-@dataclass(frozen=True)
-class KsExpr:
-    inner: object
-    s: int
-
-
-@dataclass(frozen=True)
-class FmExpr:
-    k: int
-    inner: object
-    s: int
-
-
-@dataclass(frozen=True)
-class ProdExpr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class CExpr:
-    m: int
-
-
-@dataclass(frozen=True)
-class DExpr:
-    m: int
-
-
-@dataclass(frozen=True)
-class SExpr:
-    k: int
-
-
-@dataclass(frozen=True)
-class Q8Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class GProdExpr:
-    left: object
-    right: object
+RINGS = {row.keyword: row for row in [
+    Constructor.row("Z", "ZExpr", "n:int", lambda n, cap: make_zmod(n, cap=cap),
+                    lambda n: "Z(0) is invalid; n must be >= 1" if n < 1 else None),
+    Constructor.row("M", "MatExpr", "k:int inner:ring",
+                    lambda k, R, cap: matrix_ring(R, k, cap=cap), _matrix_size),
+    Constructor.row("U", "TriExpr", "k:int inner:ring",
+                    lambda k, R, cap: upper_triangular(R, k, cap=cap), _matrix_size),
+    Constructor.row("GR", "GrExpr", "inner:ring group:group", group_ring),
+    Constructor.row("Triv", "TrivExpr", "inner:ring", trivial_extension),
+    Constructor.row("Ks", "KsExpr", "inner:ring s:int",
+                    lambda R, s, cap: generalized_matrix(R, _int_in_ring(R, s), cap=cap)),
+    Constructor.row("FM", "FmExpr", "k:int inner:ring s:int",
+                    lambda k, R, s, cap: formal_matrix(R, k, _int_in_ring(R, s), cap=cap),
+                    lambda k, inner, s: "FM needs k >= 2" if k < 2 else None),
+]}
+GROUPS = {row.keyword: row for row in [
+    Constructor.row("C", "CExpr", "m:int", cyclic, _group_size("C")),
+    Constructor.row("D", "DExpr", "m:int", dihedral, _group_size("D")),
+    Constructor.row("S", "SExpr", "k:int", symmetric, _group_size("S", 4)),
+    Constructor.row("Q8", "Q8Expr", "", quaternion8),
+]}
+ProdExpr = _node("ProdExpr", ["left", "right"])
+GProdExpr = _node("GProdExpr", ["left", "right"])
+_SORTS = {"ring": (RINGS, ProdExpr), "group": (GROUPS, GProdExpr)}
+# node class -> (sort, row); the node classes are module attributes by name.
+_ROWS = {row.node: (sort, row) for sort, (table, _) in _SORTS.items() for row in table.values()}
+globals().update({node.__name__: node for node in _ROWS})
 
 
 # -- tokenizer / recursive-descent parser ----------------------------------
@@ -150,195 +165,97 @@ class _Parser:
             )
         return tok
 
-    def parse_int(self):
-        return self.expect("INT", ("integer",))[1]
-
-    def parse_ring(self):
-        node = self.parse_ring_primary()
+    def parse_sort(self, sort: str):
+        """A ring or group expression: primaries joined by the product x."""
+        product = _SORTS[sort][1]
+        node = self.parse_primary(sort)
         while self.peek()[:2] == ("NAME", "x"):
             self.next()
-            node = ProdExpr(node, self.parse_ring_primary())
+            node = product(node, self.parse_primary(sort))
         return node
 
-    def parse_ring_primary(self):
+    def parse_primary(self, sort: str):
+        """A parenthesized expression, or a keyword with its arguments in
+        parentheses (none for a row without fields), checked after the
+        closing parenthesis."""
+        table = _SORTS[sort][0]
         kind, value, pos = self.peek()
         if kind == "(":
             self.next()
-            node = self.parse_ring()
-            self.expect(")", (")",))
+            node = self.parse_sort(sort)
+            self.expect(")")
             return node
         if kind != "NAME":
-            raise ParseError("expected a ring expression", pos,
-                             ("Z", "M", "U", "GR", "Triv", "Ks", "FM", "("))
+            raise ParseError(f"expected a {sort} expression", pos, (*table, "("))
         self.next()
-        if value == "Z":
-            self.expect("(", ("(",))
-            n = self.parse_int()
-            self.expect(")", (")",))
-            if n == 0:
-                raise ParseError("Z(0) is invalid; n must be >= 1", pos)
-            return ZExpr(n)
-        if value in ("M", "U"):
-            self.expect("(", ("(",))
-            k = self.parse_int()
-            self.expect(",", (",",))
-            inner = self.parse_ring()
-            self.expect(")", (")",))
-            if k < 1:
-                raise ParseError("matrix size must be >= 1", pos)
-            return (MatExpr if value == "M" else TriExpr)(k, inner)
-        if value == "GR":
-            self.expect("(", ("(",))
-            inner = self.parse_ring()
-            self.expect(",", (",",))
-            grp = self.parse_group()
-            self.expect(")", (")",))
-            return GrExpr(inner, grp)
-        if value == "Triv":
-            self.expect("(", ("(",))
-            inner = self.parse_ring()
-            self.expect(")", (")",))
-            return TrivExpr(inner)
-        if value == "Ks":
-            self.expect("(", ("(",))
-            inner = self.parse_ring()
-            self.expect(",", (",",))
-            s = self.parse_int()
-            self.expect(")", (")",))
-            return KsExpr(inner, s)
-        if value == "FM":
-            self.expect("(", ("(",))
-            k = self.parse_int()
-            self.expect(",", (",",))
-            inner = self.parse_ring()
-            self.expect(",", (",",))
-            s = self.parse_int()
-            self.expect(")", (")",))
-            if k < 2:
-                raise ParseError("FM needs k >= 2", pos)
-            return FmExpr(k, inner, s)
-        raise ParseError(f"unknown ring constructor {value!r}", pos,
-                         ("Z", "M", "U", "GR", "Triv", "Ks", "FM"))
-
-    def parse_group(self):
-        node = self.parse_group_primary()
-        while self.peek()[:2] == ("NAME", "x"):
-            self.next()
-            node = GProdExpr(node, self.parse_group_primary())
-        return node
-
-    def parse_group_primary(self):
-        kind, value, pos = self.peek()
-        if kind == "(":
-            self.next()
-            node = self.parse_group()
-            self.expect(")", (")",))
-            return node
-        if kind != "NAME":
-            raise ParseError("expected a group expression", pos, ("C", "D", "S", "Q8", "("))
-        self.next()
-        if value == "Q8":
-            return Q8Expr()
-        if value in ("C", "D", "S"):
-            self.expect("(", ("(",))
-            m = self.parse_int()
-            self.expect(")", (")",))
-            if m < 1:
-                raise ParseError(f"{value}({m}) is invalid; argument must be >= 1", pos)
-            if value == "S" and m > 4:
-                raise ParseError("S(k) supports k <= 4 only", pos)
-            return {"C": CExpr, "D": DExpr, "S": SExpr}[value](m)
-        raise ParseError(f"unknown group constructor {value!r}", pos, ("C", "D", "S", "Q8"))
+        row = table.get(value)
+        if row is None:
+            raise ParseError(f"unknown {sort} constructor {value!r}", pos, tuple(table))
+        args = []
+        if row.fields:
+            self.expect("(")
+            for i, (_, arg_kind) in enumerate(row.fields):
+                if i:
+                    self.expect(",")
+                args.append(self.expect("INT", ("integer",))[1] if arg_kind == "int"
+                            else self.parse_sort(arg_kind))
+            self.expect(")")
+        message = row.check(*args)
+        if message:
+            raise ParseError(message, pos)
+        return row.node(*args)
 
 
 def parse(text: str):
     """Parse a ring-DSL expression into its abstract syntax."""
     p = _Parser(text)
-    node = p.parse_ring()
+    node = p.parse_sort("ring")
     tok = p.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
     return node
 
 
+def _row(expr, sort: Optional[str]) -> Constructor:
+    """The table row of expr's node class, which must be of the given sort
+    (any, for None)."""
+    found = _ROWS.get(type(expr))
+    if found is None or sort not in (None, found[0]):
+        what = f"a {sort} expression" if sort else "an expression"
+        raise TypeError(f"not {what}: {expr!r}")
+    return found[1]
+
+
 def unparse(expr) -> str:
-    if isinstance(expr, ZExpr):
-        return f"Z({expr.n})"
-    if isinstance(expr, MatExpr):
-        return f"M({expr.k}, {unparse(expr.inner)})"
-    if isinstance(expr, TriExpr):
-        return f"U({expr.k}, {unparse(expr.inner)})"
-    if isinstance(expr, GrExpr):
-        return f"GR({unparse(expr.inner)}, {unparse(expr.group)})"
-    if isinstance(expr, TrivExpr):
-        return f"Triv({unparse(expr.inner)})"
-    if isinstance(expr, KsExpr):
-        return f"Ks({unparse(expr.inner)}, {expr.s})"
-    if isinstance(expr, FmExpr):
-        return f"FM({expr.k}, {unparse(expr.inner)}, {expr.s})"
-    if isinstance(expr, ProdExpr):
+    if type(expr) in (ProdExpr, GProdExpr):
         return f"({unparse(expr.left)}) x ({unparse(expr.right)})"
-    if isinstance(expr, CExpr):
-        return f"C({expr.m})"
-    if isinstance(expr, DExpr):
-        return f"D({expr.m})"
-    if isinstance(expr, SExpr):
-        return f"S({expr.k})"
-    if isinstance(expr, Q8Expr):
-        return "Q8"
-    if isinstance(expr, GProdExpr):
-        return f"({unparse(expr.left)}) x ({unparse(expr.right)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    row = _row(expr, None)
+    if not row.fields:
+        return row.keyword
+    args = (str(getattr(expr, name)) if kind == "int" else unparse(getattr(expr, name))
+            for name, kind in row.fields)
+    return f"{row.keyword}({', '.join(args)})"
 
 
-def _int_in_ring(R: Ring, s: int) -> int:
-    """The image of the integer s in R (s copies of one)."""
-    if s < 0:
-        return R.neg(_int_in_ring(R, -s))
-    acc, base, k = 0, R.one, s
-    while k:
-        if k & 1:
-            acc = R.add(acc, base)
-        base = R.add(base, base)
-        k >>= 1
-    return acc
+def _elaborated(expr, row: Constructor, cap: int) -> list:
+    """The fields of expr, with its rings and groups built."""
+    build = {"int": lambda v: v, "ring": lambda v: elaborate(v, cap), "group": elaborate_group}
+    return [build[kind](getattr(expr, name)) for name, kind in row.fields]
 
 
 def elaborate_group(expr):
-    if isinstance(expr, CExpr):
-        return cyclic(expr.m)
-    if isinstance(expr, DExpr):
-        return dihedral(expr.m)
-    if isinstance(expr, SExpr):
-        return symmetric(expr.k)
-    if isinstance(expr, Q8Expr):
-        return quaternion8()
-    if isinstance(expr, GProdExpr):
+    if type(expr) is GProdExpr:
         return group_product(elaborate_group(expr.left), elaborate_group(expr.right))
-    raise TypeError(f"not a group expression: {expr!r}")
+    row = _row(expr, "group")
+    return row.build(*_elaborated(expr, row, ARITH_CAP))
 
 
 def elaborate(expr, cap: int = ARITH_CAP) -> Ring:
     """Build the ring denoted by a parsed expression."""
-    if isinstance(expr, ZExpr):
-        return make_zmod(expr.n, cap=cap)
-    if isinstance(expr, MatExpr):
-        return matrix_ring(elaborate(expr.inner, cap), expr.k, cap=cap)
-    if isinstance(expr, TriExpr):
-        return upper_triangular(elaborate(expr.inner, cap), expr.k, cap=cap)
-    if isinstance(expr, GrExpr):
-        return group_ring(elaborate(expr.inner, cap), elaborate_group(expr.group), cap=cap)
-    if isinstance(expr, TrivExpr):
-        return trivial_extension(elaborate(expr.inner, cap), cap=cap)
-    if isinstance(expr, KsExpr):
-        base = elaborate(expr.inner, cap)
-        return generalized_matrix(base, _int_in_ring(base, expr.s), cap=cap)
-    if isinstance(expr, FmExpr):
-        base = elaborate(expr.inner, cap)
-        return formal_matrix(base, expr.k, _int_in_ring(base, expr.s), cap=cap)
-    if isinstance(expr, ProdExpr):
+    if type(expr) is ProdExpr:
         return direct_product(elaborate(expr.left, cap), elaborate(expr.right, cap), cap=cap)
-    raise TypeError(f"not a ring expression: {expr!r}")
+    row = _row(expr, "ring")
+    return row.build(*_elaborated(expr, row, cap), cap=cap)
 
 
 # -- fast-path reporting ---------------------------------------------------

@@ -480,9 +480,9 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
                 "index": failure,
                 "element": R.format_element(failure),
             }
-    report.flags["NI"] = is_NI(R)
-    if not report.flags["NI"]:
-        w = _ni_witness(R)
+    w = _ni_witness(R)
+    report.flags["NI"] = w is None
+    if w is not None:
         report.witnesses["NI"] = {"index": w, "element": R.format_element(w)}
     report.flags["reduced"] = is_reduced(R)
     if not report.flags["reduced"]:

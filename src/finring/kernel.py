@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import CapExceededError, RingAxiomError
 
-# Order caps.  Exhaustive classification is O(order^2) per element in the
-# worst case; arithmetic-only use tolerates larger rings.
+# Order caps.  Exhaustive classification costs O(order^2) per flag for the
+# whole ring (the mask engine); arithmetic-only use tolerates larger rings.
 CLASSIFY_CAP = 4096
 ARITH_CAP = 65536
 
@@ -177,7 +177,9 @@ def _build_tables(R: Ring) -> None:
 
     With R.radices the generator rows g + z and g*z come from the digits and
     structure constants (`_add_many`, `_mul_many`), so the build calls the
-    scalar mul only |g|^2 times, for C, and the scalar add never.  Row 0 is
+    scalar mul only |g|^2 times, for C, and the scalar add never.  On every
+    ring the negatives are read off the add table, -x being the z with
+    x + z = 0, so no build calls the scalar neg.  Row 0 is
     0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
     x + z = (x - p*w) + (p*w + z) by composing add rows and
     x*z = (x - p*w)*z + (p*w)*z through the finished add table.  So the
@@ -204,7 +206,7 @@ def _build_tables(R: Ring) -> None:
                                  lambda block, row: block[:, row])
         mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
                                  lambda block, row: add_np[block, row])
-    neg_np = np.fromiter((R.neg(a) for a in range(n)), dtype=np.int64, count=n)
+    neg_np = (add_np == 0).argmax(1)          # the column of 0 in each row x + z
     R._mul_np = mul_np
     R._add_np = add_np
     R._neg_np = neg_np

@@ -21,6 +21,7 @@ from finring.cli import (
     TrivExpr,
     ZExpr,
     elaborate,
+    elaborate_group,
     main,
     parse,
     unparse,
@@ -178,3 +179,121 @@ class TestCommands:
         assert main(["info", "M(2, Z(2))", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["units"] == 6 and payload["order"] == 16
+
+
+# Every ParseError branch of the grammar: (text, str(error), position, expected).
+_RINGS = ("Z", "M", "U", "GR", "Triv", "Ks", "FM")
+_GROUPS = ("C", "D", "S", "Q8")
+_RING_OR_PAREN = _RINGS + ("(",)
+_GROUP_OR_PAREN = _GROUPS + ("(",)
+_RINGS_SORTED = " (expected FM or GR or Ks or M or Triv or U or Z)"
+_GROUPS_SORTED = " (expected C or D or Q8 or S)"
+_RING_START = " (expected ( or FM or GR or Ks or M or Triv or U or Z)"
+_GROUP_START = " (expected ( or C or D or Q8 or S)"
+_PARSE_ERRORS = [
+    ('Z 2)', 'unexpected 2 at column 3 (expected ()', 2, ('(',)),
+    ('Z(2', "unexpected 'EOF' at column 4 (expected ))", 3, (')',)),
+    ('Z(2,', "unexpected ',' at column 4 (expected ))", 3, (')',)),
+    ('M 2, Z(2))', 'unexpected 2 at column 3 (expected ()', 2, ('(',)),
+    ('M(2 Z(2))', "unexpected 'Z' at column 5 (expected ,)", 4, (',',)),
+    ('M(2, Z(2)', "unexpected 'EOF' at column 10 (expected ))", 9, (')',)),
+    ('U 2, Z(2))', 'unexpected 2 at column 3 (expected ()', 2, ('(',)),
+    ('U(2 Z(2))', "unexpected 'Z' at column 5 (expected ,)", 4, (',',)),
+    ('U(2, Z(2)', "unexpected 'EOF' at column 10 (expected ))", 9, (')',)),
+    ('GR Z(2), C(2))', "unexpected 'Z' at column 4 (expected ()", 3, ('(',)),
+    ('GR(Z(2) C(2))', "unexpected 'C' at column 9 (expected ,)", 8, (',',)),
+    ('GR(Z(2), C(2)', "unexpected 'EOF' at column 14 (expected ))", 13, (')',)),
+    ('Triv Z(2))', "unexpected 'Z' at column 6 (expected ()", 5, ('(',)),
+    ('Triv(Z(2), 1)', "unexpected ',' at column 10 (expected ))", 9, (')',)),
+    ('Triv(Z(2)', "unexpected 'EOF' at column 10 (expected ))", 9, (')',)),
+    ('Ks Z(2), 1)', "unexpected 'Z' at column 4 (expected ()", 3, ('(',)),
+    ('Ks(Z(2) 1)', 'unexpected 1 at column 9 (expected ,)', 8, (',',)),
+    ('Ks(Z(2), 1', "unexpected 'EOF' at column 11 (expected ))", 10, (')',)),
+    ('FM 2, Z(2), 0)', 'unexpected 2 at column 4 (expected ()', 3, ('(',)),
+    ('FM(2 Z(2), 0)', "unexpected 'Z' at column 6 (expected ,)", 5, (',',)),
+    ('FM(2, Z(2) 0)', 'unexpected 0 at column 12 (expected ,)', 11, (',',)),
+    ('FM(2, Z(2), 0', "unexpected 'EOF' at column 14 (expected ))", 13, (')',)),
+    ('GR(Z(2), C 2))', 'unexpected 2 at column 12 (expected ()', 11, ('(',)),
+    ('GR(Z(2), C(2, C(3))', "unexpected ',' at column 13 (expected ))", 12, (')',)),
+    ('GR(Z(2), D 2))', 'unexpected 2 at column 12 (expected ()', 11, ('(',)),
+    ('GR(Z(2), D(2, C(3))', "unexpected ',' at column 13 (expected ))", 12, (')',)),
+    ('GR(Z(2), S 2))', 'unexpected 2 at column 12 (expected ()', 11, ('(',)),
+    ('GR(Z(2), S(2, C(3))', "unexpected ',' at column 13 (expected ))", 12, (')',)),
+    ('GR(Z(2), Q8())', "unexpected '(' at column 12 (expected ))", 11, (')',)),
+    ('(Z(2)', "unexpected 'EOF' at column 6 (expected ))", 5, (')',)),
+    ('GR(Z(2), (C(2))', "unexpected 'EOF' at column 16 (expected ))", 15, (')',)),
+    ('(Z(2) x Z(3)', "unexpected 'EOF' at column 13 (expected ))", 12, (')',)),
+    ('Z(x)', "unexpected 'x' at column 3 (expected integer)", 2, ('integer',)),
+    ('M(Z(2), 2)', "unexpected 'Z' at column 3 (expected integer)", 2, ('integer',)),
+    ('Ks(Z(2), Z(2))', "unexpected 'Z' at column 10 (expected integer)", 9, ('integer',)),
+    ('FM(2, Z(2), )', "unexpected ')' at column 13 (expected integer)", 12, ('integer',)),
+    ('GR(Z(2), C())', "unexpected ')' at column 12 (expected integer)", 11, ('integer',)),
+    ('Z(0)', 'Z(0) is invalid; n must be >= 1 at column 1', 0, ()),
+    ('M(0, Z(2))', 'matrix size must be >= 1 at column 1', 0, ()),
+    ('U(0, Z(2))', 'matrix size must be >= 1 at column 1', 0, ()),
+    ('FM(1, Z(2), 0)', 'FM needs k >= 2 at column 1', 0, ()),
+    ('FM(0, Z(2), 0)', 'FM needs k >= 2 at column 1', 0, ()),
+    ('GR(Z(2), C(0))', 'C(0) is invalid; argument must be >= 1 at column 10', 9, ()),
+    ('GR(Z(2), D(0))', 'D(0) is invalid; argument must be >= 1 at column 10', 9, ()),
+    ('GR(Z(2), S(0))', 'S(0) is invalid; argument must be >= 1 at column 10', 9, ()),
+    ('GR(Z(2), S(5))', 'S(k) supports k <= 4 only at column 10', 9, ()),
+    ('M(0, Z(0))', 'Z(0) is invalid; n must be >= 1 at column 6', 5, ()),
+    ('M(2, Z(0)', 'Z(0) is invalid; n must be >= 1 at column 6', 5, ()),
+    ('GR(Z(2), S(5)', 'S(k) supports k <= 4 only at column 10', 9, ()),
+    ('W(3)', "unknown ring constructor 'W' at column 1" + _RINGS_SORTED, 0, _RINGS),
+    ('z(3)', "unknown ring constructor 'z' at column 1" + _RINGS_SORTED, 0, _RINGS),
+    ('GR(Z(2), W(3))', "unknown group constructor 'W' at column 10" + _GROUPS_SORTED, 9, _GROUPS),
+    ('GR(Z(2), Z(3))', "unknown group constructor 'Z' at column 10" + _GROUPS_SORTED, 9, _GROUPS),
+    ('GR(C(2), Z(2))', "unknown ring constructor 'C' at column 4" + _RINGS_SORTED, 3, _RINGS),
+    ('x', "unknown ring constructor 'x' at column 1" + _RINGS_SORTED, 0, _RINGS),
+    ('', 'expected a ring expression at column 1' + _RING_START, 0, _RING_OR_PAREN),
+    ('3', 'expected a ring expression at column 1' + _RING_START, 0, _RING_OR_PAREN),
+    ('M(2, 3)', 'expected a ring expression at column 6' + _RING_START, 5, _RING_OR_PAREN),
+    ('M(2, )', 'expected a ring expression at column 6' + _RING_START, 5, _RING_OR_PAREN),
+    ('Z(2) x', 'expected a ring expression at column 7' + _RING_START, 6, _RING_OR_PAREN),
+    ('Z(2) x 3', 'expected a ring expression at column 8' + _RING_START, 7, _RING_OR_PAREN),
+    ('GR(Z(2), 3)', 'expected a group expression at column 10' + _GROUP_START, 9, _GROUP_OR_PAREN),
+    ('GR(Z(2), )', 'expected a group expression at column 10' + _GROUP_START, 9, _GROUP_OR_PAREN),
+    ('GR(Z(2), C(2) x)', 'expected a group expression at column 16' + _GROUP_START, 15,
+     _GROUP_OR_PAREN),
+    ('(', 'expected a ring expression at column 2' + _RING_START, 1, _RING_OR_PAREN),
+    ('Z(2) Z(3)', "trailing input 'Z' at column 6 (expected end of input)", 5, ('end of input',)),
+    ('Z(2))', "trailing input ')' at column 5 (expected end of input)", 4, ('end of input',)),
+    ('Z(2) 3', 'trailing input 3 at column 6 (expected end of input)', 5, ('end of input',)),
+    ('Z(2),', "trailing input ',' at column 5 (expected end of input)", 4, ('end of input',)),
+    ('GR(Z(2), C(2)) C(2)', "trailing input 'C' at column 16 (expected end of input)", 15,
+     ('end of input',)),
+    ('M(2, ?)', "unexpected character '?' at column 6", 5, ()),
+    ('Z(-1)', "unexpected character '-' at column 3", 2, ()),
+    ('Z(2) ;', "unexpected character ';' at column 6", 5, ()),
+    ('  #', "unexpected character '#' at column 3", 2, ()),
+    ('Z(2)x Z(3) +', "unexpected character '+' at column 12", 11, ()),
+    ('Z_2', "unexpected character '_' at column 2", 1, ()),
+]
+
+
+@pytest.mark.parametrize("text, message, position, expected", _PARSE_ERRORS)
+def test_parse_error_pinned(text, message, position, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.position, err.value.expected) == (
+        message, position, expected)
+
+
+def test_nodes_of_different_constructors_differ():
+    # Equal fields, different keywords: an M/U or C/D swap must not compare equal.
+    assert MatExpr(2, ZExpr(2)) != TriExpr(2, ZExpr(2))
+    assert CExpr(2) != DExpr(2)
+    assert ProdExpr(CExpr(2), CExpr(3)) != GProdExpr(CExpr(2), CExpr(3))
+
+
+@pytest.mark.parametrize("fn, arg, message", [
+    (unparse, 5, "not an expression: 5"),
+    (elaborate, CExpr(2), "not a ring expression: CExpr"),
+    (elaborate, GProdExpr(CExpr(2), Q8Expr()), "not a ring expression: GProdExpr"),
+    (elaborate_group, ZExpr(2), "not a group expression: ZExpr"),
+    (elaborate_group, ProdExpr(ZExpr(2), ZExpr(3)), "not a group expression: ProdExpr"),
+])
+def test_non_expressions_raise_type_error(fn, arg, message):
+    with pytest.raises(TypeError, match=message):
+        fn(arg)

@@ -472,19 +472,20 @@ def test_tables_match_scalar_ops_sampled(expr):
 @pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
 def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
     # The generator rows come from the structure constants, so the build
-    # calls the scalar mul once per pair of generators and the scalar add never.
+    # calls the scalar mul once per pair of generators; the scalar add never,
+    # and the scalar neg never (negatives are read off the add table).
     R = elaborate(parse(expr))
-    calls = {"add": 0, "mul": 0}
+    calls = {"add": 0, "mul": 0, "neg": 0}
 
     def counted(name, op):
-        def call(a, b):
+        def call(*args):
             calls[name] += 1
-            return op(a, b)
+            return op(*args)
         return call
 
-    R.add, R.mul = counted("add", R.add), counted("mul", R.mul)
+    R.add, R.mul, R.neg = counted("add", R.add), counted("mul", R.mul), counted("neg", R.neg)
     kernel._build_tables(R)
-    assert calls == {"add": 0, "mul": generators ** 2}
+    assert calls == {"add": 0, "mul": generators ** 2, "neg": 0}
 
 
 def test_table_mismatch_is_reported():

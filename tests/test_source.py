@@ -1,9 +1,13 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself, and on the README's account of it."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finring"
+from finring.cli import GROUPS, RINGS, parse, unparse
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "finring"
 
 
 def test_no_assert_statements():
@@ -14,3 +18,22 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _keywords(line):
+    """The constructor keywords of a README grammar line: its words with their
+    arguments dropped, less the "groups:" label and the product example."""
+    return set(re.sub(r"\([^)]*\)|^groups:|\S+ x \S+$", "", line.strip()).split())
+
+
+def test_readme_cli_section_matches_the_grammar():
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    grammar, commands = re.findall(r"```[a-z]*\n(.*?)```", section, re.S)[:2]
+    ring_line, group_line = grammar.splitlines()
+    assert _keywords(ring_line) == set(RINGS)
+    assert _keywords(group_line) == set(GROUPS)
+    quoted = re.findall(r'^finring \w+ "([^"]+)"', commands, re.M)
+    assert len(quoted) >= 3
+    for text in quoted:
+        expr = parse(text)
+        assert parse(unparse(expr)) == expr, text
