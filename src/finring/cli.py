@@ -68,10 +68,12 @@ class Constructor:
 
 
 def _int_in_ring(R: Ring, s: int) -> int:
-    """The image of the integer s in R (s copies of one)."""
-    if s < 0:
-        return R.neg(_int_in_ring(R, -s))
-    acc, base, k = 0, R.one, s
+    """The image of the integer s in R (s copies of one).
+
+    The additive order of one divides |R| (Lagrange), so |R| copies of one
+    are 0 and s counts modulo |R|, negative s included.
+    """
+    acc, base, k = 0, R.one, s % R.order
     while k:
         if k & 1:
             acc = R.add(acc, base)

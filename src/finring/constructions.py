@@ -1,16 +1,20 @@
 """Derived ring constructions over a base ring.
 
 All constructions are positional: an element is a little-endian vector of
-base-ring digits, and the index is sum(digit_t * |base|^t).  Addition is
-always digitwise and multiplication is bilinear in the digits, so each
-construction gives only its scalar ops and its radices (the base radices
-once per digit).  The op tables and ``kernel._mul_many`` take the product
-from the structure constants, the scalar products of pairs of additive
-generators extended bilinearly; ``verify_ring_axioms`` compares the scalar
-ops with them.
+nd base-ring digits, and the index is sum(digit_t * |base|^t).  Addition is
+digitwise and multiplication is bilinear in the digits, so a construction
+is one call of `_positional` with its terms (i, j, l, c), each meaning
+"digit l of x*y gains c*(x_i*y_j)", c a central base element or None for
+1.  The terms are the one definition of a construction's product: the
+scalar mul sums them, and the op tables and ``kernel._mul_many`` take the
+product from the structure constants, the scalar products of pairs of
+additive generators extended bilinearly; ``verify_ring_axioms`` compares
+the scalar ops with them.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 from .errors import (
     AssociativityError,
@@ -25,23 +29,41 @@ from .kernel import (
 )
 
 
-def _to_digits(i, b, nd):
-    out = [0] * nd
-    for t in range(nd):
-        i, out[t] = divmod(i, b)
-    return out
+def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict,
+                terms, one, fmt, decode=None, encode=None) -> Ring:
+    """The ring of nd base-ring digits whose product is the sum of the terms.
 
-
-def _from_digits(digits, b):
-    i = 0
-    for d in reversed(digits):
-        i = i * b + d
-    return i
-
-
-def _digitwise_add(base: Ring, nd: int):
+    Over the cap it raises CapExceededError before it calls `terms`, which
+    runs the construction's own checks and returns the (i, j, l, c) list,
+    and before it reads `one`, the digits that hold base.one in the
+    identity.  fmt, decode and encode see digit lists; decode gives a tuple
+    of base values by default and encode takes one.  mul reads base.mul and
+    base.add on every call: `_build_tables` rebinds them when the base is
+    frozen later.
+    """
     b = base.order
+    shown = f"{b}^{nd}"
+    if nd * (b.bit_length() - 1) > max(cap.bit_length(), 2**16):
+        # b**nd >= 2**(nd * (bit_length(b) - 1)): over the cap, not computed.
+        raise CapExceededError(f"{label} has order {shown} > cap {cap}")
+    n = b**nd
+    if n > cap:
+        with contextlib.suppress(ValueError):   # more digits than int -> str allows
+            shown = str(n)
+        raise CapExceededError(f"{label} has order {shown} > cap {cap}")
+    # Over a base of order 1 every digit is 0, so no term is needed (and no
+    # check in terms() can fail); k x k matrices would otherwise hold k^3.
+    terms = terms() if b > 1 else []
     weights = [b**t for t in range(nd)]
+
+    def digits(x):
+        return [x // w % b for w in weights]
+
+    def index(ds):
+        i = 0
+        for d in reversed(ds):
+            i = i * b + d
+        return i
 
     def add(x, y):
         i = 0
@@ -55,113 +77,89 @@ def _digitwise_add(base: Ring, nd: int):
             i += base.neg(x // w % b) * w
         return i
 
-    return add, neg
+    def mul(x, y):
+        bmul, badd = base.mul, base.add
+        dx, dy = digits(x), digits(y)
+        out = [0] * nd
+        for i, j, l, c in terms:
+            if dx[i] and dy[j]:         # a zero digit's products add 0
+                p = bmul(dx[i], dy[j])
+                out[l] = badd(out[l], p if c is None else bmul(c, p))
+        return index(out)
+
+    decode = decode or (lambda ds: tuple(base.decode(d) for d in ds))
+    encode = encode or (lambda v: [base.encode(c) for c in v])
+    return Ring(
+        order=n, add=add, mul=mul, neg=neg, one=sum(base.one * weights[t] for t in one),
+        label=label, kind=kind, decode=lambda x: decode(digits(x)),
+        encode=lambda v: index(encode(v)), fmt=lambda x: fmt(digits(x)),
+        radices=None if base.radices is None else base.radices * nd, meta=meta,
+    )
 
 
-def _radices(base: Ring, nd: int):
-    """Radices of nd base-ring digits; None over an opaque base."""
-    return None if base.radices is None else base.radices * nd
+# -- matrix rings ----------------------------------------------------------
 
 
-def _check_cap(order, cap, label):
-    if order > cap:
-        raise CapExceededError(f"{label} has order {order} > cap {cap}")
+def _entries(k: int, upper: bool):
+    """The entries (i, j) of a k x k matrix, the upper-triangular ones if
+    `upper`, in row-major order, which is their digit order."""
+    return ((i, j) for i in range(k) for j in range(i if upper else 0, k))
 
 
-# -- full matrix rings -----------------------------------------------------
+def _slot(k: int, upper: bool):
+    """The digit of entry (i, j) in `_entries` order: row r < i holds k
+    entries, or k - r if `upper`."""
+    return lambda i, j: i * k + j - (i * (i + 1) // 2 if upper else 0)
+
+
+def _matrix_terms(k: int, s=None, upper: bool = False) -> list:
+    """Terms of the k x k matrix product on the `_entries` digits.
+
+    Entry (i, j) gains s^d(i,t,j) * x[i,t] * y[t,j] for every t with both
+    factors among the entries, where d(i,t,j) = [i>t] + [t>j] - [i>j] is
+    the formal matrix weight, always 0 or 1; s None means no weight.
+    """
+    slot = _slot(k, upper)
+    return [(slot(i, t), slot(t, j), slot(i, j), s if (i > t) + (t > j) - (i > j) else None)
+            for i, j in _entries(k, upper) for t in (range(i, j + 1) if upper else range(k))]
+
+
+def _matrix(base: Ring, k: int, label: str, kind: str, cap: int, meta: dict,
+            terms=None, upper: bool = False) -> Ring:
+    """k x k matrices (upper-triangular ones if `upper`) over the base ring,
+    decoded as a tuple of rows; `terms` defaults to the unweighted product.
+    Nothing of size k^2 is built before the cap check."""
+    slot = _slot(k, upper)
+
+    def decode(ds):
+        return tuple(
+            tuple(base.decode(ds[slot(i, j)]) if j >= i or not upper else base.decode(0)
+                  for j in range(k))
+            for i in range(k)
+        )
+
+    return _positional(
+        base, k * (k + 1) // 2 if upper else k * k, label, kind, cap, meta,
+        terms or (lambda: _matrix_terms(k, upper=upper)),
+        one=(slot(i, i) for i in range(k)), decode=decode,
+        encode=lambda rows: [base.encode(rows[i][j]) for i, j in _entries(k, upper)],
+        fmt=lambda ds: str([list(r) for r in decode(ds)]),
+    )
 
 
 def matrix_ring(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
     """Full ring of k x k matrices over the base ring."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
-    b = base.order
-    n = b ** (k * k)
-    label = f"M({k}, {base.label})"
-    _check_cap(n, cap, label)
-    nd = k * k
-    add, neg = _digitwise_add(base, nd)
-
-    def mul(x, y):
-        dx = _to_digits(x, b, nd)
-        dy = _to_digits(y, b, nd)
-        out = [0] * nd
-        for i in range(k):
-            for j in range(k):
-                acc = 0
-                for t in range(k):
-                    acc = base.add(acc, base.mul(dx[i * k + t], dy[t * k + j]))
-                out[i * k + j] = acc
-        return _from_digits(out, b)
-
-    one = _from_digits(
-        [base.one if i == j else 0 for i in range(k) for j in range(k)], b
-    )
-
-    def decode(x):
-        d = _to_digits(x, b, nd)
-        return tuple(
-            tuple(base.decode(d[i * k + j]) for j in range(k)) for i in range(k)
-        )
-
-    def encode(rows):
-        return _from_digits(
-            [base.encode(rows[i][j]) for i in range(k) for j in range(k)], b
-        )
-
-    return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=one, label=label,
-        kind="matrix", decode=decode, encode=encode,
-        fmt=lambda x: str([list(r) for r in decode(x)]),
-        radices=_radices(base, nd),
-        meta={"base": base, "k": k},
-    )
+    return _matrix(base, k, f"M({k}, {base.label})", "matrix", cap, {"base": base, "k": k})
 
 
 def upper_triangular(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
     """Ring of upper-triangular k x k matrices over the base ring."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
-    b = base.order
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    slot = {p: t for t, p in enumerate(positions)}
-    nd = len(positions)
-    n = b**nd
-    label = f"U({k}, {base.label})"
-    _check_cap(n, cap, label)
-    add, neg = _digitwise_add(base, nd)
-
-    def mul(x, y):
-        dx = _to_digits(x, b, nd)
-        dy = _to_digits(y, b, nd)
-        out = [0] * nd
-        for (i, j), t in slot.items():
-            acc = 0
-            for m in range(i, j + 1):
-                acc = base.add(acc, base.mul(dx[slot[(i, m)]], dy[slot[(m, j)]]))
-            out[t] = acc
-        return _from_digits(out, b)
-
-    one = _from_digits([base.one if i == j else 0 for (i, j) in positions], b)
-
-    def decode(x):
-        d = _to_digits(x, b, nd)
-        return tuple(
-            tuple(base.decode(d[slot[(i, j)]]) if j >= i else base.decode(0)
-                  for j in range(k))
-            for i in range(k)
-        )
-
-    def encode(rows):
-        return _from_digits([base.encode(rows[i][j]) for (i, j) in positions], b)
-
-    return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=one, label=label,
-        kind="upper_triangular", decode=decode, encode=encode,
-        fmt=lambda x: str([list(r) for r in decode(x)]),
-        radices=_radices(base, nd),
-        meta={"base": base, "k": k},
-    )
+    return _matrix(base, k, f"U({k}, {base.label})", "upper_triangular", cap,
+                   {"base": base, "k": k}, upper=True)
 
 
 # -- group rings -----------------------------------------------------------
@@ -169,49 +167,17 @@ def upper_triangular(base: Ring, k: int, cap: int = ARITH_CAP) -> Ring:
 
 def group_ring(base: Ring, G: FiniteGroup, cap: int = ARITH_CAP) -> Ring:
     """Group ring: coefficient vectors over the base ring with convolution."""
-    b = base.order
-    nd = G.order
-    n = b**nd
-    label = f"GR({base.label}, {G.label})"
-    _check_cap(n, cap, label)
-    add, neg = _digitwise_add(base, nd)
     # digit t holds the coefficient of group element t; the group identity
     # may be any index, so "one" is placed accordingly.
-    pairs_by_target = [[] for _ in range(nd)]
-    for h in range(nd):
-        for t in range(nd):
-            pairs_by_target[G.op(h, t)].append((h, t))
-
-    def mul(x, y):
-        dx = _to_digits(x, b, nd)
-        dy = _to_digits(y, b, nd)
-        out = [0] * nd
-        for g in range(nd):
-            acc = 0
-            for h, t in pairs_by_target[g]:
-                acc = base.add(acc, base.mul(dx[h], dy[t]))
-            out[g] = acc
-        return _from_digits(out, b)
-
-    one = base.one * b**G.identity
-
-    def decode(x):
-        d = _to_digits(x, b, nd)
-        return tuple(base.decode(c) for c in d)
-
-    def encode(coeffs):
-        return _from_digits([base.encode(c) for c in coeffs], b)
-
-    def fmt(x):
-        d = _to_digits(x, b, nd)
-        terms = [f"{base.format_element(c)}*g{g}" for g, c in enumerate(d) if c != 0]
+    def fmt(ds):
+        terms = [f"{base.format_element(c)}*g{g}" for g, c in enumerate(ds) if c != 0]
         return " + ".join(terms) if terms else "0"
 
-    return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=one, label=label,
-        kind="group_ring", decode=decode, encode=encode, fmt=fmt,
-        radices=_radices(base, nd),
-        meta={"base": base, "group": G},
+    return _positional(
+        base, G.order, f"GR({base.label}, {G.label})", "group_ring", cap,
+        {"base": base, "group": G},
+        lambda: [(h, t, G.op(h, t), None) for h in range(G.order) for t in range(G.order)],
+        one=[G.identity], fmt=fmt,
     )
 
 
@@ -233,25 +199,10 @@ def augmentation(RG: Ring, x: int) -> int:
 
 def trivial_extension(base: Ring, cap: int = ARITH_CAP) -> Ring:
     """Pairs (a, m) with (a, m)(a', m') = (aa', am' + ma')."""
-    b = base.order
-    n = b * b
-    label = f"Triv({base.label})"
-    _check_cap(n, cap, label)
-    add, neg = _digitwise_add(base, 2)
-
-    def mul(x, y):
-        a1, m1 = x % b, x // b
-        a2, m2 = y % b, y // b
-        return base.mul(a1, a2) + base.add(base.mul(a1, m2), base.mul(m1, a2)) * b
-
-    return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=base.one, label=label,
-        kind="trivial_extension",
-        decode=lambda x: (base.decode(x % b), base.decode(x // b)),
-        encode=lambda v: base.encode(v[0]) + base.encode(v[1]) * b,
-        fmt=lambda x: f"({base.format_element(x % b)} | {base.format_element(x // b)})",
-        radices=_radices(base, 2),
-        meta={"base": base},
+    return _positional(
+        base, 2, f"Triv({base.label})", "trivial_extension", cap, {"base": base},
+        lambda: [(0, 0, 0, None), (0, 1, 1, None), (1, 0, 1, None)], one=[0],
+        fmt=lambda ds: f"({base.format_element(ds[0])} | {base.format_element(ds[1])})",
     )
 
 
@@ -271,39 +222,17 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
     """2x2 generalized matrix ring with both pairings scaled by central s.
 
     Elements are quadruples (a, x, y, b); the product's diagonal entries
-    pick up a factor of s on the off-diagonal cross terms.
+    pick up a factor of s on the off-diagonal cross terms.  Its product is
+    that of the formal matrix ring FM(2, R, s), for any central s.
     """
-    b = base.order
-    n = b**4
     label = f"Ks({base.label}, {base.format_element(s)})"
-    _check_cap(n, cap, label)
-    _require_central(base, s, label)
-    add, neg = _digitwise_add(base, 4)
 
-    def mul(p, q):
-        a1, x1, y1, b1 = _to_digits(p, b, 4)
-        a2, x2, y2, b2 = _to_digits(q, b, 4)
-        ra = base.add(base.mul(a1, a2), base.mul(s, base.mul(x1, y2)))
-        rx = base.add(base.mul(a1, x2), base.mul(x1, b2))
-        ry = base.add(base.mul(y1, a2), base.mul(b1, y2))
-        rb = base.add(base.mul(s, base.mul(y1, x2)), base.mul(b1, b2))
-        return _from_digits([ra, rx, ry, rb], b)
+    def terms():
+        _require_central(base, s, label)
+        return _matrix_terms(2, s)
 
-    one = base.one + base.one * b**3
-
-    def decode(p):
-        return tuple(base.decode(d) for d in _to_digits(p, b, 4))
-
-    def encode(v):
-        return _from_digits([base.encode(c) for c in v], b)
-
-    return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=one, label=label,
-        kind="generalized_matrix", decode=decode, encode=encode,
-        fmt=lambda p: str(list(decode(p))),
-        radices=_radices(base, 4),
-        meta={"base": base, "s": s},
-    )
+    return _positional(base, 4, label, "generalized_matrix", cap, {"base": base, "s": s},
+                       terms, one=[0, 3], fmt=lambda ds: str([base.decode(d) for d in ds]))
 
 
 def _verify_associativity(R: Ring, label: str, gens):
@@ -335,60 +264,18 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
     """
     if k < 2:
         raise ValueError("formal matrix ring needs k >= 2")
-    b = base.order
-    n = b ** (k * k)
     label = f"FM({k}, {base.label}, {base.format_element(s)})"
-    _check_cap(n, cap, label)
-    _require_central(base, s, label)
-    if not is_nilpotent(base, s):
-        raise NotNilpotentError(
-            f"{label}: s = {base.format_element(s)} is not nilpotent"
-        )
-    nd = k * k
-    add, neg = _digitwise_add(base, nd)
-    # d(i,t,j) is always 0 or 1, so only s^0 = 1 and s^1 = s occur.
-    expo = {
-        (i, t, j): (i > t) + (t > j) - (i > j)
-        for i in range(k) for t in range(k) for j in range(k)
-    }
 
-    def mul(x, y):
-        dx = _to_digits(x, b, nd)
-        dy = _to_digits(y, b, nd)
-        out = [0] * nd
-        for i in range(k):
-            for j in range(k):
-                acc = 0
-                for t in range(k):
-                    term = base.mul(dx[i * k + t], dy[t * k + j])
-                    if expo[(i, t, j)]:
-                        term = base.mul(s, term)
-                    acc = base.add(acc, term)
-                out[i * k + j] = acc
-        return _from_digits(out, b)
+    def terms():
+        _require_central(base, s, label)
+        if not is_nilpotent(base, s):
+            raise NotNilpotentError(
+                f"{label}: s = {base.format_element(s)} is not nilpotent"
+            )
+        return _matrix_terms(k, s)
 
-    one = _from_digits(
-        [base.one if i == j else 0 for i in range(k) for j in range(k)], b
-    )
-
-    def decode(x):
-        d = _to_digits(x, b, nd)
-        return tuple(
-            tuple(base.decode(d[i * k + j]) for j in range(k)) for i in range(k)
-        )
-
-    def encode(rows):
-        return _from_digits(
-            [base.encode(rows[i][j]) for i in range(k) for j in range(k)], b
-        )
-
-    R = Ring(
-        order=n, add=add, mul=mul, neg=neg, one=one, label=label,
-        kind="formal_matrix", decode=decode, encode=encode,
-        fmt=lambda x: str([list(r) for r in decode(x)]),
-        radices=_radices(base, nd),
-        meta={"base": base, "k": k, "s": s},
-    )
-    gens = [e * b**t for t in range(nd) for e in _additive_generators(base)]
+    R = _matrix(base, k, label, "formal_matrix", cap, {"base": base, "k": k, "s": s}, terms)
+    b = base.order
+    gens = [e * b**t for t in range(k * k) for e in _additive_generators(base)]
     _verify_associativity(R, label, gens)
     return R

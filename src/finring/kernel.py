@@ -530,7 +530,7 @@ def _assoc_violation(mul, gens) -> Optional[tuple]:
     both sides are additive in each of g, h, k, so None means mul is
     associative.
     """
-    G = np.asarray(gens)
+    G = np.asarray(gens, dtype=np.int64)               # int64 also when empty
     GG = mul(G[:, None], G[None, :])                   # [h, k] -> h*k
     for i, g in enumerate(gens):
         bad = mul(GG[i][:, None], G[None, :]) != mul(g, GG)

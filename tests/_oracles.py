@@ -1,5 +1,7 @@
 """Brute-force references shared by the kernel and construction tests."""
 
+import functools
+
 import numpy as np
 
 from finring import Ring, make_zmod, matrix_ring
@@ -51,3 +53,69 @@ def left_morphic_reference(R):
         by_principal.setdefault(principal[-1], []).append(a)
     return [any(left_ann[b] == principal[x] for b in by_principal.get(left_ann[x], ()))
             for x in R.elements()]
+
+
+def textbook_table(R):
+    """The n x n table of x*y in a construction R by the textbook formula of
+    its kind, on decoded elements and with the base ring's own ops.
+
+    Every element is decoded into its entries as base indices (base.encode),
+    the formula runs on all pairs at once through the base op tables, and
+    each resulting tuple of entries is mapped back to the element that
+    decodes to it (-1 where there is none).
+    """
+    base, kind = R.meta["base"], R.kind
+    B = np.arange(base.order)
+    add, mul = (np.frompyfunc(op, 2, 1)(B[:, None], B).astype(np.int64)
+                for op in (base.add, base.mul))
+
+    def total(values):
+        return functools.reduce(lambda u, v: add[u, v], values)
+
+    matrix = kind in ("matrix", "upper_triangular", "formal_matrix")
+
+    def entries(value):
+        return [e for row in value for e in row] if matrix else list(value)
+
+    E = np.array([[base.encode(e) for e in entries(R.decode(z))] for z in R.elements()],
+                 dtype=np.int64).reshape(R.order, -1)
+    X, Y = E[:, None, :], E[None, :, :]
+    if matrix:
+        # Entry (i, j) is the sum over t of s^d(i,t,j) x[i,t] y[t,j] with
+        # d(i,t,j) = [i>t] + [t>j] - [i>j] (formal matrix rings; s^0 = 1 in
+        # M_k, and U_k is the subring of M_k with zeros below the diagonal).
+        k, s = R.meta["k"], R.meta.get("s")
+
+        def weight(i, t, j):
+            w = base.one
+            for _ in range((i > t) + (t > j) - (i > j) if s is not None else 0):
+                w = base.mul(s, w)
+            return w
+
+        P = [total(mul[weight(i, t, j), mul[X[..., i * k + t], Y[..., t * k + j]]]
+                   for t in range(k)) for i in range(k) for j in range(k)]
+    elif kind == "generalized_matrix":
+        # K_s(R): (a1, x1, y1, b1)(a2, x2, y2, b2) =
+        # (a1a2 + s x1y2, a1x2 + x1b2, y1a2 + b1y2, s y1x2 + b1b2).
+        s = R.meta["s"]
+        a1, x1, y1, b1 = (X[..., c] for c in range(4))
+        a2, x2, y2, b2 = (Y[..., c] for c in range(4))
+        P = [add[mul[a1, a2], mul[s, mul[x1, y2]]], add[mul[a1, x2], mul[x1, b2]],
+             add[mul[y1, a2], mul[b1, y2]], add[mul[s, mul[y1, x2]], mul[b1, b2]]]
+    elif kind == "group_ring":
+        # Convolution: (sum a_g g)(sum b_h h) = sum over g, h of a_g b_h (gh).
+        G = R.meta["group"]
+        P = [np.zeros((R.order, R.order), dtype=np.int64) for _ in range(G.order)]
+        for g in range(G.order):
+            for h in range(G.order):
+                gh = G.op(g, h)
+                P[gh] = add[P[gh], mul[X[..., g], Y[..., h]]]
+    elif kind == "trivial_extension":
+        # (a, m)(a', m') = (aa', am' + ma').
+        P = [mul[X[..., 0], Y[..., 0]], add[mul[X[..., 0], Y[..., 1]], mul[X[..., 1], Y[..., 0]]]]
+    else:
+        raise ValueError(f"no textbook product for kind {kind!r}")
+    place = base.order ** np.arange(E.shape[1])
+    element = np.full(base.order ** E.shape[1], -1)
+    element[E @ place] = R.elements()
+    return element[np.stack(P, -1) @ place]

@@ -20,6 +20,7 @@ from finring.cli import (
     TriExpr,
     TrivExpr,
     ZExpr,
+    _int_in_ring,
     elaborate,
     elaborate_group,
     main,
@@ -127,6 +128,15 @@ class TestElaborate:
     def test_product(self):
         assert elaborate(parse("Z(2) x Z(3)")).order == 6
 
+    @pytest.mark.parametrize("expr", ["Z(1)", "Z(4)", "Z(6)", "M(2, Z(2))", "GR(Z(3), C(2))"])
+    def test_int_in_ring_is_s_copies_of_one(self, expr):
+        R = elaborate(parse(expr))
+        copies = [0]
+        for _ in range(40):
+            copies.append(R.add(copies[-1], R.one))
+        for s in range(-40, 41):
+            assert _int_in_ring(R, s) == (copies[s] if s >= 0 else R.neg(copies[-s])), s
+
 
 class TestCommands:
     def test_classify_ok(self, capsys):
@@ -148,6 +158,18 @@ class TestCommands:
 
     def test_classify_cap(self):
         assert main(["classify", "M(2, Z(10))"]) == 3
+
+    def test_cap_on_an_order_too_long_to_print(self, capsys):
+        # 2^22500 has 6773 decimal digits, more than int -> str allows.
+        assert main(["info", "M(150, Z(2))"]) == 3
+        assert capsys.readouterr().err == (
+            "cap exceeded: M(150, Z(2)) has order 2^22500 > cap 4096\n")
+
+    @pytest.mark.parametrize("expr", ["FM(2, Z(1), 0)", "FM(3, Z(1), 0)"])
+    def test_classify_over_the_zero_ring(self, capsys, expr):
+        # Z(1) has no additive generators, so the FM gate checks no triple.
+        assert main(["classify", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1
 
     def test_usage_error(self):
         assert main(["no-such-command"]) == 2

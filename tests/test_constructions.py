@@ -27,10 +27,11 @@ from finring import (
     verify_ring_axioms,
 )
 from finring import constructions
+from finring.cli import elaborate, parse
 from finring.constructions import _verify_associativity
 from finring.kernel import _additive_generators, _build_tables
 
-from _oracles import _check_assoc_np, _closure, transposed_product
+from _oracles import _check_assoc_np, _closure, textbook_table, transposed_product
 
 
 def census(R):
@@ -41,6 +42,28 @@ def census(R):
         len(R.caches.idempotents),
         len(R.caches.nilpotents),
     )
+
+
+def _z3_opaque():
+    z3 = make_zmod(3)
+    return Ring(3, add=z3.add, mul=z3.mul, neg=z3.neg, one=1, label="Z(3) opaque")
+
+
+@pytest.mark.parametrize("R", [
+    *(elaborate(parse(expr)) for expr in [
+        "M(2, Z(3))", "U(3, Z(2))", "GR(Z(2), S(3))", "GR(Z(3), C(2) x C(2))",
+        "Triv(Z(6))", "Ks(Z(4), 2)", "Ks(Z(5), 2)", "FM(3, Z(2), 0)", "FM(2, Z(4), 2)",
+        "M(2, Z(2) x Z(2))",
+    ]),
+    generalized_matrix(_z3_opaque(), 2),
+], ids=lambda R: R.label)
+def test_scalar_mul_matches_textbook_product(R):
+    # Every pair; the only check of K_s(R) against a product written
+    # independently of the construction code.
+    every = np.arange(R.order)
+    got = np.frompyfunc(R.mul, 2, 1)(every[:, None], every).astype(np.int64)
+    want = textbook_table(R)
+    assert np.argwhere(got != want)[:1].tolist() == []      # the least (x, y) that differs
 
 
 class TestMatrixRing:
@@ -75,6 +98,20 @@ class TestMatrixRing:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             matrix_ring(make_zmod(10), 3, cap=4096)
+
+    @pytest.mark.parametrize("k,m,order", [
+        (3, 10, "1000000000"),
+        (150, 2, "2^22500"),        # 6773 decimal digits, more than int -> str allows
+        (512, 2, "2^262144"),       # over 2^16 bits, not computed
+    ])
+    def test_cap_runs_before_the_terms(self, monkeypatch, k, m, order):
+        def terms(*args, **kwargs):
+            raise AssertionError("terms built for a ring over the cap")
+
+        monkeypatch.setattr(constructions, "_matrix_terms", terms)
+        with pytest.raises(CapExceededError) as err:
+            matrix_ring(make_zmod(m), k, cap=4096)
+        assert str(err.value) == f"M({k}, Z({m})) has order {order} > cap 4096"
 
 
 class TestUpperTriangular:

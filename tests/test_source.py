@@ -20,6 +20,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_constructions_have_one_scalar_product():
+    # Every construction hands its terms to `_positional`, the one place that
+    # defines a scalar mul and builds a Ring, so that no construction forks
+    # its own product loop again.
+    tree = ast.parse((PACKAGE / "constructions.py").read_text())
+    found = {"mul": [], "Ring": []}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.FunctionDef) and node.name == "mul":
+                found["mul"].append(top.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Ring":
+                found["Ring"].append(top.name)
+    assert found == {"mul": ["_positional"], "Ring": ["_positional"]}
+
+
 def _keywords(line):
     """The constructor keywords of a README grammar line: its words with their
     arguments dropped, less the "groups:" label and the product example."""
