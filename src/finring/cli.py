@@ -142,7 +142,12 @@ class _Parser:
                     pos + (len(rest) - len(stripped)),
                 )
             if m.group(1):
-                self.tokens.append(("INT", int(m.group(1)), m.start(1)))
+                try:
+                    value = int(m.group(1))
+                except ValueError:      # past Python's integer-string digit limit
+                    raise ParseError(f"integer of {len(m.group(1))} digits is too long",
+                                     m.start(1)) from None
+                self.tokens.append(("INT", value, m.start(1)))
             elif m.group(2):
                 self.tokens.append(("NAME", m.group(2), m.start(2)))
             else:

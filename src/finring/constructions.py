@@ -38,8 +38,8 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
     and before it reads `one`, the digits that hold base.one in the
     identity.  fmt, decode and encode see digit lists; decode gives a tuple
     of base values by default and encode takes one.  mul reads base.mul and
-    base.add on every call: `_build_tables` rebinds them when the base is
-    frozen later.
+    base.add on every call: `_build_tables` rebinds them to reads of the
+    base's numpy op tables when the base is frozen later.
     """
     b = base.order
     shown = f"{b}^{nd}"

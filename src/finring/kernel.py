@@ -67,8 +67,9 @@ class Ring:
     """A fully materialized finite ring.
 
     `add`, `mul`, `neg` are total evaluators on indices.  After freeze()
-    the caches are populated, op tables are installed for small orders,
-    and the ring must be treated as immutable.
+    the caches are populated, read-only op tables are installed for small
+    orders, `add`, `mul` and `neg` read those tables (no Python copy), and
+    the ring must be treated as immutable.
 
     `radices` lists the sizes r_i of the cyclic factors of the additive
     group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
@@ -173,7 +174,10 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
 
 
 def _build_tables(R: Ring) -> None:
-    """Install numpy op tables and table-backed evaluators (order <= TABLE_LIMIT).
+    """Install read-only numpy op tables (order <= TABLE_LIMIT) and rebind
+    R.add, R.mul and R.neg to their ``ndarray.item``, which returns a Python
+    int: the tables are the only copy, with no Python list behind the
+    scalar ops.
 
     With R.radices the generator rows g + z and g*z come from the digits and
     structure constants (`_add_many`, `_mul_many`), so the build calls the
@@ -207,17 +211,14 @@ def _build_tables(R: Ring) -> None:
         mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
                                  lambda block, row: add_np[block, row])
     neg_np = (add_np == 0).argmax(1)          # the column of 0 in each row x + z
+    for T in (add_np, mul_np, neg_np):
+        T.flags.writeable = False
     R._mul_np = mul_np
     R._add_np = add_np
     R._neg_np = neg_np
-    # One shared Python int per element, not a fresh int object per entry.
-    ints = np.array(range(n), dtype=object)
-    mt = ints[mul_np].tolist()
-    at = ints[add_np].tolist()
-    nt = neg_np.tolist()
-    R.mul = lambda a, b: mt[a][b]
-    R.add = lambda a, b: at[a][b]
-    R.neg = lambda a: nt[a]
+    R.mul = mul_np.item
+    R.add = add_np.item
+    R.neg = neg_np.item
 
 
 def _indicator(n: int, members) -> np.ndarray:
@@ -643,14 +644,17 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     if R.radices is not None and R._mul_np is None:
         # The scalar ops against the digits and structure constants of
         # R.radices, which the tables are built from: the rows g + x and
-        # g*x, the columns x*g and the squares x*x.
+        # g*x, the columns x*g and the squares x*x, with one scalar call
+        # per distinct pair.
         gens, x = _additive_generators(R), np.arange(checked)
         g, y = np.repeat(gens, checked), np.tile(x, len(gens))     # every pair (g, y)
         for name, sign, op, many, derived, a, b in [
                 ("add", "+", add, _add_many, "digits", g, y),
                 ("mul", "*", mul, _mul_many, "structure constants",
                  np.concatenate((g, y, x)), np.concatenate((y, g, x)))]:
-            scalar, expected = _scalar_many(op, a, b), many(R, a, b)
+            pairs, inverse = np.unique(a * n + b, return_inverse=True)
+            scalar = _scalar_many(op, pairs // n, pairs % n)[inverse]
+            expected = many(R, a, b)
             bad = np.flatnonzero(scalar != expected)
             if bad.size:
                 i = bad[0]

@@ -165,6 +165,13 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "cap exceeded: M(150, Z(2)) has order 2^22500 > cap 4096\n")
 
+    def test_integer_too_long_to_parse(self, capsys):
+        # Python refuses int() on more than 4300 digits; the tokenizer reports
+        # it as a parse error at the literal.
+        assert main(["info", f"Z({'9' * 5000})"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: integer of 5000 digits is too long at column 3\n")
+
     @pytest.mark.parametrize("expr", ["FM(2, Z(1), 0)", "FM(3, Z(1), 0)"])
     def test_classify_over_the_zero_ring(self, capsys, expr):
         # Z(1) has no additive generators, so the FM gate checks no triple.

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -469,12 +470,8 @@ def test_tables_match_scalar_ops_sampled(expr):
     assert _table_mismatch(R, pairs) is None
 
 
-@pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
-def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
-    # The generator rows come from the structure constants, so the build
-    # calls the scalar mul once per pair of generators; the scalar add never,
-    # and the scalar neg never (negatives are read off the add table).
-    R = elaborate(parse(expr))
+def _count_scalar_calls(R):
+    """Wrap R's scalar ops to count their calls; returns the live counts."""
     calls = {"add": 0, "mul": 0, "neg": 0}
 
     def counted(name, op):
@@ -484,8 +481,81 @@ def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
         return call
 
     R.add, R.mul, R.neg = counted("add", R.add), counted("mul", R.mul), counted("neg", R.neg)
+    return calls
+
+
+@pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
+def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
+    # The generator rows come from the structure constants, so the build
+    # calls the scalar mul once per pair of generators; the scalar add never,
+    # and the scalar neg never (negatives are read off the add table).
+    R = elaborate(parse(expr))
+    calls = _count_scalar_calls(R)
     kernel._build_tables(R)
     assert calls == {"add": 0, "mul": generators ** 2, "neg": 0}
+
+
+def test_axioms_call_scalar_mul_once_per_distinct_pair():
+    # M(2, Z(2)): 4 generators g, 16 elements y.  The rows g*y, columns y*g
+    # and squares y*y are 144 pairs but 124 distinct ones; then 16 calls for
+    # the structure constants and 2 per element in the identity loop.
+    R = elaborate(parse("M(2, Z(2))"))
+    calls = _count_scalar_calls(R)
+    verify_ring_axioms(R)
+    assert calls["mul"] == 124 + 16 + 2 * 16
+
+
+def _assert_installed_ops_read_tables(R, pairs):
+    """R.add, R.mul and R.neg, as _build_tables installs them, give the
+    table entries as Python ints, at `pairs` and at every element."""
+    kernel._build_tables(R)
+    for a in range(R.order):
+        got = R.neg(a)
+        assert type(got) is int and got == R._neg_np[a], ("neg", a)
+    for a, b in pairs:
+        for name, op, table in [("add", R.add, R._add_np), ("mul", R.mul, R._mul_np)]:
+            got = op(a, b)
+            assert type(got) is int and got == table[a, b], (name, a, b)
+
+
+@pytest.mark.parametrize("expr", _EXHAUSTIVE)
+def test_installed_scalar_ops_read_tables(expr):
+    R = elaborate(parse(expr))
+    _assert_installed_ops_read_tables(R, itertools.product(range(R.order), repeat=2))
+
+
+@pytest.mark.parametrize("expr", _SAMPLED)
+def test_installed_scalar_ops_read_tables_sampled(expr):
+    R = elaborate(parse(expr))
+    rng = random.Random(0)
+    _assert_installed_ops_read_tables(
+        R, [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)])
+
+
+@pytest.mark.parametrize("table", ["_add_np", "_mul_np", "_neg_np"])
+def test_installed_tables_are_read_only(table):
+    # The scalar ops read the tables, so a write would change both views.
+    R = make_zmod(5)
+    kernel._build_tables(R)
+    T = getattr(R, table)
+    with pytest.raises(ValueError):
+        T[(1,) * T.ndim] = 0
+    assert R.mul(2, 3) == 1 and R.add(2, 3) == 0 and R.neg(2) == 3
+
+
+def test_table_build_keeps_one_copy_of_each_table():
+    # The memory _build_tables retains is the three tables themselves, not
+    # a second per-ring copy behind the scalar ops.
+    R = elaborate(parse("GR(Z(2), C(10))"))
+    kernel._structure_constants(R)
+    tracemalloc.start()
+    try:
+        kernel._build_tables(R)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
+    assert retained <= 1.25 * tables, (retained, tables)
 
 
 def test_table_mismatch_is_reported():
