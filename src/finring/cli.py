@@ -270,17 +270,14 @@ def elaborate(expr, cap: int = ARITH_CAP) -> Ring:
 
 def fast_verdicts(expr, flags):
     """Closed-form verdicts and agreement, where a Z_n base applies."""
-    out = []
     if isinstance(expr, ZExpr):
-        fast = fastpath.zn_unit_regular(expr.n)
-        out.append(("unit_regular (squarefree test)", fast, fast == flags["unit_regular"]))
+        forms = fastpath.closed_forms(expr.n)
     elif isinstance(expr, GrExpr) and isinstance(expr.inner, ZExpr):
-        G = elaborate_group(expr.group)
-        fast = fastpath.zng_unit_regular(expr.inner.n, G)
-        out.append(("unit_regular (coprimality test)", fast, fast == flags["unit_regular"]))
-        fast_r = fastpath.connell_regular_zn(expr.inner.n, G)
-        out.append(("regular (Connell test)", fast_r, fast_r == flags["regular"]))
-    return out
+        forms = fastpath.closed_forms(expr.inner.n, elaborate_group(expr.group))
+    else:
+        return []
+    return [(f"{flag} ({test} test)", verdict, verdict == flags[flag])
+            for _, flag, test, verdict in forms]
 
 
 # -- commands --------------------------------------------------------------

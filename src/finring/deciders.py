@@ -255,34 +255,6 @@ def is_strongly_pi_regular(R: Ring, x: int) -> bool:
     return any(is_strongly_regular(R, p) for p in powers)
 
 
-# -- m-potents -------------------------------------------------------------
-
-
-def is_m_potent(R: Ring, x: int, m: int) -> bool:
-    """x^m = x, for m > 1."""
-    if m <= 1:
-        raise ValueError("m must be > 1")
-    _require_frozen(R)
-    return ring_pow(R, x, m) == x
-
-
-def ring_strongly_m_nil_clean(R: Ring, m: int) -> bool:
-    """Every element is a commuting sum of an m-potent and a nilpotent."""
-    if m <= 1:
-        raise ValueError("m must be > 1")
-    _require_frozen(R)
-    caches = R.caches
-    m_potents = [w for w in R.elements() if is_m_potent(R, w, m)]
-    for x in R.elements():
-        if not any(
-            R.sub(x, w) in caches.nilpotents
-            and R.mul(w, R.sub(x, w)) == R.mul(R.sub(x, w), w)
-            for w in m_potents
-        ):
-            return False
-    return True
-
-
 # -- nil set / radicals ----------------------------------------------------
 
 

@@ -1,4 +1,10 @@
-"""Number-theoretic closed forms for unit-regularity over Z_n and Z_nG."""
+"""Number-theoretic closed forms for unit-regularity over Z_n and Z_nG.
+
+`closed_forms` is the one list of which closed form decides which
+`classify` flag: `cli.fast_verdicts` reports it next to the brute-force
+flags, and `harness._check_instance` cross-checks the falsifier's Z_n and
+Z_nG instances against it.
+"""
 
 from __future__ import annotations
 
@@ -68,3 +74,15 @@ def zng_unit_regular_by_group_order(n: int, G: FiniteGroup) -> bool:
 def connell_regular_zn(n: int, G: FiniteGroup) -> bool:
     """Regularity of Z_nG; coincides with unit-regularity over Z_n."""
     return zng_unit_regular(n, G)
+
+
+def closed_forms(n: int, G: FiniteGroup | None = None) -> list:
+    """The closed forms that decide a flag of Z_n (G None) or of Z_nG, as
+    (source, flag, test, verdict) tuples: Lemma 4.4 for Z_n, Theorem 4.5 and
+    Connell's criterion for Z_nG."""
+    if G is None:
+        return [("Lemma 4.4", "unit_regular", "squarefree", zn_unit_regular(n))]
+    return [
+        ("Theorem 4.5", "unit_regular", "coprimality", zng_unit_regular(n, G)),
+        ("Connell", "regular", "Connell", connell_regular_zn(n, G)),
+    ]

@@ -1,4 +1,11 @@
-"""Executable theorem suites: fast paths vs constructions vs brute force."""
+"""Executable theorem suites: fast paths vs constructions vs brute force.
+
+The discriminating suites each compare one closed form of `fastpath` with
+the brute-force flag; the falsifier cross-checks every Z_n and Z_nG
+instance against the list `fastpath.closed_forms`, the one place that says
+which form decides which flag.  A suite case whose ring exceeds the cap is
+recorded as skipped through `_frozen`.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from .constructions import (
     upper_triangular,
 )
 from .errors import CapExceededError, RingAxiomError
-from .groups import FiniteGroup, cyclic, group_product, symmetric
+from .groups import cyclic, group_product, symmetric
 from .kernel import Ring, _row_blocks, direct_product, freeze, make_zmod, verify_ring_axioms
 
 DEFAULT_RING_CAP = 1296
@@ -111,6 +118,16 @@ def connell_cases():
 # -- suites ----------------------------------------------------------------
 
 
+def _frozen(report: SuiteReport, case: str, build, cap: int) -> Optional[Ring]:
+    """The ring build() returns, frozen under cap; None, with the case
+    recorded as skipped, when building or freezing exceeds the cap."""
+    try:
+        return freeze(build(), cap=cap)
+    except CapExceededError as exc:
+        report.skipped.append(f"{case}: {exc}")
+        return None
+
+
 @_timed
 def suite_lemma_4_4(n_max: int = 60) -> SuiteReport:
     """Brute-force unit-regularity of Z_n vs the squarefree test."""
@@ -130,11 +147,8 @@ def suite_theorem_4_5(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
     report = SuiteReport("theorem-4-5", "discriminating")
     for n, G in cases or theorem_4_5_cases():
         case = f"GR(Z({n}), {G.label})"
-        try:
-            R = group_ring(make_zmod(n), G, cap=cap)
-            freeze(R, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        R = _frozen(report, case, lambda: group_ring(make_zmod(n), G, cap=cap), cap)
+        if R is None:
             continue
         brute, witness = _verdict(deciders.classify(R), "unit_regular")
         fast = fastpath.zng_unit_regular(n, G)
@@ -149,11 +163,8 @@ def suite_connell(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
     report = SuiteReport("connell", "discriminating")
     for n, G in cases or connell_cases():
         case = f"GR(Z({n}), {G.label})"
-        try:
-            R = group_ring(make_zmod(n), G, cap=cap)
-            freeze(R, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        R = _frozen(report, case, lambda: group_ring(make_zmod(n), G, cap=cap), cap)
+        if R is None:
             continue
         classified = deciders.classify(R)
         brute, witness = _verdict(classified, "regular")
@@ -179,11 +190,8 @@ def suite_matrix_sunc(bases=None, k: int = 2, cap: int = DEFAULT_RING_CAP) -> Su
         if not deciders.is_NI(base):
             report.skipped.append(f"{case}: base not NI")
             continue
-        try:
-            M = matrix_ring(base, k, cap=cap)
-            freeze(M, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        M = _frozen(report, case, lambda: matrix_ring(base, k, cap=cap), cap)
+        if M is None:
             continue
         base_flag = deciders.classify(base).flags["strongly_unit_nil_clean"]
         mat_flag = deciders.classify(M).flags["strongly_unit_nil_clean"]
@@ -210,10 +218,7 @@ def suite_morita(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
     matches the base ring's flag."""
     report = SuiteReport("morita", "consistency")
     for case, R in cases or _morita_cases():
-        try:
-            freeze(R, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        if _frozen(report, case, lambda: R, cap) is None:
             continue
         base = R.meta["base"]
         freeze(base)
@@ -240,11 +245,8 @@ def suite_group_ring_sunc(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteRepor
     report = SuiteReport("group-ring-sunc", "consistency")
     for base, G in cases or _group_ring_sunc_cases():
         case = f"GR({base.label}, {G.label})"
-        try:
-            RG = group_ring(base, G, cap=cap)
-            freeze(RG, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        RG = _frozen(report, case, lambda: group_ring(base, G, cap=cap), cap)
+        if RG is None:
             continue
         flag = deciders.classify(RG).flags["strongly_unit_nil_clean"]
         report.record(case, flag, expected=True, got=flag)
@@ -266,11 +268,8 @@ def suite_periodic(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         cases = [(make_zmod(2), g["S3"]), (make_zmod(4), g["C2"])]
     for base, G in cases:
         case = f"GR({base.label}, {G.label})"
-        try:
-            RG = group_ring(base, G, cap=cap)
-            freeze(RG, cap=cap)
-        except CapExceededError as exc:
-            report.skipped.append(f"{case}: {exc}")
+        RG = _frozen(report, case, lambda: group_ring(base, G, cap=cap), cap)
+        if RG is None:
             continue
         bad = next((x for x in RG.elements() if not deciders.is_periodic(RG, x)), None)
         report.record(
@@ -388,39 +387,31 @@ def _random_instance(rng: random.Random, cap: int, weights: Optional[dict] = Non
 
 
 def _check_instance(R: Ring, failures: list):
-    case = R.label
+    def fail(expected, got, witness=None):
+        failures.append({"case": R.label, "expected": expected, "got": got, "witness": witness})
+
     try:
         verify_ring_axioms(R)
     except AssertionError as exc:
-        failures.append({"case": case, "expected": "ring axioms", "got": str(exc), "witness": None})
+        fail("ring axioms", str(exc))
         return
     freeze(R)
     try:
         report = deciders.classify(R)
     except RingAxiomError as exc:     # a cross-check inside classify (Diesl, strong regularity)
-        failures.append({"case": case, "expected": "classify cross-checks", "got": str(exc),
-                         "witness": None})
+        fail("classify cross-checks", str(exc))
         return
     flags = report.flags
     for pre, post in _IMPLICATIONS:
         if flags[pre] and not flags[post]:
-            failures.append({
-                "case": case, "expected": f"{pre} => {post}",
-                "got": "violated", "witness": report.witnesses.get(post),
-            })
+            fail(f"{pre} => {post}", "violated", report.witnesses.get(post))
     for name in ("clean", "strongly_unit_nil_clean", "strongly_pi_regular", "periodic"):
         if not flags[name]:
-            failures.append({
-                "case": case, "expected": f"{name} universal", "got": False,
-                "witness": report.witnesses.get(name),
-            })
+            fail(f"{name} universal", False, report.witnesses.get(name))
     ni = flags["NI"]
     collapse = R.caches.nilpotents == R.caches.jacobson
     if ni != collapse:
-        failures.append({
-            "case": case, "expected": "NI <=> Nil == J",
-            "got": {"NI": ni, "Nil==J": collapse}, "witness": None,
-        })
+        fail("NI <=> Nil == J", {"NI": ni, "Nil==J": collapse})
     # Ehrlich: unit-regular <=> regular and left-morphic, at every element.
     # The regular mask stops after the first row block with a False; the
     # remaining rows are read here.
@@ -432,40 +423,19 @@ def _check_instance(R: Ring, failures: list):
     bad = unit_regular != ehrlich
     if bad.any():
         x = int(bad.argmax())
-        failures.append({
-            "case": case, "expected": "Ehrlich equivalence",
-            "got": {"unit_regular": bool(unit_regular[x]), "regular&morphic": bool(ehrlich[x])},
-            "witness": R.format_element(x),
-        })
+        fail("Ehrlich equivalence",
+             {"unit_regular": bool(unit_regular[x]), "regular&morphic": bool(ehrlich[x])},
+             R.format_element(x))
     if R.kind == "zmod":
-        fast = fastpath.zn_unit_regular(R.meta["n"])
-        if fast != flags["unit_regular"]:
-            failures.append({
-                "case": case, "expected": "Lemma 4.4 fast path",
-                "got": {"fast": fast, "brute": flags["unit_regular"]},
-                "witness": report.witnesses.get("unit_regular"),
-            })
-    if R.kind == "group_ring" and R.meta["base"].kind == "zmod":
-        n = R.meta["base"].meta["n"]
-        G = R.meta["group"]
-        fast = fastpath.zng_unit_regular(n, G)
-        if fast != flags["unit_regular"]:
-            failures.append({
-                "case": case, "expected": "Theorem 4.5 fast path",
-                "got": {"fast": fast, "brute": flags["unit_regular"]},
-                "witness": report.witnesses.get("unit_regular"),
-            })
-        if fastpath.connell_regular_zn(n, G) != flags["regular"]:
-            failures.append({
-                "case": case, "expected": "Connell fast path",
-                "got": {"fast": fastpath.connell_regular_zn(n, G), "brute": flags["regular"]},
-                "witness": report.witnesses.get("regular"),
-            })
-        if not flags["strongly_unit_nil_clean"]:
-            failures.append({
-                "case": case, "expected": "group ring sunc", "got": False,
-                "witness": report.witnesses.get("strongly_unit_nil_clean"),
-            })
+        forms = fastpath.closed_forms(R.meta["n"])
+    elif R.kind == "group_ring" and R.meta["base"].kind == "zmod":
+        forms = fastpath.closed_forms(R.meta["base"].meta["n"], R.meta["group"])
+    else:
+        forms = []
+    for source, flag, _, fast in forms:
+        if fast != flags[flag]:
+            fail(f"{source} fast path", {"fast": fast, "brute": flags[flag]},
+                 report.witnesses.get(flag))
 
 
 @_timed

@@ -152,6 +152,20 @@ class TestCommands:
         assert payload["flags"]["strongly_unit_nil_clean"] is True
         assert all(entry["agrees"] for entry in payload["fast"])
 
+    @pytest.mark.parametrize("expr, fast", [
+        ("Z(6)", [("unit_regular (squarefree test)", True)]),
+        ("Z(12)", [("unit_regular (squarefree test)", False)]),
+        ("GR(Z(2), C(3))", [("unit_regular (coprimality test)", True),
+                            ("regular (Connell test)", True)]),
+        ("GR(Z(3), C(3))", [("unit_regular (coprimality test)", False),
+                            ("regular (Connell test)", False)]),
+    ])
+    def test_classify_fast_reports_each_closed_form(self, expr, fast, capsys):
+        assert main(["classify", expr, "--json", "--fast"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fast"] == [{"check": check, "verdict": verdict, "agrees": True}
+                                   for check, verdict in fast]
+
     def test_classify_parse_error(self):
         assert main(["classify", "Z(0)"]) == 2
         assert main(["classify", "M(2, Z(2)"]) == 2

@@ -33,7 +33,6 @@ from finring.deciders import (
     _periodic_mask,
     is_clean,
     is_left_morphic,
-    is_m_potent,
     is_NI,
     is_nil_clean,
     is_periodic,
@@ -46,7 +45,6 @@ from finring.deciders import (
     is_unit_regular,
     nil_set,
     periodic_indices,
-    ring_strongly_m_nil_clean,
     snc_poly_criterion,
     is_strongly_unit_nil_clean,
 )
@@ -274,26 +272,6 @@ class TestStronglyPiRegular:
     def test_universal(self, ring):
         freeze(ring)
         assert all(is_strongly_pi_regular(ring, x) for x in ring.elements())
-
-
-class TestMPotent:
-    def test_z3(self):
-        R = freeze(make_zmod(3))
-        assert is_m_potent(R, 2, 3)
-
-    def test_idempotents_always(self, z6):
-        for e in z6.caches.idempotents:
-            for m in (2, 3, 5):
-                assert is_m_potent(z6, e, m)
-
-    def test_invalid_m(self, z4):
-        with pytest.raises(ValueError):
-            is_m_potent(z4, 2, 1)
-        with pytest.raises(ValueError):
-            ring_strongly_m_nil_clean(z4, 1)
-
-    def test_z4_strongly_3_nil_clean(self, z4):
-        assert ring_strongly_m_nil_clean(z4, 3)
 
 
 class TestNilSetPredicates:

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from finring import (SearchConfig, cyclic, deciders, falsify, fastpath, freeze, harness, kernel,
-                     make_zmod, standard_corpus, trivial_extension)
+from finring import (SearchConfig, cyclic, deciders, falsify, fastpath, freeze, group_ring,
+                     harness, kernel, make_zmod, standard_corpus, trivial_extension,
+                     upper_triangular)
 from finring.cli import main
 from finring.harness import (
     suite_connell,
@@ -34,6 +35,23 @@ def test_theorem_4_5_cap_skip():
     report = suite_theorem_4_5([(2, cyclic(3))], cap=4)
     assert report.attempted == 0
     assert len(report.skipped) == 1
+
+
+@pytest.mark.parametrize("suite, cases, skipped", [
+    (suite_theorem_4_5, [(2, cyclic(3))], "GR(Z(2), C(3)): GR(Z(2), C(3)) has order 8 > cap 4"),
+    (suite_connell, [(2, cyclic(3))], "GR(Z(2), C(3)): GR(Z(2), C(3)) has order 8 > cap 4"),
+    (suite_matrix_sunc, [make_zmod(2)], "M(2, Z(2)): M(2, Z(2)) has order 16 > cap 4"),
+    (suite_morita, [("U(2, Z(2))", upper_triangular(make_zmod(2), 2))],
+     "U(2, Z(2)): freezing U(2, Z(2)) (order 8) exceeds cap 4"),
+    (suite_group_ring_sunc, [(make_zmod(2), cyclic(3))],
+     "GR(Z(2), C(3)): GR(Z(2), C(3)) has order 8 > cap 4"),
+    (suite_periodic, [(make_zmod(2), cyclic(3))],
+     "GR(Z(2), C(3)): GR(Z(2), C(3)) has order 8 > cap 4"),
+], ids=["theorem-4-5", "connell", "matrix-sunc", "morita", "group-ring-sunc", "periodic"])
+def test_suites_skip_cases_over_the_cap(suite, cases, skipped):
+    report = suite(cases, cap=4)
+    assert report.attempted == 0
+    assert report.skipped == [skipped]
 
 
 def test_lemma_4_4_records_the_least_failing_element(monkeypatch):
@@ -215,3 +233,38 @@ def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
                          "got": {"unit_regular": True, "regular&morphic": False},
                          "witness": R.format_element(flipped[0])}]
     assert len(deciders._element_masks(R)["regular"]) < flipped[0]
+
+
+@pytest.mark.parametrize("patched, R, witness, sources", [
+    ("zn_unit_regular", make_zmod(4), {"index": 2, "element": "2"}, ["Lemma 4.4"]),
+    # connell_regular_zn reads zng_unit_regular, so both forms of Z_2C_2 disagree
+    ("zng_unit_regular", group_ring(make_zmod(2), cyclic(2)),
+     {"index": 3, "element": "1*g0 + 1*g1"}, ["Theorem 4.5", "Connell"]),
+    ("connell_regular_zn", group_ring(make_zmod(2), cyclic(2)),
+     {"index": 3, "element": "1*g0 + 1*g1"}, ["Connell"]),
+])
+def test_falsifier_records_each_closed_form_disagreement(patched, R, witness, sources,
+                                                         monkeypatch):
+    form = getattr(fastpath, patched)
+    monkeypatch.setattr(fastpath, patched, lambda *args: not form(*args))
+    failures = []
+    harness._check_instance(R, failures)
+    assert failures == [{"case": R.label, "expected": f"{source} fast path",
+                         "got": {"fast": True, "brute": False}, "witness": witness}
+                        for source in sources]
+
+
+def test_falsifier_records_a_failed_check_once(monkeypatch):
+    classify = deciders.classify
+
+    def forced(R, *args, **kwargs):
+        report = classify(R, *args, **kwargs)
+        report.flags["strongly_unit_nil_clean"] = False
+        return report
+
+    monkeypatch.setattr(deciders, "classify", forced)
+    R = group_ring(make_zmod(3), cyclic(2))
+    failures = []
+    harness._check_instance(R, failures)
+    assert failures == [{"case": R.label, "expected": "strongly_unit_nil_clean universal",
+                         "got": False, "witness": None}]

@@ -35,6 +35,25 @@ def test_constructions_have_one_scalar_product():
     assert found == {"mul": ["_positional"], "Ring": ["_positional"]}
 
 
+def test_harness_skips_and_records_through_one_place():
+    # A suite case over the cap is skipped only through `_frozen`, and a
+    # falsifier check records its failure only through the `fail` of
+    # `_check_instance`, so that no suite or check grows its own copy again.
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    handlers, appends = [], []
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and getattr(node.type, "id", None) == \
+                    "CapExceededError":
+                handlers.append(name)
+            if name == "_check_instance" and isinstance(node, ast.Call) and \
+                    ast.unparse(node.func) == "failures.append":
+                appends.append(node.lineno)
+    assert handlers == ["_frozen", "falsify"]
+    assert len(appends) == 1
+
+
 def _keywords(line):
     """The constructor keywords of a README grammar line: its words with their
     arguments dropped, less the "groups:" label and the product example."""
