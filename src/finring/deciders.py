@@ -7,8 +7,10 @@ unit-multiple columns read whole product rows x*R and columns R*x from
 constants above it), ``is_left_morphic`` reads the whole-ring mask, and the
 clean and nil-clean searches and the power orbits use scalar ops.
 ``classify`` decides every ring-level flag at once, on every ring, as
-whole-ring boolean masks (``_element_masks``) read in the row blocks of
-``kernel._row_blocks``; ``_left_morphic_mask`` is read the same way.
+whole-ring boolean masks (``_element_masks``).  The regularity and clean
+masks are read in the row blocks of ``kernel._row_blocks``, and so is
+``_left_morphic_mask``; the unit-multiple masks are closed under generators
+of the unit group, and NI is read from generating sets of the nilpotents.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from .kernel import (
     CLASSIFY_CAP,
     Ring,
     _add_many,
+    _additive_generators,
     _indicator,
+    _join,
     _mul_many,
+    _orbit_union,
     _powers,
     _row_blocks,
     _sub_many,
@@ -271,15 +276,52 @@ def is_NI(R: Ring) -> bool:
     return _ni_witness(R) is None
 
 
+def _nil_is_ideal(R: Ring, is_nil: np.ndarray) -> bool:
+    """Whether the nilpotents N (the mask is_nil) form a two-sided ideal,
+    read from generating sets:
+
+    (a) N + h lies in N for each h of a greedy generating set of the
+        additive subgroup <N>, the least nilpotent outside the subgroup the
+        earlier ones generate, until N is covered.  Then N, which holds 0,
+        is closed under <N>, so N = <N>;
+    (b) g*a and a*g are nilpotent for every a in N and every additive
+        generator g.  With (a), R*N and N*R then lie in N by additivity.
+
+    In a finite ring (a) alone implies (b): N is the preimage of the
+    nilpotents of the semisimple R/J, and those are closed under addition
+    only when they are 0.  (b) costs 2|N||g| products and keeps the test
+    free of that argument.
+    """
+    n = R.order
+    every = np.arange(n)
+    N = np.flatnonzero(is_nil)
+    span = _indicator(n, [0])                           # a subgroup inside N
+    while True:
+        rest = is_nil & ~span
+        if not rest.any():
+            break
+        h = int(rest.argmax())
+        row = _add_many(R, every, h)                    # z + h for every z
+        if not is_nil[row[N]].all():
+            return False
+        span = _join(span, row)
+    g = np.array(_additive_generators(R), dtype=np.int64)[:, None]
+    return bool(is_nil[_mul_many(R, g, N)].all() and is_nil[_mul_many(R, N, g)].all())
+
+
 def _ni_witness(R: Ring) -> Optional[int]:
     """The first sum or product of nilpotents that is not nilpotent, or None
     when R is NI.
 
-    Search order: a + b over nilpotents a, b in index order; then, for each
-    nilpotent a in index order and each r, the product r*a and then a*r;
-    a block of a (``kernel._row_blocks``) at a time.
+    Whether R is NI is read from generating sets (`_nil_is_ideal`).  Only
+    when it is not does the ordered search run: a + b over nilpotents a, b
+    in index order; then, for each nilpotent a in index order and each r,
+    the product r*a and then a*r; a block of a (``kernel._row_blocks``) at
+    a time.
     """
     is_nil = _indicator(R.order, R.caches.nilpotents)
+    if _nil_is_ideal(R, is_nil):
+        return None
     N = np.flatnonzero(is_nil)
     every = np.arange(R.order)
     for a in _row_blocks(R, N):
@@ -364,13 +406,58 @@ def _until_failure(R: Ring, test) -> np.ndarray:
     return np.concatenate(verdicts)
 
 
+def _closure(T: np.ndarray, generators: list) -> np.ndarray:
+    """The boolean stack T (last axis the elements) closed under every
+    generator, each a pair (row, steps) for `kernel._orbit_union`.  The
+    generators need not commute, so they are taken in turn until T has been
+    closed along all of them since it last changed."""
+    quiet, i = 0, 0
+    while quiet < len(generators):
+        row, steps = generators[i % len(generators)]
+        if (T[..., row] & ~T).any():                    # not yet closed along row
+            T, quiet = _orbit_union(T, row, steps), 1
+        else:
+            quiet += 1
+        i += 1
+    return T
+
+
+def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
+    """The boolean stack T closed under left multiplication by the unit
+    group U, each row then the set U*S of its set S.
+
+    U is generated greedily: the least unit outside the subgroup the earlier
+    generators generate, until U is covered.  That subgroup is the closure
+    of {1}, kept as a first row on the stack, which is closed anew after
+    each generator.  A generator g is its row g*R, with 2^steps at least its
+    order k - 1, from its power indices (m, k) = (1, k).  In a finite group
+    a set closed under a generating set is closed under the group.
+    """
+    n = R.order
+    k = R.caches.power_indices[1]
+    every = np.arange(n)
+    T = np.concatenate((_indicator(n, [R.one])[None], T))
+    missing = _indicator(n, R.caches.units)
+    generators = []
+    while True:
+        missing &= ~T[0]
+        if not missing.any():
+            return T[1:]
+        g = int(missing.argmax())
+        generators.append((_mul_many(R, g, every), int(k[g] - 2).bit_length()))
+        T = _closure(T, generators)
+
+
 def _element_masks(R: Ring) -> dict:
     """Every _ELEMENT_DECIDERS flag as a boolean mask: mask[x] is the
     decider's verdict at x; regular and strongly_regular stop after the first
     row block with a False.  x is strongly regular iff it has a group inverse,
-    iff its power index m is 1 (Drazin).  The rows u*R of the units give
-    unit_regular (x*u*x == x iff u*x is idempotent) and both unit nil-clean
-    flags; x - e for each idempotent e gives the clean and nil-clean flags.
+    iff its power index m is 1 (Drazin).  x - e for each idempotent e gives
+    the clean and nil-clean flags.  The unit-multiple flags are unions of
+    left orbits of the unit group U: unit_regular is U*E (x*u*x == x iff u*x
+    is idempotent), unit_nil_clean U*NC and strongly_unit_nil_clean U*SNC,
+    for the idempotent, nil-clean and strongly nil-clean masks E, NC and
+    SNC, read as one stack closed under generators of U (`_unit_multiples`).
 
     Raises RingAxiomError where strong nil-cleanness by idempotent search and
     Diesl's criterion (x - x^2 nilpotent) disagree, or where m == 1 and the
@@ -410,12 +497,7 @@ def _element_masks(R: Ring) -> dict:
         raise RingAxiomError(
             f"{R.label}: Diesl's criterion and the idempotent search disagree at {bad}"
         )
-    unit_regular, unc, sunc = (np.zeros(n, dtype=bool) for _ in range(3))
-    for us in _row_blocks(R, caches.unit_array):
-        ux = _mul_many(R, us, x)                        # [j, x] -> u_j*x
-        unit_regular |= is_idempotent[ux].any(0)
-        unc |= nil_clean[ux].any(0)
-        sunc |= snc[ux].any(0)
+    unit_regular, unc, sunc = _unit_multiples(R, np.stack((is_idempotent, nil_clean, snc)))
     masks.update(unit_regular=unit_regular, clean=clean, nil_clean=nil_clean,
                  strongly_nil_clean=snc, unit_nil_clean=unc, strongly_unit_nil_clean=sunc,
                  strongly_pi_regular=group[_powers(R, x, m)],
@@ -430,10 +512,11 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     flag's witness is the least element index at which it fails.  The
     element flags come from the whole-ring masks of ``_element_masks`` on
     every ring, and the witness is the first False in the mask.  Their
-    products are read in the row blocks of ``kernel._row_blocks``: up to
+    products are read in the row blocks of ``kernel._row_blocks`` (up to
     ROW_BLOCK // n rows of the op table when the ring has one, and above
     TABLE_LIMIT one row x*R at a time from ``kernel._mul_many``, in
-    O(n * |g|) memory for a ring with radices.  The ``_ELEMENT_DECIDERS``
+    O(n * |g|) memory for a ring with radices) and, for the unit multiples,
+    one row g*R per generator g of the unit group.  The ``_ELEMENT_DECIDERS``
     give the same verdicts element by element.
     """
     if R.order > cap:

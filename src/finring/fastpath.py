@@ -1,4 +1,4 @@
-"""Number-theoretic closed forms for unit-regularity over Z_n and Z_nG.
+"""Number-theoretic closed forms for the (unit-)regularity of Z_n and Z_nG.
 
 `closed_forms` is the one list of which closed form decides which
 `classify` flag: `cli.fast_verdicts` reports it next to the brute-force
@@ -64,16 +64,14 @@ def zng_unit_regular(n: int, G: FiniteGroup) -> bool:
     return is_squarefree(n) and all(gcd(n, k) == 1 for k in G.element_orders)
 
 
-def zng_unit_regular_by_group_order(n: int, G: FiniteGroup) -> bool:
-    """Same predicate through the group order: n squarefree and gcd(n, |G|) = 1."""
+def connell_regular_zn(n: int, G: FiniteGroup) -> bool:
+    """Regularity of Z_nG by Connell's criterion (I. G. Connell, "On the
+    group ring", Canad. J. Math. 15 (1963)): for a finite group G, RG is
+    regular iff R is regular and |G|*1 is a unit of R.  Over R = Z_n that is
+    n squarefree and gcd(n, |G|) = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return is_squarefree(n) and gcd(n, G.order) == 1
-
-
-def connell_regular_zn(n: int, G: FiniteGroup) -> bool:
-    """Regularity of Z_nG; coincides with unit-regularity over Z_n."""
-    return zng_unit_regular(n, G)
 
 
 def closed_forms(n: int, G: FiniteGroup | None = None) -> list:

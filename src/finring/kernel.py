@@ -392,27 +392,57 @@ def _compute_nilpotents(R: Ring):
     return set(np.flatnonzero(y == 0).tolist())
 
 
-def _compute_jacobson(R: Ring, units):
-    # J(R) = { x : 1 - yx is a unit for all y }; one-sided quasi-regularity
-    # suffices in a finite ring.  Rows y*x over the x that passed every
-    # earlier y, a block of y at a time.
-    every = np.arange(R.order)
-    quasi = _indicator(R.order, units)[_sub_many(R, R.one, every)]     # 1 - z is a unit
-    x = every
-    for ys in _row_blocks(R, every):
-        x = x[quasi[_mul_many(R, ys, x)].all(0)]
-    return set(x.tolist())
+def _orbit_union(T: np.ndarray, row: np.ndarray, steps: int) -> np.ndarray:
+    """The union of the preimages of the boolean mask T (last axis the
+    elements) under the first 2^steps powers of the map `row` of the elements,
+    by doubling: T |= T[..., row], then row = row[row], `steps` times.  When
+    row is a permutation of order at most 2^steps, this is the closure of T
+    under the cyclic group it generates."""
+    for _ in range(steps):
+        T = T | T[..., row]
+        row = row[row]
+    return T
+
+
+def _join(S: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """<S, x> for an additive subgroup S (a mask) and the row z + x of x:
+    the union of S - j*x over j < 2^s, where 2^s >= |R/S| bounds the order
+    of x modulo S."""
+    return _orbit_union(S, row, (len(S) // int(S.sum()) - 1).bit_length())
+
+
+def _compute_jacobson(R: Ring, units, nilpotents):
+    """J(R) = { x : 1 - y*x is a unit for all y }; one-sided quasi-regularity
+    suffices in a finite ring.  J is an additive subgroup inside the
+    nilpotents, so they are sieved in index order, one column R*x per x
+    tested, keeping a subgroup S of J: if x passes, S becomes <S, x>;
+    otherwise x + S misses J, and the whole coset is struck."""
+    n = R.order
+    every = np.arange(n)
+    quasi = _indicator(n, units)[_sub_many(R, R.one, every)]     # 1 - z is a unit
+    todo = _indicator(n, nilpotents)
+    S = _indicator(n, [0])
+    while True:
+        todo &= ~S
+        if not todo.any():
+            return set(np.flatnonzero(S).tolist())
+        x = int(todo.argmax())
+        if quasi[_mul_many(R, every, x)].all():
+            S = _join(S, _add_many(R, every, x))
+        else:
+            todo[_add_many(R, x, np.flatnonzero(S))] = False
 
 
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     """Populate the structural caches; idempotent; returns the same ring.
 
     Op tables are built up to TABLE_LIMIT.  On either side of it every set
-    is read through `_mul_many` and `_row_blocks`, in O(n * |g|) memory per
+    is read through `_mul_many`, in O(n * |g|) memory per
     read above the limit for a ring with radices: one power scan gives the
     power indices (m, k) of every element and from them the units and their
     inverses (`_compute_units`); idempotents and nilpotents are whole-ring
-    products; the Jacobson radical reads the rows y*R.
+    products; the Jacobson radical is sieved from the nilpotents, one column
+    R*x per nilpotent x tested (`_compute_jacobson`).
     """
     if R.caches is not None:
         return R
@@ -426,7 +456,7 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     x = np.arange(R.order)
     idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
     nilpotents = frozenset(_compute_nilpotents(R))
-    jacobson = frozenset(_compute_jacobson(R, units))
+    jacobson = frozenset(_compute_jacobson(R, units, nilpotents))
     R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices)
     return R
 

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 
 from finring import Ring, make_zmod, matrix_ring
-from finring.kernel import _mul_many
+from finring.kernel import _add_many, _indicator, _mul_many, _row_blocks, _sub_many
 
 
 def _check_assoc_np(T):
@@ -39,6 +39,51 @@ def transposed_product():
 
     return Ring(16, add=M2.add, mul=mul, neg=M2.neg, one=M2.one, label="(XY)^T",
                 radices=M2.radices)
+
+
+def unit_row_masks(R, nil_clean, snc):
+    """The unit_regular, unit_nil_clean and strongly_unit_nil_clean masks of a
+    frozen R by one row u*R per unit u: x is in each when some u*x is
+    idempotent, in the mask nil_clean, or in the mask snc."""
+    n = R.order
+    every = np.arange(n)
+    targets = np.stack((_indicator(n, R.caches.idempotents), nil_clean, snc))
+    masks = np.zeros((3, n), dtype=bool)
+    for us in _row_blocks(R, R.caches.unit_array):
+        masks |= targets[:, _mul_many(R, us, every)].any(1)      # [t, j, x] -> u_j*x
+    return masks
+
+
+def jacobson_rows(R):
+    """J(R) of a frozen R by its definition, the x with 1 - y*x a unit for
+    every y: one row y*R per y, over the x that passed every earlier y."""
+    every = np.arange(R.order)
+    quasi = _indicator(R.order, R.caches.units)[_sub_many(R, R.one, every)]
+    x = every
+    for ys in _row_blocks(R, every):
+        x = x[quasi[_mul_many(R, ys, x)].all(0)]
+    return set(x.tolist())
+
+
+def ni_search(R):
+    """The first sum or product of nilpotents of a frozen R that is not
+    nilpotent, or None: a + b over nilpotents a, b in index order; then, for
+    each nilpotent a in index order and each r, r*a and then a*r."""
+    is_nil = _indicator(R.order, R.caches.nilpotents)
+    N = np.flatnonzero(is_nil)
+    every = np.arange(R.order)
+    for a in _row_blocks(R, N):
+        bad = ~is_nil[_add_many(R, a, N)]               # [i, j]: a_i + N_j
+        if bad.any():
+            i, j = np.unravel_index(bad.argmax(), bad.shape)
+            return int(_add_many(R, a[i, 0], N[j]))
+    for a in _row_blocks(R, N):
+        bad = np.stack((~is_nil[_mul_many(R, every, a)], ~is_nil[_mul_many(R, a, every)]), -1)
+        if bad.any():                                   # [i, r, side]: r*a_i, a_i*r
+            i, r, side = np.unravel_index(bad.argmax(), bad.shape)
+            a_i = a[i, 0]
+            return int(_mul_many(R, r, a_i) if side == 0 else _mul_many(R, a_i, r))
+    return None
 
 
 def left_morphic_reference(R):

@@ -21,6 +21,7 @@ from finring import (
     kernel,
     make_zmod,
     matrix_ring,
+    ring_pow,
     standard_corpus,
     trivial_extension,
 )
@@ -49,7 +50,7 @@ from finring.deciders import (
     is_strongly_unit_nil_clean,
 )
 
-from _oracles import left_morphic_reference
+from _oracles import jacobson_rows, left_morphic_reference, ni_search, unit_row_masks
 
 
 @pytest.fixture(scope="module")
@@ -511,3 +512,77 @@ def test_classify_rejects_a_wrong_power_scan(ring):
     R.caches.power_indices[0][0] = 2        # 0 = 0^2 loses its group inverse
     with pytest.raises(RingAxiomError, match="strong regularity .* disagree at 0"):
         classify(R)
+
+
+@pytest.mark.parametrize("ring", ABOVE_LIMIT + [
+    pytest.param(trivial_extension(make_zmod(34)), id="Triv(Z(34))"),
+    pytest.param(matrix_ring(make_zmod(8), 2), id="M(2, Z(8))"),
+    pytest.param(matrix_ring(make_zmod(3), 2), id="M(2, Z(3))"),
+    pytest.param(matrix_ring(make_zmod(2), 3), id="M(3, Z(2))"),
+    pytest.param(matrix_ring(make_zmod(4), 2), id="M(2, Z(4))"),
+    pytest.param(matrix_ring(make_zmod(2), 2), id="M(2, Z(2))"),
+    pytest.param(make_zmod(1), id="Z(1)"),
+])
+def test_generating_sets_match_row_oracles(ring):
+    # The unit-multiple masks, J and the NI witness, read from generating
+    # sets, against one row per unit, one row per element and the ordered
+    # NI search, above TABLE_LIMIT (M(2, Z(8)) has order 4096) and below it.
+    R = freeze(ring)
+    masks = _element_masks(R)
+    closed = [masks[name] for name in ("unit_regular", "unit_nil_clean",
+                                       "strongly_unit_nil_clean")]
+    rows = unit_row_masks(R, masks["nil_clean"], masks["strongly_nil_clean"])
+    assert (np.stack(closed) == rows).all()
+    assert R.caches.jacobson == jacobson_rows(R)
+    assert _ni_witness(R) == ni_search(R)
+
+
+def test_unit_closure_of_gl_2_3_takes_more_than_one_pass():
+    # GL(2, 3), the 48 units of M(2, Z(3)), is not abelian.  Its first two
+    # greedy generators g, h (each of order at most 8) generate it, but one
+    # pass along g and then h from {1} reaches only the 16 products h^j g^i.
+    R = freeze(matrix_ring(make_zmod(3), 2))
+    units = R.caches.units
+    g = min(units - {R.one})
+    h = min(units - {ring_pow(R, g, j) for j in range(8)})
+    generators = [(kernel._mul_many(R, x, np.arange(R.order)), 3) for x in (g, h)]
+    one = kernel._indicator(R.order, [R.one])
+    once = kernel._orbit_union(kernel._orbit_union(one, *generators[0]), *generators[1])
+    assert once.sum() == 16
+    assert set(np.flatnonzero(deciders._closure(one, generators)).tolist()) == units
+    assert set(np.flatnonzero(deciders._unit_multiples(R, one[None])[0]).tolist()) == units
+
+
+@pytest.mark.parametrize("ring, jacobson, nil", [
+    (matrix_ring(make_zmod(2), 3), 1, 64),      # J = 0 under many nilpotents
+    (matrix_ring(make_zmod(4), 2), 16, 64),     # J = M(2, 2Z(4)), smaller than Nil
+    (make_zmod(1), 1, 1),                       # the zero ring
+], ids=["M(3, Z(2))", "M(2, Z(4))", "Z(1)"])
+def test_jacobson_sieve_cases(ring, jacobson, nil):
+    # The cases the sieve must get right; test_generating_sets_match_row_oracles
+    # holds each of these rings to the row-per-element J.
+    R = freeze(ring)
+    assert (len(R.caches.jacobson), len(R.caches.nilpotents)) == (jacobson, nil)
+
+
+def test_ni_fails_at_a_sum():
+    # e12 + e21 in M(2, Z(2)) is not nilpotent: test (a) fails.
+    R = freeze(matrix_ring(make_zmod(2), 2))
+    assert not deciders._nil_is_ideal(R, kernel._indicator(R.order, R.caches.nilpotents))
+    witness = _ni_witness(R)
+    assert witness is not None and witness == ni_search(R)
+    assert not is_nilpotent(R, witness)
+
+
+def test_ni_fails_at_a_product():
+    # In a finite ring nilpotents closed under addition form an ideal, so no
+    # ring fails test (b) alone.  The nil set of a fresh M(2, Z(2)) is
+    # replaced by the subgroup {0, e12}: it passes (a), and e21*e12 = e22
+    # leaves it.
+    R = freeze(matrix_ring(make_zmod(2), 2))
+    e12 = R.encode(((0, 1), (0, 0)))
+    R.caches.nilpotents = frozenset({0, e12})
+    assert R.add(e12, e12) == 0
+    assert not deciders._nil_is_ideal(R, kernel._indicator(R.order, R.caches.nilpotents))
+    witness = _ni_witness(R)
+    assert witness not in (None, 0, e12) and witness == ni_search(R)

@@ -11,7 +11,6 @@ from finring import (
     symmetric,
     zn_unit_regular,
     zng_unit_regular,
-    zng_unit_regular_by_group_order,
 )
 
 
@@ -68,13 +67,15 @@ class TestZnG:
         [(2, symmetric(3), False), (5, cyclic(2), True), (6, cyclic(1), True), (12, cyclic(1), False)],
     )
     def test_by_group_order(self, n, G, expected):
-        assert zng_unit_regular_by_group_order(n, G) == expected
+        assert connell_regular_zn(n, G) == expected
 
     def test_two_routes_coincide(self):
+        # Theorem 4.5 reads the element orders, Connell's criterion the group
+        # order; by Cauchy's theorem a prime divides |G| iff it is an element order.
         groups = [cyclic(1), cyclic(2), cyclic(3), cyclic(6), symmetric(3), symmetric(4)]
         for n in range(1, 40):
             for G in groups:
-                assert zng_unit_regular(n, G) == zng_unit_regular_by_group_order(n, G)
+                assert zng_unit_regular(n, G) == connell_regular_zn(n, G)
 
 
 class TestConnell:

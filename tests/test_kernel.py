@@ -16,6 +16,8 @@ from finring import (
     CapExceededError,
     Ring,
     RingAxiomError,
+    classify,
+    deciders,
     direct_product,
     freeze,
     is_nilpotent,
@@ -23,6 +25,7 @@ from finring import (
     make_zmod,
     matrix_ring,
     ring_pow,
+    trivial_extension,
     verify_ring_axioms,
 )
 from finring.cli import elaborate, parse
@@ -482,6 +485,33 @@ def _count_scalar_calls(R):
 
     R.add, R.mul, R.neg = counted("add", R.add), counted("mul", R.mul), counted("neg", R.neg)
     return calls
+
+
+@pytest.mark.parametrize("ring, jacobson, classified", [
+    (trivial_extension(make_zmod(33)), 1, 206),
+    (direct_product(make_zmod(5), trivial_extension(make_zmod(15))), 1, 119),
+], ids=["Triv(Z(33))", "Z(5) x Triv(Z(15))"])
+def test_ring_level_sets_read_few_products_above_limit(ring, jacobson, classified, monkeypatch):
+    # Above TABLE_LIMIT every product read is one _mul_many call.  The
+    # Jacobson sieve reads one column per nilpotent it tests and the unit
+    # masks one row per generator of the unit group, where one row per
+    # element would take n = 1089 or 1125 calls in _compute_jacobson alone.
+    R = freeze(ring)
+    assert R._mul_np is None
+    calls = []
+    mul_many = kernel._mul_many
+
+    def counted(*args):
+        calls.append(1)
+        return mul_many(*args)
+
+    monkeypatch.setattr(kernel, "_mul_many", counted)
+    monkeypatch.setattr(deciders, "_mul_many", counted)
+    assert kernel._compute_jacobson(R, R.caches.units, R.caches.nilpotents) == R.caches.jacobson
+    assert len(calls) == jacobson
+    calls.clear()
+    classify(R)
+    assert len(calls) == classified
 
 
 @pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])

@@ -54,6 +54,21 @@ def test_harness_skips_and_records_through_one_place():
     assert len(appends) == 1
 
 
+def test_ring_level_sets_read_no_row_per_element_or_unit():
+    # The Jacobson radical is sieved from the nilpotents and the unit-multiple
+    # masks are closed under generators of the unit group, so that neither
+    # reads one row per element or per unit again.
+    found = []
+    for module, name in [("kernel.py", "_compute_jacobson"), ("deciders.py", "_element_masks")]:
+        tree = ast.parse((PACKAGE / module).read_text())
+        [function] = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == name]
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_row_blocks":
+                found.append((name, ast.unparse(node.args[1])))
+    assert found == [("_element_masks", "sorted(caches.idempotents)")]
+
+
 def _keywords(line):
     """The constructor keywords of a README grammar line: its words with their
     arguments dropped, less the "groups:" label and the product example."""
