@@ -36,8 +36,12 @@ ARITH_CAP = 65536
 # then multiply through their structure constants (`_mul_many`), opaque
 # rings through the scalar evaluators.
 TABLE_LIMIT = 1024
-# Products per row block on the table path (2 MiB of int64): the whole ring
-# up to order 512, so a read never holds more than a few such arrays.
+# The one dtype of all three op tables: every entry is an index below
+# TABLE_LIMIT <= 2^15.  Lookups return it; arithmetic on a looked-up value
+# must widen it first (an int16 array times a Python int stays int16).
+TABLE_DTYPE = np.int16
+# Products per row block on the table path (512 KiB of int16): the whole
+# ring up to order 512, so a read never holds more than a few such arrays.
 ROW_BLOCK = 2**18
 
 # Axiom checking above TABLE_LIMIT, where no op tables exist: the laws other
@@ -67,9 +71,10 @@ class Ring:
     """A fully materialized finite ring.
 
     `add`, `mul`, `neg` are total evaluators on indices.  After freeze()
-    the caches are populated, read-only op tables are installed for small
-    orders, `add`, `mul` and `neg` read those tables (no Python copy), and
-    the ring must be treated as immutable.
+    the caches are populated, read-only op tables of dtype TABLE_DTYPE are
+    installed for orders up to TABLE_LIMIT, `add`, `mul` and `neg` read
+    those tables (no Python copy), and the ring must be treated as
+    immutable.
 
     `radices` lists the sizes r_i of the cyclic factors of the additive
     group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
@@ -156,7 +161,7 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
     (p/2)*w + (p/2)*w; rows below w are done before the factor starts.
     """
     n = R.order
-    T = np.empty((n, n), dtype=np.int64)
+    T = np.empty((n, n), dtype=TABLE_DTYPE)
     T[0] = row0
     T[_additive_generators(R)] = rows
     w = 1
@@ -174,7 +179,8 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
 
 
 def _build_tables(R: Ring) -> None:
-    """Install read-only numpy op tables (order <= TABLE_LIMIT) and rebind
+    """Install read-only numpy op tables (order <= TABLE_LIMIT), all three
+    of dtype TABLE_DTYPE (2 MiB per n x n table at order 1024), and rebind
     R.add, R.mul and R.neg to their ``ndarray.item``, which returns a Python
     int: the tables are the only copy, with no Python list behind the
     scalar ops.
@@ -186,7 +192,8 @@ def _build_tables(R: Ring) -> None:
     x + z = 0, so no build calls the scalar neg.  Row 0 is
     0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
     x + z = (x - p*w) + (p*w + z) by composing add rows and
-    x*z = (x - p*w)*z + (p*w)*z through the finished add table.  So the
+    x*z = (x - p*w)*z + (p*w)*z through the finished add table, both as
+    flat ``take`` gathers (the flat index x*n + z formed in int32).  So the
     tables are the bilinear extension of the products g_i*g_j, the same
     product `_mul_many` gives above TABLE_LIMIT; they equal the scalar ops
     exactly when mul is additive in each argument, which
@@ -199,7 +206,7 @@ def _build_tables(R: Ring) -> None:
     if R.radices is None:
         def table(op):
             return np.fromiter(
-                (op(a, b) for a in range(n) for b in range(n)), dtype=np.int64, count=n * n
+                (op(a, b) for a in range(n) for b in range(n)), dtype=TABLE_DTYPE, count=n * n
             ).reshape(n, n)
 
         add_np, mul_np = table(R.add), table(R.mul)
@@ -207,10 +214,11 @@ def _build_tables(R: Ring) -> None:
         every = np.arange(n)
         G = np.array(_additive_generators(R), dtype=np.int64)[:, None]
         add_np = _doubling_table(R, _add_many(R, G, every), every,
-                                 lambda block, row: block[:, row])
+                                 lambda block, row: block.take(row, axis=1))
+        flat = add_np.ravel()                 # x + z at x*n + z, widened before the product
         mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
-                                 lambda block, row: add_np[block, row])
-    neg_np = (add_np == 0).argmax(1)          # the column of 0 in each row x + z
+                                 lambda block, row: flat.take(block.astype(np.int32) * n + row))
+    neg_np = (add_np == 0).argmax(1).astype(TABLE_DTYPE)   # the column of 0 in each row x + z
     for T in (add_np, mul_np, neg_np):
         T.flags.writeable = False
     R._mul_np = mul_np
@@ -260,7 +268,8 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise products a*b of two index arrays, which broadcast.
 
     With op tables this is a lookup, of whole rows or columns when one side
-    is a column block (k, 1) and the other every element in order.  Without
+    is a column block (k, 1) and the other every element in order, in the
+    tables' dtype TABLE_DTYPE (widen it before any arithmetic).  Without
     tables (above TABLE_LIMIT, or while `_build_tables` derives them), a
     ring with radices multiplies digit vectors: mul is
     additive in each argument, so a*b = sum over i, j of a_i * b_j *

@@ -455,7 +455,7 @@ def test_row_path_matches_table_path_above_limit(monkeypatch):
 
 
 def test_row_path_memory_is_linear_in_order():
-    # One 1089 x 1089 int64 array alone is 9.0 MiB; the row path keeps to
+    # One 1089 x 1089 table alone is 2.3 MiB of int16; the row path keeps to
     # O(n * |g|) arrays, with two and with three additive generators.
     for R in (trivial_extension(make_zmod(33)),
               direct_product(make_zmod(5), trivial_extension(make_zmod(15)))):
@@ -472,7 +472,7 @@ def test_row_path_memory_is_linear_in_order():
 def test_ni_witness_peak_is_below_the_mask_engine():
     # _ni_witness keeps boolean escape masks, not a stack of the products,
     # and the mask engine holds a few row blocks of the 1024 x 1024 table
-    # (8 MiB of int64) at a time, not the whole of it.
+    # (2 MiB of int16) at a time, not the whole of it.
     R = freeze(trivial_extension(make_zmod(32)))
     peaks = []
     for phase in (_ni_witness, _element_masks):

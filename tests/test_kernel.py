@@ -588,6 +588,46 @@ def test_table_build_keeps_one_copy_of_each_table():
     assert retained <= 1.25 * tables, (retained, tables)
 
 
+@pytest.mark.parametrize("expr,opaque", [(e, False) for e in _EXHAUSTIVE] + [("Z(2) x Z(4)", True)])
+def test_tables_share_one_narrow_dtype(expr, opaque):
+    R = elaborate(parse(expr))
+    if opaque:
+        R = _opaque(R)
+    kernel._build_tables(R)
+    for name in ("_add_np", "_mul_np", "_neg_np"):
+        T = getattr(R, name)
+        assert T.dtype == kernel.TABLE_DTYPE and not T.flags.writeable, name
+        assert 0 <= T.min() and T.max() < R.order, name
+
+
+def test_table_dtype_holds_every_index_below_the_limit():
+    assert kernel.TABLE_LIMIT <= np.iinfo(kernel.TABLE_DTYPE).max + 1
+
+
+def test_order_1024_tables_take_two_bytes_per_entry():
+    R = elaborate(parse("Triv(Z(32))"))
+    kernel._build_tables(R)
+    assert R.order == 1024
+    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
+    assert tables == (2 * 1024**2 + 1024) * 2
+
+
+@pytest.mark.parametrize("expr", ["GR(Z(2), C(10))", "Triv(Z(32))"])
+def test_tables_at_order_1024_match_structure_constants(expr):
+    # The flat index x*n + z of the mul build leaves the int16 range from
+    # order 182 on, so at order 1024 the tables are held on all n^2 pairs to
+    # the products a fresh ring without tables reads through its structure
+    # constants, row by row.
+    R, S = elaborate(parse(expr)), elaborate(parse(expr))
+    kernel._build_tables(R)
+    assert R.order == 1024 and S._mul_np is None
+    every = np.arange(S.order)
+    for x in range(S.order):
+        assert np.array_equal(R._add_np[x], kernel._add_many(S, x, every)), ("add", x)
+        assert np.array_equal(R._mul_np[x], kernel._mul_many(S, x, every)), ("mul", x)
+    assert S._mul_np is None
+
+
 def test_table_mismatch_is_reported():
     # x*y = x^2 y is not additive in x: the doubled row 2 is 2y, the scalar 4y = y.
     R = Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: a * a * b % 3,
