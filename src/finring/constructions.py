@@ -5,11 +5,12 @@ nd base-ring digits, and the index is sum(digit_t * |base|^t).  Addition is
 digitwise and multiplication is bilinear in the digits, so a construction
 is one call of `_positional` with its terms (i, j, l, c), each meaning
 "digit l of x*y gains c*(x_i*y_j)", c a central base element or None for
-1.  The terms are the one definition of a construction's product: the
-scalar mul sums them, and the op tables and ``kernel._mul_many`` take the
-product from the structure constants, the scalar products of pairs of
-additive generators extended bilinearly; ``verify_ring_axioms`` compares
-the scalar ops with them.
+1.  The base radices, once per digit, are the radices of the construction,
+so ``kernel.Ring`` derives its addition from them.  The terms are the one
+definition of a construction's product: the scalar mul sums them, and the
+op tables and ``kernel._mul_many`` take the product from the structure
+constants, the scalar products of pairs of additive generators extended
+bilinearly; ``verify_ring_axioms`` compares the scalar mul with them.
 """
 
 from __future__ import annotations
@@ -65,18 +66,6 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
             i = i * b + d
         return i
 
-    def add(x, y):
-        i = 0
-        for w in weights:
-            i += base.add(x // w % b, y // w % b) * w
-        return i
-
-    def neg(x):
-        i = 0
-        for w in weights:
-            i += base.neg(x // w % b) * w
-        return i
-
     def mul(x, y):
         bmul, badd = base.mul, base.add
         dx, dy = digits(x), digits(y)
@@ -90,10 +79,10 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
     decode = decode or (lambda ds: tuple(base.decode(d) for d in ds))
     encode = encode or (lambda v: [base.encode(c) for c in v])
     return Ring(
-        order=n, add=add, mul=mul, neg=neg, one=sum(base.one * weights[t] for t in one),
+        order=n, mul=mul, one=sum(base.one * weights[t] for t in one),
         label=label, kind=kind, decode=lambda x: decode(digits(x)),
         encode=lambda v: index(encode(v)), fmt=lambda x: fmt(digits(x)),
-        radices=None if base.radices is None else base.radices * nd, meta=meta,
+        radices=base.radices * nd, meta=meta,
     )
 
 
@@ -241,10 +230,9 @@ def _verify_associativity(R: Ring, label: str, gens):
 
     `gens` must generate R's additive group and R.mul must be additive in
     each argument; then the check is exhaustive at every order in |gens|^3
-    triples.  Over a base with radices the products are those of R's
-    structure constants, the |g|^2 scalar products of the generators, which
-    the op tables are built from later; over an opaque base each product is
-    a scalar mul call.
+    triples.  The products are those of R's structure constants, the |g|^2
+    scalar products of the generators, which the op tables are built from
+    later.
     """
     bad = _assoc_violation(lambda a, b: _mul_many(R, a, b), gens)
     if bad is not None:
@@ -259,8 +247,7 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
     generalized 2x2 construction.  The exponent scheme is verified by an
     associativity gate at construction time, exhaustive at every order: the
     product is additive in each argument, so it is checked on all triples
-    of additive generators (each digit slot times a generator of the base,
-    or times every base element over an opaque base).
+    of additive generators (each digit slot times a generator of the base).
     """
     if k < 2:
         raise ValueError("formal matrix ring needs k >= 2")

@@ -5,10 +5,12 @@ supplies encode/decode maps between indices and its natural element shape
 (residues, matrices, coefficient vectors, ...), so the deciders only ever
 see indices.
 
-A ring with radices has one definition of its product: the |g|^2 structure
-constants of its additive generators, the digits of g_i*g_j, extended
-bilinearly.  Up to TABLE_LIMIT the op tables are built from them; above it
-products are computed from them directly.  Products of many elements at once
+Every ring has radices, the sizes of the cyclic factors of its additive
+group, and they are its one definition of addition: digit by digit, each
+digit modulo its radix.  Its one definition of the product is the |g|^2
+structure constants of its additive generators, the digits of g_i*g_j,
+extended bilinearly.  Up to TABLE_LIMIT the op tables are built from them;
+above it products are computed from them directly.  Products of many elements at once
 go through ``_mul_many`` (and sums and differences through ``_add_many`` and
 ``_sub_many``): a lookup in the op tables when they exist, else the product
 of digit vectors through the structure constants, so a whole row x*R or
@@ -32,9 +34,8 @@ from .errors import CapExceededError, RingAxiomError
 CLASSIFY_CAP = 4096
 ARITH_CAP = 65536
 
-# Full op tables above this order cost too much memory; rings with radices
-# then multiply through their structure constants (`_mul_many`), opaque
-# rings through the scalar evaluators.
+# Full op tables above this order cost too much memory; rings then multiply
+# through their structure constants (`_mul_many`).
 TABLE_LIMIT = 1024
 # The one dtype of all three op tables: every entry is an index below
 # TABLE_LIMIT <= 2^15.  Lookups return it; arithmetic on a looked-up value
@@ -45,8 +46,8 @@ TABLE_DTYPE = np.int16
 ROW_BLOCK = 2**18
 
 # Axiom checking above TABLE_LIMIT, where no op tables exist: the laws other
-# than the associativity of a ring with radices are checked on this many
-# random triples.
+# than associativity on generator triples are checked on this many random
+# triples.
 LAW_SAMPLES = 10_000
 
 
@@ -70,43 +71,58 @@ class RingCaches:
 class Ring:
     """A fully materialized finite ring.
 
-    `add`, `mul`, `neg` are total evaluators on indices.  After freeze()
-    the caches are populated, read-only op tables of dtype TABLE_DTYPE are
-    installed for orders up to TABLE_LIMIT, `add`, `mul` and `neg` read
-    those tables (no Python copy), and the ring must be treated as
-    immutable.
+    `radices` lists the sizes r_i >= 1 of the cyclic factors of the
+    additive group, little-endian: index sum(d_i * w_i),
+    w_i = r_0 * ... * r_{i-1}, is sum(d_i * g_i) with generator g_i at
+    index w_i.  They define addition: `add` and `neg` work digit by digit
+    modulo r_i, and `sub` is a + (-b).  `mul` is the construction's total
+    evaluator on indices.  The tables and `_mul_many` take the product
+    from the structure constants, the scalar products g_i*g_j extended
+    bilinearly, which is exact only when mul is additive in each argument:
+    verify_ring_axioms compares the scalar mul with them on generator
+    rows, columns and squares, and tests/test_kernel.py checks full
+    scalar/table agreement for every construction.
 
-    `radices` lists the sizes r_i of the cyclic factors of the additive
-    group, little-endian: index sum(d_i * w_i), w_i = r_0 * ... * r_{i-1},
-    is sum(d_i * g_i) with generator g_i at index w_i.  Without it the
-    ring is opaque and its tables are filled pair by pair.  With it, the
-    tables and `_mul_many` both take the product from the structure
-    constants, the scalar products g_i*g_j extended bilinearly, which is
-    exact only when mul is additive in each argument: verify_ring_axioms
-    compares the scalar ops with them on generator rows, columns and
-    squares, and tests/test_kernel.py checks full scalar/table agreement
-    for every construction.
+    After freeze() the caches are populated, read-only op tables of dtype
+    TABLE_DTYPE are installed for orders up to TABLE_LIMIT, `add`, `mul`
+    and `neg` read those tables (no Python copy), and the ring must be
+    treated as immutable.
     """
 
     def __init__(
         self,
         order: int,
-        add: Callable[[int, int], int],
         mul: Callable[[int, int], int],
-        neg: Callable[[int], int],
         one: int,
         label: str,
-        kind: str = "opaque",
+        radices: Sequence[int],
+        kind: str = "custom",
         decode: Optional[Callable[[int], object]] = None,
         encode: Optional[Callable[[object], int]] = None,
         fmt: Optional[Callable[[int], str]] = None,
-        radices: Optional[Sequence[int]] = None,
         meta: Optional[dict] = None,
     ):
         if order < 1:
             raise ValueError("ring order must be >= 1")
-        if radices is not None and math.prod(radices) != order:
-            raise ValueError(f"radices {tuple(radices)} do not multiply to order {order}")
+        radices = tuple(radices)
+        if not all(isinstance(r, int) and r >= 1 for r in radices):
+            raise ValueError(f"radices {radices} must be integers >= 1")
+        if math.prod(radices) != order:
+            raise ValueError(f"radices {radices} do not multiply to order {order}")
+        places = _places(radices)
+
+        def add(a, b):
+            s = 0
+            for w, r in places:
+                s += (a // w + b // w) % r * w
+            return s
+
+        def neg(a):
+            s = 0
+            for w, r in places:
+                s += -(a // w) % r * w
+            return s
+
         self.order = order
         self.zero = 0
         self.one = one
@@ -118,7 +134,7 @@ class Ring:
         self._decode = decode or (lambda i: i)
         self._encode = encode or (lambda v: int(v))
         self._fmt = fmt or (lambda i: str(i))
-        self.radices = tuple(radices) if radices is not None else None
+        self.radices = radices
         self.meta = meta or {}
         self.caches: Optional[RingCaches] = None
         self._add_np: Optional[np.ndarray] = None
@@ -185,39 +201,30 @@ def _build_tables(R: Ring) -> None:
     int: the tables are the only copy, with no Python list behind the
     scalar ops.
 
-    With R.radices the generator rows g + z and g*z come from the digits and
-    structure constants (`_add_many`, `_mul_many`), so the build calls the
-    scalar mul only |g|^2 times, for C, and the scalar add never.  On every
-    ring the negatives are read off the add table, -x being the z with
-    x + z = 0, so no build calls the scalar neg.  Row 0 is
-    0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
+    The generator rows g + z and g*z come from the digits and structure
+    constants (`_add_many`, `_mul_many`), so the build calls the scalar mul
+    only |g|^2 times, for C, and the scalar add never.  The negatives are
+    read off the add table, -x being the z with x + z = 0, so the build
+    never calls the scalar neg.  Row 0 is 0 + z = z and 0*z = 0, and
+    `_doubling_table` fills the rest,
     x + z = (x - p*w) + (p*w + z) by composing add rows and
     x*z = (x - p*w)*z + (p*w)*z through the finished add table, both as
     flat ``take`` gathers (the flat index x*n + z formed in int32).  So the
     tables are the bilinear extension of the products g_i*g_j, the same
-    product `_mul_many` gives above TABLE_LIMIT; they equal the scalar ops
-    exactly when mul is additive in each argument, which
+    product `_mul_many` gives above TABLE_LIMIT; they equal the scalar mul
+    exactly when it is additive in each argument, which
     verify_ring_axioms compares on generator rows, columns and squares.
-    Opaque rings (radices None) evaluate all n^2 pairs.
     """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
     n = R.order
-    if R.radices is None:
-        def table(op):
-            return np.fromiter(
-                (op(a, b) for a in range(n) for b in range(n)), dtype=TABLE_DTYPE, count=n * n
-            ).reshape(n, n)
-
-        add_np, mul_np = table(R.add), table(R.mul)
-    else:
-        every = np.arange(n)
-        G = np.array(_additive_generators(R), dtype=np.int64)[:, None]
-        add_np = _doubling_table(R, _add_many(R, G, every), every,
-                                 lambda block, row: block.take(row, axis=1))
-        flat = add_np.ravel()                 # x + z at x*n + z, widened before the product
-        mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
-                                 lambda block, row: flat.take(block.astype(np.int32) * n + row))
+    every = np.arange(n)
+    G = np.array(_additive_generators(R), dtype=np.int64)[:, None]
+    add_np = _doubling_table(R, _add_many(R, G, every), every,
+                             lambda block, row: block.take(row, axis=1))
+    flat = add_np.ravel()                     # x + z at x*n + z, widened before the product
+    mul_np = _doubling_table(R, _mul_many(R, G, every), 0,
+                             lambda block, row: flat.take(block.astype(np.int32) * n + row))
     neg_np = (add_np == 0).argmax(1).astype(TABLE_DTYPE)   # the column of 0 in each row x + z
     for T in (add_np, mul_np, neg_np):
         T.flags.writeable = False
@@ -237,7 +244,7 @@ def _indicator(n: int, members) -> np.ndarray:
 
 
 def _structure_constants(R: Ring) -> tuple:
-    """(D, C, r, w) of a ring with radices, built on first use and cached.
+    """(D, C, r, w) of R, built on first use and cached.
 
     w are the additive generators (`_additive_generators`) and r their
     radices.  D[x, l] = x // w_l % r_l is digit l of x, an n x |g| matrix,
@@ -270,14 +277,12 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     With op tables this is a lookup, of whole rows or columns when one side
     is a column block (k, 1) and the other every element in order, in the
     tables' dtype TABLE_DTYPE (widen it before any arithmetic).  Without
-    tables (above TABLE_LIMIT, or while `_build_tables` derives them), a
-    ring with radices multiplies digit vectors: mul is
-    additive in each argument, so a*b = sum over i, j of a_i * b_j *
-    (g_i*g_j), reduced mod r digit by digit after each contraction.  A
-    single a gives the row a*b as one |g| x |g| matrix (the digits of
-    a*g_j) applied to the digits of b, a single b likewise the column;
-    otherwise the sum runs over j.  Opaque rings call the scalar mul on
-    every pair.
+    tables (above TABLE_LIMIT, or while `_build_tables` derives them), it
+    multiplies digit vectors: mul is additive in each argument, so
+    a*b = sum over i, j of a_i * b_j * (g_i*g_j), reduced mod r digit by
+    digit after each contraction.  A single a gives the row a*b as one
+    |g| x |g| matrix (the digits of a*g_j) applied to the digits of b, a
+    single b likewise the column; otherwise the sum runs over j.
     """
     a, b = np.asarray(a), np.asarray(b)
     if R._mul_np is not None:
@@ -287,8 +292,6 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
         if b.shape[1:] == (1,) and a.shape == every and (a == np.arange(R.order)).all():
             return R._mul_np[:, b[:, 0]].T             # the columns R*b
         return R._mul_np[a, b]
-    if R.radices is None:
-        return _scalar_many(R.mul, a, b)
     D, C, r, _ = _structure_constants(R)
     shape = np.broadcast_shapes(a.shape, b.shape)
     L = len(r)
@@ -309,8 +312,6 @@ def _add_many(R: Ring, a, b) -> np.ndarray:
     digit by digit without op tables (see `_mul_many`)."""
     if R._add_np is not None:
         return R._add_np[a, b]
-    if R.radices is None:
-        return _scalar_many(R.add, a, b)
     D = _structure_constants(R)[0]
     return _index(R, D.take(a, 0) + D.take(b, 0))
 
@@ -319,8 +320,6 @@ def _sub_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise differences a - b, as `_add_many`."""
     if R._add_np is not None:
         return R._add_np[a, R._neg_np[b]]
-    if R.radices is None:
-        return _scalar_many(R.sub, a, b)
     D = _structure_constants(R)[0]
     return _index(R, D.take(a, 0) - D.take(b, 0))
 
@@ -329,7 +328,7 @@ def _row_blocks(R: Ring, xs) -> list:
     """The index array xs as column blocks (b, 1) in index order, so that
     ``_mul_many(R, block, every)`` is the rows x*R of the block's x: blocks
     of ROW_BLOCK // n of them with op tables, else one x per block, in
-    O(n * |g|) memory for a ring with radices."""
+    O(n * |g|) memory."""
     xs = np.asarray(xs, dtype=np.int64)[:, None]
     rows = max(1, ROW_BLOCK // R.order) if R._mul_np is not None else 1
     return [xs[i:i + rows] for i in range(0, len(xs), rows)]
@@ -372,6 +371,9 @@ def _power_scan(R: Ring) -> tuple:
     low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+k-m), j = 1
     j = 1
     while live.size:
+        if j > n:       # m <= n in a ring: products of powers of x disagree
+            raise RingAxiomError(f"{R.label}: multiplication not power-associative at "
+                                 f"{int(live[0])}")
         hit = low == high
         m[live[hit]] = j
         live, low, high = live[~hit], low[~hit], high[~hit]
@@ -446,12 +448,12 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     """Populate the structural caches; idempotent; returns the same ring.
 
     Op tables are built up to TABLE_LIMIT.  On either side of it every set
-    is read through `_mul_many`, in O(n * |g|) memory per
-    read above the limit for a ring with radices: one power scan gives the
-    power indices (m, k) of every element and from them the units and their
-    inverses (`_compute_units`); idempotents and nilpotents are whole-ring
-    products; the Jacobson radical is sieved from the nilpotents, one column
-    R*x per nilpotent x tested (`_compute_jacobson`).
+    is read through `_mul_many`, in O(n * |g|) memory per read above the
+    limit: one power scan gives the power indices (m, k) of every element
+    and from them the units and their inverses (`_compute_units`);
+    idempotents and nilpotents are whole-ring products; the Jacobson
+    radical is sieved from the nilpotents, one column R*x per nilpotent x
+    tested (`_compute_jacobson`).
     """
     if R.caches is not None:
         return R
@@ -504,9 +506,7 @@ def make_zmod(n: int, cap: int = ARITH_CAP) -> Ring:
         raise CapExceededError(f"Z({n}) exceeds cap {cap}")
     return Ring(
         order=n,
-        add=lambda a, b: (a + b) % n,
         mul=lambda a, b: (a * b) % n,
-        neg=lambda a: (-a) % n,
         one=1 % n,
         label=f"Z({n})",
         kind="zmod",
@@ -522,24 +522,19 @@ def direct_product(R: Ring, S: Ring, cap: int = ARITH_CAP) -> Ring:
         raise CapExceededError(f"{R.label} x {S.label} exceeds cap {cap}")
     s = S.order
 
-    def add(a, b):
-        return R.add(a // s, b // s) * s + S.add(a % s, b % s)
-
     def mul(a, b):
         return R.mul(a // s, b // s) * s + S.mul(a % s, b % s)
 
     return Ring(
         order=n,
-        add=add,
         mul=mul,
-        neg=lambda a: R.neg(a // s) * s + S.neg(a % s),
         one=R.one * s + S.one,
         label=f"{R.label} x {S.label}",
         kind="product",
         decode=lambda i: (R.decode(i // s), S.decode(i % s)),
         encode=lambda v: R.encode(v[0]) * s + S.encode(v[1]),
         fmt=lambda i: f"({R.format_element(i // s)}, {S.format_element(i % s)})",
-        radices=None if None in (R.radices, S.radices) else S.radices + R.radices,
+        radices=S.radices + R.radices,
         meta={"factors": (R, S)},
     )
 
@@ -547,19 +542,19 @@ def direct_product(R: Ring, S: Ring, cap: int = ARITH_CAP) -> Ring:
 # -- axiom verification ----------------------------------------------------
 
 
-def _additive_generators(R: Ring) -> list:
-    """Elements that generate R's additive group.
-
-    The radix weights w_i with r_i > 1; every element of an opaque ring.
-    """
-    if R.radices is None:
-        return list(range(R.order))
-    gens, w = [], 1
-    for r in R.radices:
+def _places(radices) -> list:
+    """(w_i, r_i) for every radix r_i > 1, with weight w_i = r_0 * ... * r_{i-1}."""
+    places, w = [], 1
+    for r in radices:
         if r > 1:
-            gens.append(w)
+            places.append((w, r))
         w *= r
-    return gens
+    return places
+
+
+def _additive_generators(R: Ring) -> list:
+    """Elements that generate R's additive group: the weights w_i with r_i > 1."""
+    return [w for w, _ in _places(R.radices)]
 
 
 def _assoc_violation(mul, gens) -> Optional[tuple]:
@@ -599,9 +594,6 @@ def _law_violation(A: np.ndarray, M: np.ndarray, gens) -> Optional[tuple]:
       the same closure, M is additive in each argument (b = 0 gives
       a*0 = 0 in the group A);
     - (g*h)*k == g*(h*k) on generator triples (`_assoc_violation`).
-
-    With every element as a generator (an opaque ring) this is the
-    exhaustive O(n^3) check.
     """
     n = A.shape[0]
     if not np.array_equal(A, A.T):
@@ -643,62 +635,54 @@ def _law_violation(A: np.ndarray, M: np.ndarray, gens) -> Optional[tuple]:
 def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
     """Raise RingAxiomError (an AssertionError) on the first violated ring axiom.
 
-    Identities and inverses are first checked through the scalar ops on
-    the first 4096 elements x (all of them up to CLASSIFY_CAP).  For a ring
-    with radices and no tables yet, the scalar ops are then compared, on
-    both sides of TABLE_LIMIT, with the one product definition the tables
-    and `_mul_many` share, the digits and structure constants of R.radices:
-    on every generator row g + x and g*x, every column x*g and the squares
-    x*x of those x.  Up to TABLE_LIMIT the op tables are then built and
-    checked: identities and inverses on every element, and every law
+    Addition is the digits of R.radices, so the scalar add and neg are an
+    abelian group by construction; only the scalar mul is checked.  The
+    multiplicative identity is first checked through it on the first 4096
+    elements x (all of them up to CLASSIFY_CAP).  With no tables yet, the
+    scalar mul is then compared, on both sides of TABLE_LIMIT, with the one
+    product definition the tables and `_mul_many` share, the structure
+    constants: on every generator row g*x, every column x*g and the
+    squares x*x of those x.  Up to TABLE_LIMIT the op tables are then built
+    and checked: identities and inverses on every element, and every law
     exhaustively against the additive generators (`_law_violation`).
-    Above it no tables exist.  For a ring with radices associativity is
-    then checked on all |g|^3 generator triples through the scalar mul
-    (exhaustive when mul is additive), and the other laws, additivity
-    included, on LAW_SAMPLES random triples; an opaque ring gets the
-    sampled laws only.  tests/test_kernel.py checks full scalar agreement
-    for every construction.  The checks raise explicitly, so they also
-    hold under ``python -O``.
+    Above it no tables exist.  Associativity is then checked on all |g|^3
+    generator triples through the scalar mul (exhaustive when mul is
+    additive), and associativity and distributivity on LAW_SAMPLES random
+    triples.  tests/test_kernel.py checks full scalar agreement for every
+    construction.  The checks raise explicitly, so they also hold under
+    ``python -O``.
     """
     n = R.order
     zero, one = R.zero, R.one
     label = R.label
     if n == 1:
-        if not (R.add(0, 0) == 0 and R.mul(0, 0) == 0):
-            raise RingAxiomError(f"{label}: the zero ring's operations do not fix 0")
+        if R.mul(0, 0) != 0:
+            raise RingAxiomError(f"{label}: the zero ring's product does not fix 0")
         return
     if zero == one:
         raise RingAxiomError(f"{label}: zero == one with order > 1")
 
-    add, mul, neg = R.add, R.mul, R.neg
-    checked = min(n, 4096)      # elements checked through the scalar ops
+    add, mul = R.add, R.mul
+    checked = min(n, 4096)      # elements checked through the scalar mul
     for x in range(checked):
-        if add(x, zero) != x:
-            raise RingAxiomError(f"{label}: additive identity fails at {x}")
-        if add(x, neg(x)) != zero:
-            raise RingAxiomError(f"{label}: inverse fails at {x}")
         if not (mul(x, one) == x and mul(one, x) == x):
             raise RingAxiomError(f"{label}: multiplicative identity fails at {x}")
 
-    if R.radices is not None and R._mul_np is None:
-        # The scalar ops against the digits and structure constants of
-        # R.radices, which the tables are built from: the rows g + x and
-        # g*x, the columns x*g and the squares x*x, with one scalar call
-        # per distinct pair.
+    if R._mul_np is None:
+        # The scalar mul against the structure constants, which the tables
+        # are built from: the rows g*x, the columns x*g and the squares x*x,
+        # with one scalar call per distinct pair.
         gens, x = _additive_generators(R), np.arange(checked)
         g, y = np.repeat(gens, checked), np.tile(x, len(gens))     # every pair (g, y)
-        for name, sign, op, many, derived, a, b in [
-                ("add", "+", add, _add_many, "digits", g, y),
-                ("mul", "*", mul, _mul_many, "structure constants",
-                 np.concatenate((g, y, x)), np.concatenate((y, g, x)))]:
-            pairs, inverse = np.unique(a * n + b, return_inverse=True)
-            scalar = _scalar_many(op, pairs // n, pairs % n)[inverse]
-            expected = many(R, a, b)
-            bad = np.flatnonzero(scalar != expected)
-            if bad.size:
-                i = bad[0]
-                raise RingAxiomError(f"{label}: scalar {name} gives {a[i]}{sign}{b[i]} = "
-                                     f"{scalar[i]}, its {derived} {expected[i]}")
+        a, b = np.concatenate((g, y, x)), np.concatenate((y, g, x))
+        pairs, inverse = np.unique(a * n + b, return_inverse=True)
+        scalar = _scalar_many(mul, pairs // n, pairs % n)[inverse]
+        expected = _mul_many(R, a, b)
+        bad = np.flatnonzero(scalar != expected)
+        if bad.size:
+            i = bad[0]
+            raise RingAxiomError(f"{label}: scalar mul gives {a[i]}*{b[i]} = "
+                                 f"{scalar[i]}, its structure constants {expected[i]}")
     _build_tables(R)
 
     if R._mul_np is not None:
@@ -715,18 +699,12 @@ def verify_ring_axioms(R: Ring, rng: Optional[random.Random] = None) -> None:
             raise RingAxiomError(f"{label}: {law} at {at}")
         return
 
-    if R.radices is not None:
-        bad = _assoc_violation(np.frompyfunc(lambda a, b: mul(int(a), int(b)), 2, 1),
-                               _additive_generators(R))
-        if bad is not None:
-            raise RingAxiomError(f"{label}: multiplication not associative at {bad}")
+    bad = _assoc_violation(lambda a, b: _scalar_many(mul, a, b), _additive_generators(R))
+    if bad is not None:
+        raise RingAxiomError(f"{label}: multiplication not associative at {bad}")
     rng = rng or random.Random(0)
     for _ in range(LAW_SAMPLES):
         a, b, c = (rng.randrange(n) for _ in range(3))
-        if add(a, b) != add(b, a):
-            raise RingAxiomError(f"{label}: addition not commutative at {(a, b)}")
-        if add(add(a, b), c) != add(a, add(b, c)):
-            raise RingAxiomError(f"{label}: addition not associative at {(a, b, c)}")
         if mul(mul(a, b), c) != mul(a, mul(b, c)):
             raise RingAxiomError(
                 f"{label}: multiplication not associative at {(a, b, c)}")

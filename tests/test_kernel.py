@@ -180,29 +180,38 @@ def test_product_axioms():
     verify_ring_axioms(direct_product(make_zmod(4), make_zmod(9)))
 
 
-# Each ring is rejected by verify_ring_axioms, the last one by classify.
+# Each ring is rejected by verify_ring_axioms, then tampered tables by
+# freeze and a tampered power scan by classify.
 _NON_RINGS = """
-from finring import Ring, classify, freeze, make_zmod, verify_ring_axioms
+from finring import Ring, classify, freeze, kernel, make_zmod, verify_ring_axioms
 non_rings = [
-    # (a - b) mod 3 as "addition": has an identity and inverses, not commutative.
-    Ring(3, add=lambda a, b: (a - b) % 3, mul=lambda a, b: a * b % 3,
-         neg=lambda a: a, one=1, label="(a - b) mod 3"),
     # Z/3 with 2*2 = 0: not left-additive, which its radices claim.
-    Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 2, 0]][a][b],
-         neg=lambda a: (-a) % 3, one=1, label="2*2 = 0 mod 3", radices=(3,)),
+    Ring(3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 2, 0]][a][b], one=1,
+         label="2*2 = 0 mod 3", radices=(3,)),
     # Z/3 with 2*1 = 0: its generator row 1*y is right, so its table is Z/3's.
-    Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 0, 1]][a][b],
-         neg=lambda a: (-a) % 3, one=1, label="2*1 = 0 mod 3", radices=(3,)),
+    Ring(3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 0, 1]][a][b], one=1,
+         label="2*1 = 0 mod 3", radices=(3,)),
     # Z(2) x Z(2) with 0*1 = 1: its generator rows and squares are right,
     # its column z*1 is not.
-    Ring(4, add=lambda a, b: a ^ b, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b,
-         neg=lambda a: a, one=3, label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2)),
+    Ring(4, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b, one=3,
+         label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2)),
 ]
 for R in non_rings:
     try:
         verify_ring_axioms(R)
     except AssertionError as exc:
         print(__debug__, type(exc).__name__)
+# Z(6) tables with 5*2 = 0 and 5*5 = 2: the powers of 5 by repeated products
+# and by squaring never meet, so the power scan must stop and raise.
+R = make_zmod(6)
+kernel._build_tables(R)
+M = R._mul_np.copy()
+M[5, 2], M[5, 5] = 0, 2
+R._mul_np = M
+try:
+    freeze(R)
+except AssertionError as exc:
+    print(__debug__, type(exc).__name__)
 # A power scan that denies 0 = 0^2 its group inverse: classify's check of
 # strong regularity against m = 1 rejects it.
 R = freeze(make_zmod(4))
@@ -231,10 +240,6 @@ _NON_RINGS_ABOVE_LIMIT = """
 from finring import Ring, verify_ring_axioms
 
 
-def digitwise(op):
-    return lambda x, y: sum(op(x // 11**t % 11, y // 11**t % 11) % 11 * 11**t for t in range(3))
-
-
 def ef_is_e(x, y):
     # Basis 1, e, f (digits a, b, c) over Z(11), with e*f = e and every other
     # product of e and f zero: bilinear and unital, but (e*f)*f = e, e*(f*f) = 0.
@@ -244,18 +249,15 @@ def ef_is_e(x, y):
 
 non_rings = [
     # x^2 y: not additive in x; 2*1 = 4.
-    Ring(1031, add=lambda a, b: (a + b) % 1031, mul=lambda a, b: a * a * b % 1031,
-         neg=lambda a: -a % 1031, one=1, label="x^2 y", radices=(1031,)),
+    Ring(1031, mul=lambda a, b: a * a * b % 1031, one=1, label="x^2 y", radices=(1031,)),
     # xy + 5(x^2 - x)(y^2 - y): unital, but not additive.
-    Ring(1031, add=lambda a, b: (a + b) % 1031,
-         mul=lambda a, b: (a * b + 5 * (a * a - a) * (b * b - b)) % 1031,
-         neg=lambda a: -a % 1031, one=1, label="xy + 5(x^2 - x)(y^2 - y)", radices=(1031,)),
-    # Z(1296) is a ring, but its generator 1 has order 1296, not the radix 6.
-    Ring(1296, add=lambda a, b: (a + b) % 1296, mul=lambda a, b: a * b % 1296,
-         neg=lambda a: -a % 1296, one=1, label="Z(1296) as (6, 216)", radices=(6, 216)),
-    Ring(1331, add=digitwise(lambda a, b: a + b), mul=ef_is_e,
-         neg=lambda x: digitwise(lambda a, b: -a)(x, 0), one=1, label="ef = e",
-         radices=(11, 11, 11)),
+    Ring(1031, mul=lambda a, b: (a * b + 5 * (a * a - a) * (b * b - b)) % 1031, one=1,
+         label="xy + 5(x^2 - x)(y^2 - y)", radices=(1031,)),
+    # The product of Z(1296) is not additive over Z(6) x Z(216), whose
+    # generator 1 has order 6.
+    Ring(1296, mul=lambda a, b: a * b % 1296, one=1, label="Z(1296) as (6, 216)",
+         radices=(6, 216)),
+    Ring(1331, mul=ef_is_e, one=1, label="ef = e", radices=(11, 11, 11)),
 ]
 for R in non_rings:
     try:
@@ -278,44 +280,32 @@ def test_axioms_above_table_limit_reject_non_rings_under_optimize():
         ["False", "RingAxiomError", "x^2 y: multiplicative identity fails at 2"],
         ["False", "RingAxiomError",
          "xy + 5(x^2 - x)(y^2 - y): scalar mul gives 2*2 = 24, its structure constants 4"],
-        ["False", "RingAxiomError", "Z(1296) as (6, 216): scalar add gives 1+5 = 6, its digits 0"],
+        ["False", "RingAxiomError",
+         "Z(1296) as (6, 216): scalar mul gives 3*3 = 9, its structure constants 3"],
         ["False", "RingAxiomError", "ef = e: multiplication not associative at (11, 121, 121)"],
     ]
 
 
 def test_axioms_reject_non_additive_scalar_mul():
     # The structure constant 1*1 = 1 gives 2*2 = 1*2 + 1*2 = 1; the scalar
-    # mul says 0.  Without radices the table is the scalar mul and left
-    # distributivity fails.
-    def ring(table, radices):
-        return Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: table[a][b],
-                    neg=lambda a: (-a) % 3, one=1, label="non-additive mod 3", radices=radices)
+    # mul says 0.
+    def ring(table):
+        return Ring(3, mul=lambda a, b: table[a][b], one=1, label="non-additive mod 3",
+                    radices=(3,))
 
-    two_squared_zero = [[0, 0, 0], [0, 1, 2], [0, 2, 0]]
     with pytest.raises(RingAxiomError,
                        match=r"scalar mul gives 2\*2 = 0, its structure constants 1"):
-        verify_ring_axioms(ring(two_squared_zero, (3,)))
-    with pytest.raises(RingAxiomError, match=r"left distributivity fails at \(2, 1, 1\)"):
-        verify_ring_axioms(ring(two_squared_zero, None))
+        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 2, 0]]))
     # With 2*1 = 0 the generator row 1*y is right, so the table is Z/3's;
     # the identity checks through the scalar mul catch it.
     with pytest.raises(RingAxiomError, match="multiplicative identity fails at 2"):
-        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 0, 1]], (3,)))
+        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 0, 1]]))
     # Z(2) x Z(2) with 0*1 = 1: the generator rows g*y, the squares and the
     # identities are right; only the column y*g compares the scalar 0*1.
-    R = Ring(4, add=lambda a, b: a ^ b, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b,
-             neg=lambda a: a, one=3, label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2))
+    R = Ring(4, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b, one=3,
+             label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2))
     with pytest.raises(RingAxiomError,
                        match=r"scalar mul gives 0\*1 = 1, its structure constants 0"):
-        verify_ring_axioms(R)
-
-
-def test_axioms_reject_wrong_scalar_add_beyond_generator_rows():
-    # 2 + 0 = 1, but the generator row 1 + y is right, so the table is Z/3's.
-    table = [[0, 1, 2], [1, 2, 0], [1, 0, 1]]
-    R = Ring(3, add=lambda a, b: table[a][b], mul=lambda a, b: a * b % 3,
-             neg=lambda a: (-a) % 3, one=1, label="2 + 0 = 1 mod 3", radices=(3,))
-    with pytest.raises(RingAxiomError, match="additive identity fails at 2"):
         verify_ring_axioms(R)
 
 
@@ -380,21 +370,17 @@ def test_law_check_names_the_broken_law():
     assert at[0] not in _closure(P._add_np, [1])
 
 
-def _opaque(R):
-    return Ring(R.order, add=R.add, mul=R.mul, neg=R.neg, one=R.one, label=f"{R.label} opaque")
-
-
-@pytest.mark.parametrize("expr,opaque", [
+# With `every`, every element is passed as a generator: a generating set
+# far larger than the radix weights, on which the check is the O(n^3) one.
+@pytest.mark.parametrize("expr,every", [
     ("Z(6)", True), ("Z(2) x Z(4)", True),
     ("Z(2) x Z(4)", False), ("M(2, Z(2))", False), ("GR(Z(2), C(2) x C(2))", False),
 ])
-def test_law_check_matches_reference_on_mutants(expr, opaque):
+def test_law_check_matches_reference_on_mutants(expr, every):
     R = elaborate(parse(expr))
-    if opaque:
-        R = _opaque(R)
     kernel._build_tables(R)
-    gens = kernel._additive_generators(R)
-    assert len(gens) == (R.order if opaque else len(R.radices))
+    gens = list(R.elements()) if every else kernel._additive_generators(R)
+    assert len(gens) == (R.order if every else len(R.radices))
     A, M, n = R._add_np, R._mul_np, R.order
     assert kernel._law_violation(A, M, gens) is None and _laws_hold(A, M)
     rng = random.Random(0)
@@ -452,7 +438,6 @@ _SAMPLED = ["GR(Z(2), C(10))", "Triv(Z(32))", "U(2, Z(10))", "FM(3, Z(2), 0)"]
 @pytest.mark.parametrize("expr", _EXHAUSTIVE)
 def test_tables_match_scalar_ops(expr):
     R = elaborate(parse(expr))
-    assert R.radices is not None
     assert _table_mismatch(R) is None
 
 
@@ -588,12 +573,15 @@ def test_table_build_keeps_one_copy_of_each_table():
     assert retained <= 1.25 * tables, (retained, tables)
 
 
-@pytest.mark.parametrize("expr,opaque", [(e, False) for e in _EXHAUSTIVE] + [("Z(2) x Z(4)", True)])
-def test_tables_share_one_narrow_dtype(expr, opaque):
+# With `frozen`, the tables as freeze installs them rather than _build_tables.
+@pytest.mark.parametrize("expr,frozen",
+                         [(e, False) for e in _EXHAUSTIVE] + [("Z(2) x Z(4)", True)])
+def test_tables_share_one_narrow_dtype(expr, frozen):
     R = elaborate(parse(expr))
-    if opaque:
-        R = _opaque(R)
-    kernel._build_tables(R)
+    if frozen:
+        freeze(R)
+    else:
+        kernel._build_tables(R)
     for name in ("_add_np", "_mul_np", "_neg_np"):
         T = getattr(R, name)
         assert T.dtype == kernel.TABLE_DTYPE and not T.flags.writeable, name
@@ -630,16 +618,8 @@ def test_tables_at_order_1024_match_structure_constants(expr):
 
 def test_table_mismatch_is_reported():
     # x*y = x^2 y is not additive in x: the doubled row 2 is 2y, the scalar 4y = y.
-    R = Ring(3, add=lambda a, b: (a + b) % 3, mul=lambda a, b: a * a * b % 3,
-             neg=lambda a: (-a) % 3, one=1, label="x^2 y mod 3", radices=(3,))
+    R = Ring(3, mul=lambda a, b: a * a * b % 3, one=1, label="x^2 y mod 3", radices=(3,))
     assert _table_mismatch(R) == ("mul", 2, 1)
-
-
-def test_opaque_ring_tables_match_scalar_ops():
-    R = Ring(6, add=lambda a, b: (a + b) % 6, mul=lambda a, b: a * b % 6,
-             neg=lambda a: (-a) % 6, one=1, label="Z(6) opaque")
-    assert R.radices is None
-    assert _table_mismatch(R) is None
 
 
 # -- the vectorised product against the scalar ops -------------------------
@@ -697,13 +677,6 @@ def test_mul_many_matches_scalar_ops_nested_base(expr, monkeypatch):
     assert _all_pairs_mismatch(R) is None
 
 
-def test_mul_many_on_opaque_ring_calls_scalar_ops(monkeypatch):
-    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
-    R = _opaque(elaborate(parse("Z(2) x Z(4)")))
-    assert _all_pairs_mismatch(R) is None
-    assert R._structure is None
-
-
 @pytest.mark.parametrize("expr", ["Triv(Z(33))", "Z(5) x Triv(Z(15))", "M(2, Z(6))"])
 def test_mul_many_matches_scalar_ops_sampled(expr):
     R = elaborate(parse(expr))
@@ -715,12 +688,12 @@ def test_mul_many_matches_scalar_ops_sampled(expr):
 
 def test_product_radices():
     assert direct_product(make_zmod(4), make_zmod(6)).radices == (6, 4)
-    opaque = Ring(2, add=lambda a, b: (a + b) % 2, mul=lambda a, b: a * b,
-                  neg=lambda a: a, one=1, label="opaque")
-    assert direct_product(make_zmod(3), opaque).radices is None
 
 
 def test_radices_must_multiply_to_order():
-    with pytest.raises(ValueError):
-        Ring(6, add=lambda a, b: (a + b) % 6, mul=lambda a, b: a * b % 6,
-             neg=lambda a: (-a) % 6, one=1, label="Z(6)", radices=(2, 2))
+    # Negative radices multiply to 6 too; they are rejected before the product.
+    for radices, message in [((2, 2), "do not multiply to order 6"),
+                             ((-2, -3), "must be integers >= 1"),
+                             ((2.0, 3), "must be integers >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            Ring(6, mul=lambda a, b: a * b % 6, one=1, label="Z(6)", radices=radices)
