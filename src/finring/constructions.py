@@ -7,15 +7,16 @@ is one call of `_positional` with its terms (i, j, l, c), each meaning
 "digit l of x*y gains c*(x_i*y_j)", c a central base element or None for
 1.  The base radices, once per digit, are the radices of the construction,
 so ``kernel.Ring`` derives its addition from them.  The terms are the one
-definition of a construction's product: the scalar mul sums them, and the
-op tables and ``kernel._mul_many`` take the product from the structure
-constants, the scalar products of pairs of additive generators extended
-bilinearly; ``verify_ring_axioms`` compares the scalar mul with them.
+definition of a construction's product: `_positional` evaluates them once,
+on the products of the base's additive generators, into the products of
+the construction's generators, which ``kernel.Ring`` extends bilinearly.
 """
 
 from __future__ import annotations
 
 import contextlib
+
+import numpy as np
 
 from .errors import (
     AssociativityError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .kernel import (
-    ARITH_CAP, Ring, _additive_generators, _assoc_violation, _mul_many, is_nilpotent,
+    ARITH_CAP, Ring, _add_many, _additive_generators, _assoc_violation, _mul_many, is_nilpotent,
 )
 
 
@@ -38,9 +39,13 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
     runs the construction's own checks and returns the (i, j, l, c) list,
     and before it reads `one`, the digits that hold base.one in the
     identity.  fmt, decode and encode see digit lists; decode gives a tuple
-    of base values by default and encode takes one.  mul reads base.mul and
-    base.add on every call: `_build_tables` rebinds them to reads of the
-    base's numpy op tables when the base is frozen later.
+    of base values by default and encode takes one.
+
+    The generators of the ring are e*b^t, base generator e in digit t, in
+    that order (t outer).  The terms are evaluated once, on arrays: with
+    P[a, c] = e_a*e_c from the base's `_mul_many`, term (i, j, l, c) adds
+    c*P to digit l of every product (i, e_a)*(j, e_c) through its
+    `_add_many`.
     """
     b = base.order
     shown = f"{b}^{nd}"
@@ -66,20 +71,18 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
             i = i * b + d
         return i
 
-    def mul(x, y):
-        bmul, badd = base.mul, base.add
-        dx, dy = digits(x), digits(y)
-        out = [0] * nd
-        for i, j, l, c in terms:
-            if dx[i] and dy[j]:         # a zero digit's products add 0
-                p = bmul(dx[i], dy[j])
-                out[l] = badd(out[l], p if c is None else bmul(c, p))
-        return index(out)
+    E = np.array(_additive_generators(base), dtype=np.int64)
+    P = _mul_many(base, E[:, None], E)                         # [a, c] -> e_a*e_c
+    out = np.zeros((nd, nd, nd) + P.shape, dtype=np.int64)    # [i, j, l, a, c]
+    for i, j, l, c in terms:
+        out[i, j, l] = _add_many(base, out[i, j, l], P if c is None else _mul_many(base, c, P))
+    products = np.einsum("l,ijlac->iajc", np.array(weights, dtype=np.int64), out)
 
     decode = decode or (lambda ds: tuple(base.decode(d) for d in ds))
     encode = encode or (lambda v: [base.encode(c) for c in v])
     return Ring(
-        order=n, mul=mul, one=sum(base.one * weights[t] for t in one),
+        order=n, products=products.reshape(nd * len(E), nd * len(E)),
+        one=sum(base.one * weights[t] for t in one),
         label=label, kind=kind, decode=lambda x: decode(digits(x)),
         encode=lambda v: index(encode(v)), fmt=lambda x: fmt(digits(x)),
         radices=base.radices * nd, meta=meta,
@@ -199,12 +202,13 @@ def trivial_extension(base: Ring, cap: int = ARITH_CAP) -> Ring:
 
 
 def _require_central(base: Ring, s: int, label: str):
-    for t in range(base.order):
-        if base.mul(s, t) != base.mul(t, s):
-            raise NotCentralError(
-                f"{label}: s = {base.format_element(s)} is not central "
-                f"(fails at {base.format_element(t)})"
-            )
+    every = np.arange(base.order)
+    bad = np.flatnonzero(_mul_many(base, s, every) != _mul_many(base, every, s))
+    if bad.size:
+        raise NotCentralError(
+            f"{label}: s = {base.format_element(s)} is not central "
+            f"(fails at {base.format_element(int(bad[0]))})"
+        )
 
 
 def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
@@ -224,19 +228,16 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
                        terms, one=[0, 3], fmt=lambda ds: str([base.decode(d) for d in ds]))
 
 
-def _verify_associativity(R: Ring, label: str, gens):
-    """Raise AssociativityError on the least generator triple (g, h, k) with
-    (g*h)*k != g*(h*k), read through `_mul_many`.
-
-    `gens` must generate R's additive group and R.mul must be additive in
-    each argument; then the check is exhaustive at every order in |gens|^3
-    triples.  The products are those of R's structure constants, the |g|^2
-    scalar products of the generators, which the op tables are built from
-    later.
+def _verify_associativity(R: Ring):
+    """Raise AssociativityError on the least triple (g, h, k) of additive
+    generators with (g*h)*k != g*(h*k), from R's structure constants alone
+    (`kernel._assoc_violation`, the associativity check of
+    verify_ring_axioms): exhaustive at every order in |g|^3 triples, with
+    nothing of size |R|.
     """
-    bad = _assoc_violation(lambda a, b: _mul_many(R, a, b), gens)
+    bad = _assoc_violation(R)
     if bad is not None:
-        raise AssociativityError(f"{label}: multiplication not associative at {bad}")
+        raise AssociativityError(f"{R.label}: multiplication not associative at {bad}")
 
 
 def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
@@ -246,8 +247,8 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
     with d(i,t,j) = [i>t] + [t>j] - [i>j].  For k = 2 this is exactly the
     generalized 2x2 construction.  The exponent scheme is verified by an
     associativity gate at construction time, exhaustive at every order: the
-    product is additive in each argument, so it is checked on all triples
-    of additive generators (each digit slot times a generator of the base).
+    product is bilinear, so it is checked on all triples of additive
+    generators (each digit slot times a generator of the base).
     """
     if k < 2:
         raise ValueError("formal matrix ring needs k >= 2")
@@ -262,7 +263,5 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
         return _matrix_terms(k, s)
 
     R = _matrix(base, k, label, "formal_matrix", cap, {"base": base, "k": k, "s": s}, terms)
-    b = base.order
-    gens = [e * b**t for t in range(k * k) for e in _additive_generators(base)]
-    _verify_associativity(R, label, gens)
+    _verify_associativity(R)
     return R

@@ -491,6 +491,7 @@ def _element_masks(R: Ring) -> dict:
         clean |= is_unit[diff].any(0)
         nil_clean |= nil_diff.any(0)
         snc |= (nil_diff & (_mul_many(R, es, diff) == _mul_many(R, diff, es))).any(0)
+        del diff, nil_diff                              # before the next block's
     diesl = is_nil[_sub_many(R, x, _mul_many(R, x, x))]
     if not np.array_equal(snc, diesl):
         bad = int((snc != diesl).argmax())

@@ -31,13 +31,11 @@ def _closure(A, gens):
 
 
 def transposed_product():
-    """X o Y = (XY)^T on 2 x 2 matrices over Z(2): additive in X and in Y, not associative."""
+    """X o Y = (XY)^T on 2 x 2 matrices over Z(2): bilinear, not associative."""
     M2 = matrix_ring(make_zmod(2), 2)
-
-    def mul(x, y):
-        return M2.encode(tuple(zip(*M2.decode(M2.mul(x, y)))))
-
-    return Ring(16, mul=mul, one=M2.one, label="(XY)^T", radices=M2.radices)
+    gens = [1, 2, 4, 8]
+    products = [[M2.encode(tuple(zip(*M2.decode(M2.mul(g, h))))) for h in gens] for g in gens]
+    return Ring(16, products, one=M2.one, label="(XY)^T", radices=M2.radices)
 
 
 def unit_row_masks(R, nil_clean, snc):
@@ -110,8 +108,7 @@ def textbook_table(R):
     """
     base, kind = R.meta["base"], R.kind
     B = np.arange(base.order)
-    add, mul = (np.frompyfunc(op, 2, 1)(B[:, None], B).astype(np.int64)
-                for op in (base.add, base.mul))
+    add, mul = (op(base, B[:, None], B).astype(np.int64) for op in (_add_many, _mul_many))
 
     def total(values):
         return functools.reduce(lambda u, v: add[u, v], values)

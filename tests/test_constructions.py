@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from finring import (
 from finring import constructions
 from finring.cli import elaborate, parse
 from finring.constructions import _verify_associativity
-from finring.kernel import _additive_generators, _build_tables
+from finring.kernel import _additive_generators, _build_tables, _mul_many
 
 from _oracles import _check_assoc_np, _closure, textbook_table, transposed_product
 
@@ -53,10 +54,11 @@ def census(R):
     generalized_matrix(make_zmod(3), 2),
 ], ids=lambda R: R.label)
 def test_scalar_mul_matches_textbook_product(R):
-    # Every pair; the only check of K_s(R) against a product written
+    # Every pair, read through the structure constants the construction's
+    # terms produced; the only check of K_s(R) against a product written
     # independently of the construction code.
     every = np.arange(R.order)
-    got = np.frompyfunc(R.mul, 2, 1)(every[:, None], every).astype(np.int64)
+    got = _mul_many(R, every[:, None], every)
     want = textbook_table(R)
     assert np.argwhere(got != want)[:1].tolist() == []      # the least (x, y) that differs
 
@@ -259,16 +261,18 @@ class TestFormalMatrix:
         verify_ring_axioms(F)
 
     def test_gate_rejects_nonassociative(self):
-        # The cross product on Z(3)^3 is bilinear; (e0 x e0) x e1 = 0, but
-        # e0 x (e0 x e1) = e0 x e2 = -e1.
+        # The cross product on Z(3)^3, generators e0, e1, e2 at 1, 3, 9:
+        # (e0 x e0) x e1 = 0, but e0 x (e0 x e1) = e0 x e2 = -e1.
         def cross(x, y):
             a, b = ([z // 3**t % 3 for t in range(3)] for z in (x, y))
             c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
             return sum(v % 3 * 3**t for t, v in enumerate(c))
 
-        bogus = Ring(27, mul=cross, one=1, label="bogus", radices=(3, 3, 3))
+        gens = [1, 3, 9]
+        bogus = Ring(27, [[cross(g, h) for h in gens] for g in gens], one=1, label="bogus",
+                     radices=(3, 3, 3))
         with pytest.raises(AssociativityError, match=r"bogus: .* at \(1, 1, 3\)$"):
-            _verify_associativity(bogus, "bogus", _additive_generators(bogus))
+            _verify_associativity(bogus)
 
     @pytest.mark.parametrize("k,m", [(2, 4), (3, 2)])
     def test_gate_matches_full_table(self, k, m):
@@ -295,36 +299,51 @@ class TestFormalMatrix:
                         z ^= consts[i][j]
             return z
 
-        R = Ring(16, mul=mul, one=1, label="bilinear", radices=(2, 2, 2, 2))
+        R = Ring(16, consts, one=1, label="bilinear", radices=(2, 2, 2, 2))
         gens = [1, 2, 4, 8]
         least = next(((g, h, k) for g in gens for h in gens for k in gens
                       if mul(mul(g, h), k) != mul(g, mul(h, k))), None)
         if least is None:
-            _verify_associativity(R, R.label, _additive_generators(R))
+            _verify_associativity(R)
         else:
             with pytest.raises(AssociativityError, match=re.escape(f"at {least}")):
-                _verify_associativity(R, R.label, _additive_generators(R))
+                _verify_associativity(R)
         _build_tables(R)
         assert (_check_assoc_np(R._mul_np) is None) == (least is None)
 
     def test_gate_spanning_set_generates(self, monkeypatch):
+        # The gate reads the generator triples of the ring it is given, and
+        # those generators span its additive group.
         spans = []
 
-        def record(R, label, gens):
-            spans.append((R, gens))
-            return gate(R, label, gens)
+        def record(R):
+            spans.append(R)
+            return gate(R)
 
         gate = constructions._verify_associativity
         monkeypatch.setattr(constructions, "_verify_associativity", record)
-        formal_matrix(make_zmod(4), 2, 2)
-        (R, gens), = spans
+        F = formal_matrix(make_zmod(4), 2, 2)
+        R, = spans
+        assert R is F
         _build_tables(R)
-        assert _closure(R._add_np, gens) == set(range(R.order))
+        assert _closure(R._add_np, _additive_generators(R)) == set(range(R.order))
+
+    def test_gate_allocates_nothing_of_the_ring_order(self):
+        # Building FM(3, Z(4), 2), order 4^9, and gating it reads the 81
+        # generator products and the base alone.
+        tracemalloc.start()
+        try:
+            F = formal_matrix(make_zmod(4), 3, 2, cap=4 ** 9)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F.order == 4 ** 9 and F._structure is None
+        assert held < 2**20 and peak < 2**20, (held, peak)
 
     def test_gate_rejects_bilinear_nonassociative(self):
         R = transposed_product()
         with pytest.raises(AssociativityError) as err:
-            _verify_associativity(R, R.label, _additive_generators(R))
+            _verify_associativity(R)
         a, b, c = map(int, re.search(r"at \((\d+), (\d+), (\d+)\)$", str(err.value)).groups())
         assert R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c))
         _build_tables(R)

@@ -1,5 +1,6 @@
 """Element and ring deciders against hand-checked and brute-forced values."""
 
+import functools
 import itertools
 import json
 import random
@@ -483,6 +484,22 @@ def test_ni_witness_peak_is_below_the_mask_engine():
         finally:
             tracemalloc.stop()
     assert peaks[0] < peaks[1] < 3 * kernel.ROW_BLOCK * 8, peaks
+
+
+def test_idempotent_row_blocks_are_held_one_at_a_time():
+    # The Boolean ring Z(2)^10 has 1024 idempotents, so the x - e loop of the
+    # mask engine reads four row blocks of its 1024 x 1024 table.  Its peak
+    # stays that of a few arrays of one block (512 KiB of int16 each); the
+    # arrays of every block held at once would add 768 KiB per block.
+    R = freeze(functools.reduce(direct_product, [make_zmod(2)] * 10))
+    assert len(kernel._row_blocks(R, sorted(R.caches.idempotents))) == 4
+    tracemalloc.start()
+    try:
+        _element_masks(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * kernel.ROW_BLOCK * 2, peak
 
 
 ABOVE_LIMIT = [

@@ -4,6 +4,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,14 +24,13 @@ from finring import (
     is_nilpotent,
     kernel,
     make_zmod,
-    matrix_ring,
     ring_pow,
     trivial_extension,
     verify_ring_axioms,
 )
 from finring.cli import elaborate, parse
 
-from _oracles import _check_assoc_np, _closure, transposed_product
+from _oracles import _check_assoc_np
 
 
 def frozen_zmod(n):
@@ -180,21 +180,21 @@ def test_product_axioms():
     verify_ring_axioms(direct_product(make_zmod(4), make_zmod(9)))
 
 
-# Each ring is rejected by verify_ring_axioms, then tampered tables by
-# freeze and a tampered power scan by classify.
+# Each ring is rejected by verify_ring_axioms, one for each of its checks,
+# then tampered tables by freeze and a tampered power scan by classify.
 _NON_RINGS = """
 from finring import Ring, classify, freeze, kernel, make_zmod, verify_ring_axioms
 non_rings = [
-    # Z/3 with 2*2 = 0: not left-additive, which its radices claim.
-    Ring(3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 2, 0]][a][b], one=1,
-         label="2*2 = 0 mod 3", radices=(3,)),
-    # Z/3 with 2*1 = 0: its generator row 1*y is right, so its table is Z/3's.
-    Ring(3, mul=lambda a, b: [[0, 0, 0], [0, 1, 2], [0, 0, 1]][a][b], one=1,
-         label="2*1 = 0 mod 3", radices=(3,)),
-    # Z(2) x Z(2) with 0*1 = 1: its generator rows and squares are right,
-    # its column z*1 is not.
-    Ring(4, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b, one=3,
-         label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2)),
+    # Z(6)'s products on Z(2) x Z(3): 1 has additive order 2, 1*2 = 2 has 3,
+    # so no bilinear product has them.
+    Ring(6, [[1, 2], [2, 4]], one=1, label="Z(6) on (2, 3)", radices=(2, 3)),
+    # The cross product on Z(3)^3: bilinear, with no identity.
+    Ring(27, [[0, 9, 6], [18, 0, 1], [3, 2, 0]], one=1, label="cross product",
+         radices=(3, 3, 3)),
+    # Basis 1, e, f over Z(2) with e*f = e and every other product of e and
+    # f zero: bilinear and unital, but (e*f)*f = e, e*(f*f) = 0.
+    Ring(8, [[1, 2, 4], [2, 0, 2], [4, 0, 0]], one=1, label="ef = e mod 2",
+         radices=(2, 2, 2)),
 ]
 for R in non_rings:
     try:
@@ -239,25 +239,14 @@ def test_axioms_reject_non_ring_under_optimize():
 _NON_RINGS_ABOVE_LIMIT = """
 from finring import Ring, verify_ring_axioms
 
-
-def ef_is_e(x, y):
-    # Basis 1, e, f (digits a, b, c) over Z(11), with e*f = e and every other
-    # product of e and f zero: bilinear and unital, but (e*f)*f = e, e*(f*f) = 0.
-    (a, b, c), (p, q, r) = ((z % 11, z // 11 % 11, z // 121) for z in (x, y))
-    return (a * p) % 11 + (a * q + b * p + b * r) % 11 * 11 + (a * r + c * p) % 11 * 121
-
-
 non_rings = [
-    # x^2 y: not additive in x; 2*1 = 4.
-    Ring(1031, mul=lambda a, b: a * a * b % 1031, one=1, label="x^2 y", radices=(1031,)),
-    # xy + 5(x^2 - x)(y^2 - y): unital, but not additive.
-    Ring(1031, mul=lambda a, b: (a * b + 5 * (a * a - a) * (b * b - b)) % 1031, one=1,
-         label="xy + 5(x^2 - x)(y^2 - y)", radices=(1031,)),
-    # The product of Z(1296) is not additive over Z(6) x Z(216), whose
-    # generator 1 has order 6.
-    Ring(1296, mul=lambda a, b: a * b % 1296, one=1, label="Z(1296) as (6, 216)",
-         radices=(6, 216)),
-    Ring(1331, mul=ef_is_e, one=1, label="ef = e", radices=(11, 11, 11)),
+    # The products of Z(1296) on Z(6) x Z(216), generators 1 and 6: 1 has
+    # additive order 6, but 1*6 = 6 has order 216.
+    Ring(1296, [[1, 6], [6, 36]], one=1, label="Z(1296) as (6, 216)", radices=(6, 216)),
+    # Basis 1, e, f over Z(11), with e*f = e and every other product of e and
+    # f zero: bilinear and unital, but (e*f)*f = e, e*(f*f) = 0.
+    Ring(1331, [[1, 11, 121], [11, 0, 11], [121, 0, 0]], one=1, label="ef = e",
+         radices=(11, 11, 11)),
 ]
 for R in non_rings:
     try:
@@ -277,54 +266,9 @@ def test_axioms_above_table_limit_reject_non_rings_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert [line.split("|") for line in done.stdout.splitlines()] == [
-        ["False", "RingAxiomError", "x^2 y: multiplicative identity fails at 2"],
-        ["False", "RingAxiomError",
-         "xy + 5(x^2 - x)(y^2 - y): scalar mul gives 2*2 = 24, its structure constants 4"],
-        ["False", "RingAxiomError",
-         "Z(1296) as (6, 216): scalar mul gives 3*3 = 9, its structure constants 3"],
+        ["False", "RingAxiomError", "Z(1296) as (6, 216): torsion fails at (1, 6): 6*(1*6) != 0"],
         ["False", "RingAxiomError", "ef = e: multiplication not associative at (11, 121, 121)"],
     ]
-
-
-def test_axioms_reject_non_additive_scalar_mul():
-    # The structure constant 1*1 = 1 gives 2*2 = 1*2 + 1*2 = 1; the scalar
-    # mul says 0.
-    def ring(table):
-        return Ring(3, mul=lambda a, b: table[a][b], one=1, label="non-additive mod 3",
-                    radices=(3,))
-
-    with pytest.raises(RingAxiomError,
-                       match=r"scalar mul gives 2\*2 = 0, its structure constants 1"):
-        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 2, 0]]))
-    # With 2*1 = 0 the generator row 1*y is right, so the table is Z/3's;
-    # the identity checks through the scalar mul catch it.
-    with pytest.raises(RingAxiomError, match="multiplicative identity fails at 2"):
-        verify_ring_axioms(ring([[0, 0, 0], [0, 1, 2], [0, 0, 1]]))
-    # Z(2) x Z(2) with 0*1 = 1: the generator rows g*y, the squares and the
-    # identities are right; only the column y*g compares the scalar 0*1.
-    R = Ring(4, mul=lambda a, b: 1 if (a, b) == (0, 1) else a & b, one=3,
-             label="0*1 = 1 in Z(2) x Z(2)", radices=(2, 2))
-    with pytest.raises(RingAxiomError,
-                       match=r"scalar mul gives 0\*1 = 1, its structure constants 0"):
-        verify_ring_axioms(R)
-
-
-@pytest.mark.parametrize("table,entry,message", [
-    ("_add_np", (3, 0), "additive identity fails at 3"),
-    ("_add_np", (2, 3), "inverse fails at 2"),
-    ("_mul_np", (4, 1), "multiplicative identity fails at 4"),
-    ("_mul_np", (1, 4), "multiplicative identity fails at 4"),
-])
-def test_axioms_check_identities_on_tables(table, entry, message):
-    # Tampering with a built table leaves the table-backed scalar ops intact,
-    # so only the checks on the tables see it.
-    R = make_zmod(5)
-    kernel._build_tables(R)
-    T = getattr(R, table).copy()
-    T[entry] = (T[entry] + 1) % 5
-    setattr(R, table, T)
-    with pytest.raises(RingAxiomError, match=message):
-        verify_ring_axioms(R)
 
 
 # -- the generator-based law check against the O(n^3) reference --------------
@@ -343,64 +287,99 @@ def _laws_hold(A, M):
     return True
 
 
-_LAWS = {
-    "addition not commutative": lambda A, M, a, b: A[a, b] != A[b, a],
-    "addition not associative": lambda A, M, a, b, c: A[A[a, b], c] != A[a, A[b, c]],
-    "left distributivity fails": lambda A, M, a, b, c: M[a, A[b, c]] != A[M[a, b], M[a, c]],
-    "right distributivity fails": lambda A, M, a, b, c: M[A[b, c], a] != A[M[b, a], M[c, a]],
-    "multiplication not associative": lambda A, M, a, b, c: M[M[a, b], c] != M[a, M[b, c]],
-}
+def _full_tables(R):
+    """R's add and mul tables on all n^2 pairs, read through _add_many and
+    _mul_many, without building R's op tables."""
+    every = np.arange(R.order)
+    return kernel._add_many(R, every[:, None], every), kernel._mul_many(R, every[:, None], every)
+
+
+def _assert_witness_breaks_law(R, message):
+    """The law that the verify_ring_axioms message names fails on R's full
+    tables at the witness the message gives."""
+    A, M = _full_tables(R)
+    law, at = message.split(": ", 1)[1].split(" at ")
+    witness = tuple(int(v) for v in re.findall(r"\d+", at.split(":")[0]))
+    if law == "torsion fails":
+        q, g, h = map(int, re.fullmatch(r".*: (\d+)\*\((\d+)\*(\d+)\) != 0", message).groups())
+        assert witness == (g, h)
+
+        def times(x):                       # q*x by repeated addition
+            total = 0
+            for _ in range(q):
+                total = A[total, x]
+            return total
+
+        # q kills g or h but not g*h, so a distributive law fails.
+        assert 0 in (times(g), times(h)) and times(M[g, h]) != 0
+        assert not _laws_hold(A, M)
+    elif law == "multiplicative identity fails":
+        (g,) = witness
+        assert M[R.one, g] != g or M[g, R.one] != g
+    else:
+        assert law == "multiplication not associative"
+        g, h, k = witness
+        assert M[M[g, h], k] != M[g, M[h, k]]
 
 
 def test_law_check_names_the_broken_law():
-    R = freeze(matrix_ring(make_zmod(2), 2))
-    A, M, gens = R._add_np, R._mul_np, kernel._additive_generators(R)
-    T = transposed_product()
-    kernel._build_tables(T)
-    for M2, law in [(T._mul_np, "multiplication not associative"),
-                    (M[np.diagonal(M)], "right distributivity fails"),    # x^2 y
-                    (M[:, np.diagonal(M)], "left distributivity fails")]:  # x y^2
-        got = kernel._law_violation(A, M2, gens)
-        assert got[0] == law and _LAWS[law](A, M2, *got[1])
-        assert not _laws_hold(A, M2)
-    # Z(2) x Z(4) is a ring, but its generator 1 alone reaches only Z(4).
-    P = freeze(direct_product(make_zmod(2), make_zmod(4)))
-    law, at = kernel._law_violation(P._add_np, P._mul_np, [1])
-    assert law == "additive generators do not generate" and at == (4,)
-    assert at[0] not in _closure(P._add_np, [1])
+    # One non-ring per check, and per side of the torsion and identity
+    # checks: the message names the check, and its witness breaks that law
+    # on the full tables.
+    for R, law in [
+        (Ring(8, [[1, 2], [2, 4]], one=1, label="Z(8) on (2, 4)", radices=(2, 4)),
+         "torsion fails at (1, 2): 2*(1*2) != 0"),
+        # 1 has additive order 4 and 4 has 2, but 1*4 = 1.
+        (Ring(8, [[0, 1], [0, 0]], one=1, label="1*4 = 1 on (4, 2)", radices=(4, 2)),
+         "torsion fails at (1, 4): 2*(1*4) != 0"),
+        (Ring(27, [[0, 9, 6], [18, 0, 1], [3, 2, 0]], one=1, label="cross product",
+              radices=(3, 3, 3)), "multiplicative identity fails at 1"),
+        # one = 2 is a left identity on (2, 4), not a right one, and conversely.
+        (Ring(8, [[0, 0], [1, 2]], one=2, label="left one", radices=(2, 4)),
+         "multiplicative identity fails at 1"),
+        (Ring(8, [[0, 1], [0, 2]], one=2, label="right one", radices=(2, 4)),
+         "multiplicative identity fails at 1"),
+        (Ring(8, [[1, 2, 4], [2, 0, 2], [4, 0, 0]], one=1, label="ef = e mod 2",
+              radices=(2, 2, 2)), "multiplication not associative at (2, 4, 4)"),
+    ]:
+        with pytest.raises(RingAxiomError, match=re.escape(f"{R.label}: {law}")) as err:
+            verify_ring_axioms(R)
+        _assert_witness_breaks_law(R, str(err.value))
 
 
-# With `every`, every element is passed as a generator: a generating set
-# far larger than the radix weights, on which the check is the O(n^3) one.
-@pytest.mark.parametrize("expr,every", [
-    ("Z(6)", True), ("Z(2) x Z(4)", True),
-    ("Z(2) x Z(4)", False), ("M(2, Z(2))", False), ("GR(Z(2), C(2) x C(2))", False),
+# The Z(2) x Z(4) pair lays out the same ring with its generators of
+# order 4 and 2 in both orders.
+@pytest.mark.parametrize("expr", [
+    "Z(6)", "Z(2) x Z(4)", "Z(4) x Z(2)", "M(2, Z(2))", "GR(Z(2), C(2) x C(2))",
 ])
-def test_law_check_matches_reference_on_mutants(expr, every):
+def test_law_check_matches_reference_on_mutants(expr):
+    # 120 seeded single-entry mutants of the generator products: the check
+    # accepts exactly the mutants whose full tables, read through _mul_many,
+    # satisfy every ring law (the O(n^3) reference) and the identity.
     R = elaborate(parse(expr))
-    kernel._build_tables(R)
-    gens = list(R.elements()) if every else kernel._additive_generators(R)
-    assert len(gens) == (R.order if every else len(R.radices))
-    A, M, n = R._add_np, R._mul_np, R.order
-    assert kernel._law_violation(A, M, gens) is None and _laws_hold(A, M)
+    n, one, every = R.order, R.one, np.arange(R.order)
+    verify_ring_axioms(R)
+    assert _laws_hold(*_full_tables(R))
     rng = random.Random(0)
+    verdicts = set()
     for k in range(120):
-        # Half of the add mutants sit on the diagonal, where A stays symmetric.
-        A2, M2 = A.copy(), M.copy()
-        T = A2 if k % 2 else M2
-        i, j = rng.randrange(n), rng.randrange(n)
-        if T is A2 and k % 4 == 1:
-            j = i
+        products = R.products.copy()
+        i, j = rng.randrange(len(products)), rng.randrange(len(products))
         v = rng.randrange(n - 1)
-        T[i, j] = v + (v >= T[i, j])
-        got = kernel._law_violation(A2, M2, gens)
-        assert (got is None) == _laws_hold(A2, M2), (k, got)
-        if got is not None:
-            law, at = got
-            if law == "additive generators do not generate":
-                assert at[0] not in _closure(A2, gens)
-            else:
-                assert _LAWS[law](A2, M2, *at), (k, got)
+        products[i, j] = v + (v >= products[i, j])
+        S = Ring(n, products, one=one, label="mutant", radices=R.radices)
+        A, M = _full_tables(S)
+        ring = _laws_hold(A, M) and (M[one] == every).all() and (M[:, one] == every).all()
+        try:
+            verify_ring_axioms(S)
+        except RingAxiomError as exc:
+            assert not ring, (k, str(exc))
+            _assert_witness_breaks_law(S, str(exc))
+            verdicts.add(str(exc).split(": ")[1].split(" at ")[0])
+        else:
+            assert ring, k
+            verdicts.add("ring")
+    assert len(verdicts) > 1 or expr == "Z(6)", verdicts
 
 
 # -- op tables against the scalar ops ----------------------------------------
@@ -501,23 +480,33 @@ def test_ring_level_sets_read_few_products_above_limit(ring, jacobson, classifie
 
 @pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
 def test_tables_call_scalar_mul_only_for_structure_constants(expr, generators):
-    # The generator rows come from the structure constants, so the build
-    # calls the scalar mul once per pair of generators; the scalar add never,
-    # and the scalar neg never (negatives are read off the add table).
+    # The structure constants are the |g|^2 generator products the ring was
+    # built with, and the generator rows come from them, so the build calls
+    # no scalar op: not mul, not add, and not neg (negatives are read off
+    # the add table).
     R = elaborate(parse(expr))
+    assert R.products.shape == (generators, generators)
     calls = _count_scalar_calls(R)
     kernel._build_tables(R)
-    assert calls == {"add": 0, "mul": generators ** 2, "neg": 0}
+    assert calls == {"add": 0, "mul": 0, "neg": 0}
 
 
-def test_axioms_call_scalar_mul_once_per_distinct_pair():
-    # M(2, Z(2)): 4 generators g, 16 elements y.  The rows g*y, columns y*g
-    # and squares y*y are 144 pairs but 124 distinct ones; then 16 calls for
-    # the structure constants and 2 per element in the identity loop.
-    R = elaborate(parse("M(2, Z(2))"))
+@pytest.mark.parametrize("expr", ["M(2, Z(2))", "M(2, Z(6))", "GR(Z(2), C(12))", "FM(3, Z(4), 2)"])
+def test_axioms_read_only_the_structure_constants(expr):
+    # The check makes no scalar call, builds no op table and no n x |g|
+    # digit matrix, and allocates nothing of size n, on both sides of
+    # TABLE_LIMIT (orders 16 to 4^9).
+    R = elaborate(parse(expr), cap=4**9)
     calls = _count_scalar_calls(R)
-    verify_ring_axioms(R)
-    assert calls["mul"] == 124 + 16 + 2 * 16
+    tracemalloc.start()
+    try:
+        verify_ring_axioms(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == {"add": 0, "mul": 0, "neg": 0}
+    assert R._mul_np is None and R._structure is None
+    assert peak < 2**20, peak
 
 
 def _assert_installed_ops_read_tables(R, pairs):
@@ -616,12 +605,6 @@ def test_tables_at_order_1024_match_structure_constants(expr):
     assert S._mul_np is None
 
 
-def test_table_mismatch_is_reported():
-    # x*y = x^2 y is not additive in x: the doubled row 2 is 2y, the scalar 4y = y.
-    R = Ring(3, mul=lambda a, b: a * a * b % 3, one=1, label="x^2 y mod 3", radices=(3,))
-    assert _table_mismatch(R) == ("mul", 2, 1)
-
-
 # -- the vectorised product against the scalar ops -------------------------
 
 
@@ -696,4 +679,14 @@ def test_radices_must_multiply_to_order():
                              ((-2, -3), "must be integers >= 1"),
                              ((2.0, 3), "must be integers >= 1")]:
         with pytest.raises(ValueError, match=message):
-            Ring(6, mul=lambda a, b: a * b % 6, one=1, label="Z(6)", radices=radices)
+            Ring(6, [[1]], one=1, label="Z(6)", radices=radices)
+
+
+def test_products_must_be_a_generator_table():
+    # Z(6) on Z(2) x Z(3) has two generators, 1 and 2.
+    for products, one, message in [([[1]], 1, "products must be a 2 x 2 table"),
+                                   ([[1, 2], [2, 6]], 1, "indices below 6"),
+                                   ([[1, 2], [2, -1]], 1, "indices below 6"),
+                                   ([[1, 2], [2, 4]], 6, "one = 6 is not an index below 6")]:
+        with pytest.raises(ValueError, match=message):
+            Ring(6, products, one=one, label="Z(6)", radices=(2, 3))
