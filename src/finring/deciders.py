@@ -1,16 +1,15 @@
-"""Element- and ring-level decision procedures, all over frozen caches.
+"""Ring-level decision procedures, all over frozen caches.
 
-The ``is_*`` functions decide one element; they are the API and the
-reference the tests hold the masks to.  The regularity deciders and the
-unit-multiple columns read whole product rows x*R and columns R*x from
-``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
-constants above it), ``is_left_morphic`` reads the whole-ring mask, and the
-clean and nil-clean searches and the power orbits use scalar ops.
-``classify`` decides every ring-level flag at once, on every ring, as
-whole-ring boolean masks (``_element_masks``).  The regularity and clean
-masks are read in the row blocks of ``kernel._row_blocks``, and so is
-``_left_morphic_mask``; the unit-multiple masks are closed under generators
-of the unit group, and NI is read from generating sets of the nilpotents.
+``classify`` is the one definition of every flag.  It decides each element
+flag at once on the whole ring, as a boolean mask (``_element_masks``), and
+a false flag's witness is the first False in its mask.  Products are read
+through ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
+constants above it): the regularity and clean masks in the row blocks of
+``kernel._row_blocks``, and so is ``_left_morphic_mask``; the unit-multiple
+masks are closed under generators of the unit group, the power flags come
+from the power indices of ``freeze``, and NI is read from generating sets of
+the nilpotents.  The per-element definitions the masks are held to live with
+the tests, as their reference.
 """
 
 from __future__ import annotations
@@ -34,79 +33,21 @@ from .kernel import (
     _row_blocks,
     _sub_many,
     freeze,
-    ring_pow,
 )
 
-RING_FLAGS = (
-    "regular",
-    "unit_regular",
-    "strongly_regular",
-    "clean",
-    "nil_clean",
-    "strongly_nil_clean",
-    "unit_nil_clean",
-    "strongly_unit_nil_clean",
-    "strongly_pi_regular",
-    "periodic",
-    "NI",
-    "reduced",
-)
-
-
-@dataclass
-class Decomposition:
-    """A witnessed sum decomposition x = e + other (possibly after a unit multiple)."""
-
-    kind: str                      # "nil-clean" | "strongly-nil-clean" | "clean"
-    idempotent: int
-    other: int
-    unit: Optional[int] = None     # u such that u*x = idempotent + other
-
-    def verify(self, R: Ring, x: int) -> bool:
-        caches = R.caches
-        if self.unit is not None and self.unit not in caches.units:
-            return False
-        target = x if self.unit is None else R.mul(self.unit, x)
-        if R.add(self.idempotent, self.other) != target:
-            return False
-        if self.idempotent not in caches.idempotents:
-            return False
-        if self.kind == "clean":
-            return self.other in caches.units
-        if self.other not in caches.nilpotents:
-            return False
-        if self.kind == "strongly-nil-clean":
-            return R.mul(self.idempotent, self.other) == R.mul(self.other, self.idempotent)
-        return True
-
-
-def _require_frozen(R: Ring) -> Ring:
-    if not R.frozen:
-        freeze(R)
-    return R
+# The ten element flags, in report order.  ``classify`` reads only the keys;
+# the values stay None because the benchmark in ``perfbench`` reads this
+# table by name (its metric names come from the keys, and its tracer rebinds
+# the values).
+_ELEMENT_DECIDERS = dict.fromkeys((
+    "regular", "unit_regular", "strongly_regular", "clean", "nil_clean",
+    "strongly_nil_clean", "unit_nil_clean", "strongly_unit_nil_clean",
+    "strongly_pi_regular", "periodic",
+))
+RING_FLAGS = (*_ELEMENT_DECIDERS, "NI", "reduced")
 
 
 # -- regularity ------------------------------------------------------------
-
-
-def is_regular(R: Ring, x: int) -> bool:
-    """x = x*y*x for some y: the row x*R multiplied by x holds x."""
-    _require_frozen(R)
-    return bool((_mul_many(R, _mul_many(R, x, np.arange(R.order)), x) == x).any())
-
-
-def is_unit_regular(R: Ring, x: int) -> bool:
-    """x = x*u*x for some unit u: the products x*u over the units, multiplied
-    by x, hold x."""
-    _require_frozen(R)
-    return bool((_mul_many(R, _mul_many(R, x, R.caches.unit_array), x) == x).any())
-
-
-def is_strongly_regular(R: Ring, x: int) -> bool:
-    """x lies in x^2*R and in R*x^2."""
-    _require_frozen(R)
-    sq, every = _mul_many(R, x, x), np.arange(R.order)
-    return bool((_mul_many(R, sq, every) == x).any() and (_mul_many(R, every, sq) == x).any())
 
 
 def _regular_rows(R: Ring, xs: np.ndarray) -> np.ndarray:
@@ -141,138 +82,14 @@ def _left_morphic_mask(R: Ring) -> np.ndarray:
     return np.fromiter((bytes(key) in pairs for key in keys), dtype=bool, count=n)
 
 
-def is_left_morphic(R: Ring, x: int) -> bool:
-    """Some b has left-ann(x) = R*b and left-ann(b) = R*x; read from the
-    whole-ring mask ``_left_morphic_mask``."""
-    _require_frozen(R)
-    return bool(_left_morphic_mask(R)[x])
-
-
-# -- clean / nil-clean families --------------------------------------------
-
-
-def is_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """x = idempotent + nilpotent, least idempotent index first."""
-    _require_frozen(R)
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        b = R.sub(x, e)
-        if b in caches.nilpotents:
-            return Decomposition("nil-clean", e, b)
-    return None
-
-
-def is_strongly_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """As is_nil_clean, with the two parts required to commute."""
-    _require_frozen(R)
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        b = R.sub(x, e)
-        if b in caches.nilpotents and R.mul(e, b) == R.mul(b, e):
-            return Decomposition("strongly-nil-clean", e, b)
-    return None
-
-
-def snc_poly_criterion(R: Ring, x: int) -> bool:
-    """x - x^2 nilpotent; an independent route to strong nil-cleanness."""
-    _require_frozen(R)
-    return R.sub(x, R.mul(x, x)) in R.caches.nilpotents
-
-
-def is_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """x = idempotent + unit."""
-    _require_frozen(R)
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        u = R.sub(x, e)
-        if u in caches.units:
-            return Decomposition("clean", e, u)
-    return None
-
-
-def is_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """Some unit multiple u*x is nil-clean; the least such u is recorded on
-    the decomposition.  The multiples u*x of every unit are one column."""
-    _require_frozen(R)
-    units = R.caches.unit_array
-    for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
-        dec = is_nil_clean(R, ux)
-        if dec is not None:
-            dec.unit = u
-            return dec
-    return None
-
-
-def is_strongly_unit_nil_clean(R: Ring, x: int) -> Optional[Decomposition]:
-    """Some unit multiple u*x is strongly nil-clean.
-
-    Units are screened with the fast polynomial criterion on u*x, read
-    from one column of unit multiples; the explicit commuting decomposition
-    is then reconstructed by idempotent search and must exist:
-    RingAxiomError is raised if the two routes disagree.
-    """
-    _require_frozen(R)
-    units = R.caches.unit_array
-    for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
-        if snc_poly_criterion(R, ux):
-            dec = is_strongly_nil_clean(R, ux)
-            if dec is None:
-                raise RingAxiomError(
-                    f"{R.label}: Diesl's criterion and the idempotent search disagree at {ux}"
-                )
-            dec.unit = u
-            return dec
-    return None
-
-
-# -- periodicity -----------------------------------------------------------
-
-
-def _power_orbit(R: Ring, x: int) -> tuple[list, int]:
-    """The distinct powers x^1, ..., x^(k-1), and the m < k with x^k = x^m."""
-    seen = {}
-    power = x
-    k = 1
-    while power not in seen:
-        seen[power] = k
-        power = R.mul(power, x)
-        k += 1
-    return list(seen), seen[power]
-
-
-def periodic_indices(R: Ring, x: int) -> tuple[int, int]:
-    """Lexicographically least (m, n), 1 <= m < n, with x^m = x^n."""
-    _require_frozen(R)
-    powers, m = _power_orbit(R, x)
-    return m, len(powers) + 1
-
-
-def is_periodic(R: Ring, x: int) -> bool:
-    """x^m = x^n for the pair periodic_indices gives, recomputed by ring_pow."""
-    m, n = periodic_indices(R, x)
-    return 1 <= m < n and ring_pow(R, x, m) == ring_pow(R, x, n)
-
-
-def is_strongly_pi_regular(R: Ring, x: int) -> bool:
-    """Some power x^1, ..., x^(k-1) of x is strongly regular, tried in order."""
-    _require_frozen(R)
-    powers, _ = _power_orbit(R, x)
-    return any(is_strongly_regular(R, p) for p in powers)
-
-
-# -- nil set / radicals ----------------------------------------------------
-
-
-def nil_set(R: Ring) -> frozenset:
-    _require_frozen(R)
-    return R.caches.nilpotents
+# -- NI ----------------------------------------------------------------------
 
 
 def is_NI(R: Ring) -> bool:
     """The nilpotents form a two-sided ideal: every sum of two nilpotents and
     every product of a nilpotent with an element is nilpotent (`_ni_witness`).
     """
-    _require_frozen(R)
+    freeze(R)
     return _ni_witness(R) is None
 
 
@@ -338,11 +155,6 @@ def _ni_witness(R: Ring) -> Optional[int]:
     return None
 
 
-def is_reduced(R: Ring) -> bool:
-    _require_frozen(R)
-    return R.caches.nilpotents == frozenset({0})
-
-
 # -- aggregate classification ----------------------------------------------
 
 
@@ -370,20 +182,6 @@ class PropertyReport:
             "witnesses": dict(self.witnesses),
             "radicals": {"jacobson": self.jacobson_size, "nil": self.nil_size},
         }
-
-
-_ELEMENT_DECIDERS = {
-    "regular": is_regular,
-    "unit_regular": is_unit_regular,
-    "strongly_regular": is_strongly_regular,
-    "clean": lambda R, x: is_clean(R, x) is not None,
-    "nil_clean": lambda R, x: is_nil_clean(R, x) is not None,
-    "strongly_nil_clean": lambda R, x: is_strongly_nil_clean(R, x) is not None,
-    "unit_nil_clean": lambda R, x: is_unit_nil_clean(R, x) is not None,
-    "strongly_unit_nil_clean": lambda R, x: is_strongly_unit_nil_clean(R, x) is not None,
-    "strongly_pi_regular": is_strongly_pi_regular,
-    "periodic": is_periodic,
-}
 
 
 def _periodic_mask(R: Ring, m: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -449,15 +247,24 @@ def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
 
 
 def _element_masks(R: Ring) -> dict:
-    """Every _ELEMENT_DECIDERS flag as a boolean mask: mask[x] is the
-    decider's verdict at x; regular and strongly_regular stop after the first
-    row block with a False.  x is strongly regular iff it has a group inverse,
-    iff its power index m is 1 (Drazin).  x - e for each idempotent e gives
-    the clean and nil-clean flags.  The unit-multiple flags are unions of
-    left orbits of the unit group U: unit_regular is U*E (x*u*x == x iff u*x
-    is idempotent), unit_nil_clean U*NC and strongly_unit_nil_clean U*SNC,
-    for the idempotent, nil-clean and strongly nil-clean masks E, NC and
-    SNC, read as one stack closed under generators of U (`_unit_multiples`).
+    """Every _ELEMENT_DECIDERS flag as a boolean mask, mask[x] whether the
+    flag holds at x.  At x the flags say: regular, x = x*y*x for some y;
+    unit_regular, the same for some unit y; strongly_regular, x lies in
+    x^2*R and in R*x^2; clean, x = e + u; nil_clean, x = e + b; and
+    strongly_nil_clean, x = e + b with e*b == b*e, for an idempotent e, a
+    unit u and a nilpotent b; unit_nil_clean and strongly_unit_nil_clean,
+    some unit multiple u*x is nil-clean, or strongly nil-clean;
+    strongly_pi_regular, some power of x is strongly regular; periodic,
+    x^m == x^k for some 1 <= m < k.
+
+    regular and strongly_regular stop after the first row block with a
+    False.  x is strongly regular iff it has a group inverse, iff its power
+    index m is 1 (Drazin).  x - e for each idempotent e gives the clean and
+    nil-clean flags.  The unit-multiple flags are unions of left orbits of
+    the unit group U: unit_regular is U*E (x*u*x == x iff u*x is
+    idempotent), unit_nil_clean U*NC and strongly_unit_nil_clean U*SNC, for
+    the idempotent, nil-clean and strongly nil-clean masks E, NC and SNC,
+    read as one stack closed under generators of U (`_unit_multiples`).
 
     Raises RingAxiomError where strong nil-cleanness by idempotent search and
     Diesl's criterion (x - x^2 nilpotent) disagree, or where m == 1 and the
@@ -490,8 +297,10 @@ def _element_masks(R: Ring) -> dict:
         nil_diff = is_nil[diff]
         clean |= is_unit[diff].any(0)
         nil_clean |= nil_diff.any(0)
-        snc |= (nil_diff & (_mul_many(R, es, diff) == _mul_many(R, diff, es))).any(0)
-        del diff, nil_diff                              # before the next block's
+        i, j = np.nonzero(nil_diff)                     # x_j - e_i nilpotent
+        e, d = es[i, 0], diff[i, j]
+        snc[j[_mul_many(R, e, d) == _mul_many(R, d, e)]] = True
+        del diff, nil_diff, i, j, e, d                  # before the next block's
     diesl = is_nil[_sub_many(R, x, _mul_many(R, x, x))]
     if not np.array_equal(snc, diesl):
         bad = int((snc != diesl).argmax())
@@ -509,20 +318,20 @@ def _element_masks(R: Ring) -> dict:
 def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     """Classify every ring-level flag, with least-index witnesses.
 
-    A flag holds when its element decider holds at every element; a false
-    flag's witness is the least element index at which it fails.  The
-    element flags come from the whole-ring masks of ``_element_masks`` on
-    every ring, and the witness is the first False in the mask.  Their
+    A flag holds when it holds at every element; a false flag's witness is
+    the least element index at which it fails.  The element flags come from
+    the whole-ring masks of ``_element_masks`` on every ring, and the
+    witness is the first False in the mask.  Their
     products are read in the row blocks of ``kernel._row_blocks`` (up to
     ROW_BLOCK // n rows of the op table when the ring has one, and above
     TABLE_LIMIT one row x*R at a time from ``kernel._mul_many``, in
     O(n * |g|) memory for a ring with radices) and, for the unit multiples,
-    one row g*R per generator g of the unit group.  The ``_ELEMENT_DECIDERS``
-    give the same verdicts element by element.
+    one row g*R per generator g of the unit group.  The flags are reported
+    in ``_ELEMENT_DECIDERS`` order, then NI and reduced.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")
-    _require_frozen(R)
+    freeze(R)
     report = PropertyReport(label=R.label, order=R.order)
     report.jacobson_size = len(R.caches.jacobson)
     report.nil_size = len(R.caches.nilpotents)
@@ -540,7 +349,7 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     report.flags["NI"] = w is None
     if w is not None:
         report.witnesses["NI"] = {"index": w, "element": R.format_element(w)}
-    report.flags["reduced"] = is_reduced(R)
+    report.flags["reduced"] = R.caches.nilpotents == frozenset({0})
     if not report.flags["reduced"]:
         w = min(x for x in R.caches.nilpotents if x != 0)
         report.witnesses["reduced"] = {"index": w, "element": R.format_element(w)}

@@ -260,8 +260,10 @@ def suite_group_ring_sunc(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteRepor
 
 @_timed
 def suite_periodic(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
-    """Every element of every finite group ring is periodic: x^m = x^n for the
-    least pair periodic_indices finds, recomputed with ring_pow."""
+    """Every element of every finite group ring is periodic: x^m = x^k for
+    the least pair (m, k) of the power scan in `freeze`, with both powers
+    recomputed independently of it (`deciders._periodic_mask`).  The witness
+    is the least element that is not."""
     report = SuiteReport("periodic", "consistency")
     if cases is None:
         g = _std_groups()
@@ -271,7 +273,8 @@ def suite_periodic(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         RG = _frozen(report, case, lambda: group_ring(base, G, cap=cap), cap)
         if RG is None:
             continue
-        bad = next((x for x in RG.elements() if not deciders.is_periodic(RG, x)), None)
+        periodic = deciders._periodic_mask(RG, *RG.caches.power_indices)
+        bad = None if periodic.all() else int(periodic.argmin())
         report.record(
             case, bad is None,
             expected="all periodic", got="ok" if bad is None else "aperiodic",
@@ -347,6 +350,7 @@ _IMPLICATIONS = [
     ("strongly_nil_clean", "strongly_unit_nil_clean"),
     ("strongly_unit_nil_clean", "unit_nil_clean"),
     ("nil_clean", "clean"),
+    ("unit_regular", "strongly_unit_nil_clean"),
 ]
 
 
@@ -401,10 +405,18 @@ def _check_instance(R: Ring, failures: list):
     except RingAxiomError as exc:     # a cross-check inside classify (Diesl, strong regularity)
         fail("classify cross-checks", str(exc))
         return
-    flags = report.flags
+    flags, masks = report.flags, dict(report.masks)
+    # The regular mask stops after the first row block with a False; the
+    # remaining rows are read here, so that the element-level checks see it
+    # whole.
+    rest = _row_blocks(R, np.arange(len(masks["regular"]), R.order))
+    masks["regular"] = np.concatenate(
+        [masks["regular"]] + [deciders._regular_rows(R, xs) for xs in rest])
     for pre, post in _IMPLICATIONS:
-        if flags[pre] and not flags[post]:
-            fail(f"{pre} => {post}", "violated", report.witnesses.get(post))
+        bad = masks[pre] & ~masks[post]
+        if bad.any():
+            x = int(bad.argmax())
+            fail(f"{pre} => {post}", "violated", {"index": x, "element": R.format_element(x)})
     for name in ("clean", "strongly_unit_nil_clean", "strongly_pi_regular", "periodic"):
         if not flags[name]:
             fail(f"{name} universal", False, report.witnesses.get(name))
@@ -412,14 +424,17 @@ def _check_instance(R: Ring, failures: list):
     collapse = R.caches.nilpotents == R.caches.jacobson
     if ni != collapse:
         fail("NI <=> Nil == J", {"NI": ni, "Nil==J": collapse})
+    # A finite ring with J = 0 is semisimple, by Wedderburn-Artin a product
+    # of matrix rings over finite fields, so it is unit-regular; and a
+    # regular ring has J = 0.
+    semisimple = R.caches.jacobson == frozenset({0})
+    if not flags["regular"] == semisimple == flags["unit_regular"]:
+        fail("regular <=> J = 0 <=> unit_regular",
+             {"regular": flags["regular"], "J = 0": semisimple,
+              "unit_regular": flags["unit_regular"]})
     # Ehrlich: unit-regular <=> regular and left-morphic, at every element.
-    # The regular mask stops after the first row block with a False; the
-    # remaining rows are read here.
-    regular = report.masks["regular"]
-    rest = _row_blocks(R, np.arange(len(regular), R.order))
-    regular = np.concatenate([regular] + [deciders._regular_rows(R, xs) for xs in rest])
-    ehrlich = regular & deciders._left_morphic_mask(R)
-    unit_regular = report.masks["unit_regular"]
+    ehrlich = masks["regular"] & deciders._left_morphic_mask(R)
+    unit_regular = masks["unit_regular"]
     bad = unit_regular != ehrlich
     if bad.any():
         x = int(bad.argmax())

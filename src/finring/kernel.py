@@ -347,7 +347,7 @@ def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 def _power_scan(R: Ring) -> tuple:
     """For every element x at once: the least (m, k), m < k, with x^m == x^k
-    (as periodic_indices finds it), in O(n) memory.  Brent's cycle detection
+    (x, ..., x^(k-1) distinct and x^k the first repeat), in O(n) memory.  Brent's cycle detection
     steps x^j -> x^(j+1) for the open x and compares x^j with x (a hit gives
     m = 1, k = j) and with the saved x^s, s = 2^i < j <= 2s (a hit gives
     k - m = j - s once s >= m, k - m); for those x m is then the least j

@@ -1,10 +1,17 @@
-"""Brute-force references shared by the kernel and construction tests."""
+"""Brute-force references shared by the tests.
+
+The per-element deciders below are the definitions of the element flags,
+one element at a time with scalar ops; the tests hold the whole-ring masks
+of ``deciders.classify`` to them.  Each takes a frozen ring.
+"""
 
 import functools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from finring import Ring, make_zmod, matrix_ring
+from finring import Ring, make_zmod, matrix_ring, ring_pow
 from finring.kernel import _add_many, _indicator, _mul_many, _row_blocks, _sub_many
 
 
@@ -28,6 +35,152 @@ def _closure(A, gens):
                 reached.add(int(A[x, g]))
                 todo.append(int(A[x, g]))
     return reached
+
+
+@dataclass
+class Decomposition:
+    """A witnessed sum decomposition x = e + other (possibly after a unit multiple)."""
+
+    kind: str                      # "nil-clean" | "strongly-nil-clean" | "clean"
+    idempotent: int
+    other: int
+    unit: Optional[int] = None     # u such that u*x = idempotent + other
+
+    def verify(self, R, x) -> bool:
+        caches = R.caches
+        if self.unit is not None and self.unit not in caches.units:
+            return False
+        target = x if self.unit is None else R.mul(self.unit, x)
+        if R.add(self.idempotent, self.other) != target:
+            return False
+        if self.idempotent not in caches.idempotents:
+            return False
+        if self.kind == "clean":
+            return self.other in caches.units
+        if self.other not in caches.nilpotents:
+            return False
+        if self.kind == "strongly-nil-clean":
+            return R.mul(self.idempotent, self.other) == R.mul(self.other, self.idempotent)
+        return True
+
+
+def is_regular(R, x) -> bool:
+    """x = x*y*x for some y: the row x*R multiplied by x holds x."""
+    return bool((_mul_many(R, _mul_many(R, x, np.arange(R.order)), x) == x).any())
+
+
+def is_unit_regular(R, x) -> bool:
+    """x = x*u*x for some unit u: the products x*u over the units, multiplied
+    by x, hold x."""
+    return bool((_mul_many(R, _mul_many(R, x, R.caches.unit_array), x) == x).any())
+
+
+def is_strongly_regular(R, x) -> bool:
+    """x lies in x^2*R and in R*x^2."""
+    sq, every = _mul_many(R, x, x), np.arange(R.order)
+    return bool((_mul_many(R, sq, every) == x).any() and (_mul_many(R, every, sq) == x).any())
+
+
+def is_nil_clean(R, x) -> Optional[Decomposition]:
+    """x = idempotent + nilpotent, least idempotent index first."""
+    caches = R.caches
+    for e in sorted(caches.idempotents):
+        b = R.sub(x, e)
+        if b in caches.nilpotents:
+            return Decomposition("nil-clean", e, b)
+    return None
+
+
+def is_strongly_nil_clean(R, x) -> Optional[Decomposition]:
+    """As is_nil_clean, with the two parts required to commute."""
+    caches = R.caches
+    for e in sorted(caches.idempotents):
+        b = R.sub(x, e)
+        if b in caches.nilpotents and R.mul(e, b) == R.mul(b, e):
+            return Decomposition("strongly-nil-clean", e, b)
+    return None
+
+
+def snc_poly_criterion(R, x) -> bool:
+    """x - x^2 nilpotent; Diesl's route to strong nil-cleanness."""
+    return R.sub(x, R.mul(x, x)) in R.caches.nilpotents
+
+
+def is_clean(R, x) -> Optional[Decomposition]:
+    """x = idempotent + unit."""
+    caches = R.caches
+    for e in sorted(caches.idempotents):
+        u = R.sub(x, e)
+        if u in caches.units:
+            return Decomposition("clean", e, u)
+    return None
+
+
+def _least_unit_multiple(R, x, decide) -> Optional[Decomposition]:
+    """decide's decomposition of the first unit multiple u*x, over the units
+    in index order, with u recorded on it; None when there is none."""
+    units = R.caches.unit_array
+    for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
+        dec = decide(R, ux)
+        if dec is not None:
+            dec.unit = u
+            return dec
+    return None
+
+
+def is_unit_nil_clean(R, x) -> Optional[Decomposition]:
+    """Some unit multiple u*x is nil-clean."""
+    return _least_unit_multiple(R, x, is_nil_clean)
+
+
+def is_strongly_unit_nil_clean(R, x) -> Optional[Decomposition]:
+    """Some unit multiple u*x is strongly nil-clean, by idempotent search."""
+    return _least_unit_multiple(R, x, is_strongly_nil_clean)
+
+
+def _power_orbit(R, x) -> tuple:
+    """The distinct powers x^1, ..., x^(k-1), and the m < k with x^k = x^m."""
+    seen = {}
+    power = x
+    k = 1
+    while power not in seen:
+        seen[power] = k
+        power = R.mul(power, x)
+        k += 1
+    return list(seen), seen[power]
+
+
+def periodic_indices(R, x) -> tuple:
+    """Lexicographically least (m, n), 1 <= m < n, with x^m = x^n."""
+    powers, m = _power_orbit(R, x)
+    return m, len(powers) + 1
+
+
+def is_periodic(R, x) -> bool:
+    """x^m = x^n for the pair periodic_indices gives, recomputed by ring_pow."""
+    m, n = periodic_indices(R, x)
+    return 1 <= m < n and ring_pow(R, x, m) == ring_pow(R, x, n)
+
+
+def is_strongly_pi_regular(R, x) -> bool:
+    """Some power x^1, ..., x^(k-1) of x is strongly regular, tried in order."""
+    powers, _ = _power_orbit(R, x)
+    return any(is_strongly_regular(R, p) for p in powers)
+
+
+# Every element flag of ``classify`` by its definition, in report order.
+ELEMENT_DECIDERS = {
+    "regular": is_regular,
+    "unit_regular": is_unit_regular,
+    "strongly_regular": is_strongly_regular,
+    "clean": lambda R, x: is_clean(R, x) is not None,
+    "nil_clean": lambda R, x: is_nil_clean(R, x) is not None,
+    "strongly_nil_clean": lambda R, x: is_strongly_nil_clean(R, x) is not None,
+    "unit_nil_clean": lambda R, x: is_unit_nil_clean(R, x) is not None,
+    "strongly_unit_nil_clean": lambda R, x: is_strongly_unit_nil_clean(R, x) is not None,
+    "strongly_pi_regular": is_strongly_pi_regular,
+    "periodic": is_periodic,
+}
 
 
 def transposed_product():

@@ -27,31 +27,34 @@ from finring import (
     trivial_extension,
 )
 from finring.deciders import (
-    _ELEMENT_DECIDERS,
-    Decomposition,
     _element_masks,
     _left_morphic_mask,
     _ni_witness,
     _periodic_mask,
-    is_clean,
-    is_left_morphic,
     is_NI,
+)
+
+import _oracles
+from _oracles import (
+    ELEMENT_DECIDERS,
+    Decomposition,
+    is_clean,
     is_nil_clean,
     is_periodic,
-    is_reduced,
     is_regular,
     is_strongly_nil_clean,
     is_strongly_pi_regular,
     is_strongly_regular,
+    is_strongly_unit_nil_clean,
     is_unit_nil_clean,
     is_unit_regular,
-    nil_set,
+    jacobson_rows,
+    left_morphic_reference,
+    ni_search,
     periodic_indices,
     snc_poly_criterion,
-    is_strongly_unit_nil_clean,
+    unit_row_masks,
 )
-
-from _oracles import jacobson_rows, left_morphic_reference, ni_search, unit_row_masks
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +112,13 @@ class TestStronglyRegular:
 class TestLeftMorphic:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 9, 12])
     def test_zn_morphic(self, n):
-        R = freeze(make_zmod(n))
-        assert all(is_left_morphic(R, x) for x in R.elements())
+        assert all(left_morphic_reference(freeze(make_zmod(n))))
 
     def test_zero_and_units(self, m2z2):
-        assert is_left_morphic(m2z2, 0)
+        morphic = left_morphic_reference(m2z2)
+        assert morphic[0]
         for u in m2z2.caches.units:
-            assert is_left_morphic(m2z2, u)
+            assert morphic[u]
 
 
 class TestNilClean:
@@ -242,7 +245,7 @@ class TestPeriodic:
     def test_wrong_pair_caught(self, z4, monkeypatch):
         assert all(is_periodic(z4, x) for x in z4.elements())
         # 2^1 = 2 but 2^2 = 0
-        monkeypatch.setattr(deciders, "periodic_indices", lambda R, x: (1, 2))
+        monkeypatch.setattr(_oracles, "periodic_indices", lambda R, x: (1, 2))
         assert not is_periodic(z4, 2)
 
     def test_mask_engine_pairs(self, z6):
@@ -278,25 +281,15 @@ class TestStronglyPiRegular:
 
 class TestNilSetPredicates:
     def test_z6(self, z6):
-        assert is_reduced(z6) and is_NI(z6)
-        assert nil_set(z6) == {0}
+        assert classify(z6).flags["reduced"] and is_NI(z6)
+        assert z6.caches.nilpotents == {0}
 
     def test_m2z2_not_ni(self, m2z2):
         assert not is_NI(m2z2)
 
     def test_z4(self, z4):
         assert is_NI(z4)
-        assert nil_set(z4) == {0, 2} == z4.caches.jacobson
-
-
-IMPLICATIONS = [
-    ("unit_regular", "regular"),
-    ("strongly_nil_clean", "nil_clean"),
-    ("nil_clean", "unit_nil_clean"),
-    ("strongly_nil_clean", "strongly_unit_nil_clean"),
-    ("strongly_unit_nil_clean", "unit_nil_clean"),
-    ("nil_clean", "clean"),
-]
+        assert z4.caches.nilpotents == {0, 2} == z4.caches.jacobson
 
 
 class TestClassify:
@@ -321,7 +314,7 @@ class TestClassify:
     )
     def test_implication_lattice(self, ring):
         flags = classify(freeze(ring)).flags
-        for pre, post in IMPLICATIONS:
+        for pre, post in harness._IMPLICATIONS:
             assert not flags[pre] or flags[post], f"{pre} => {post}"
 
     def test_false_witnesses_reverify(self, z4, m2z2):
@@ -341,10 +334,8 @@ class TestEhrlich:
     )
     def test_equivalence(self, ring):
         freeze(ring)
-        for x in ring.elements():
-            assert is_unit_regular(ring, x) == (
-                is_regular(ring, x) and is_left_morphic(ring, x)
-            )
+        for x, morphic in zip(ring.elements(), left_morphic_reference(ring)):
+            assert is_unit_regular(ring, x) == (is_regular(ring, x) and morphic)
 
 
 # -- the mask engine against the scalar deciders ---------------------------
@@ -369,10 +360,10 @@ def _witness(R, x):
 
 
 def _oracle_report(R):
-    """classify's JSON rebuilt from the scalar element deciders and a scalar
-    NI loop."""
+    """classify's JSON rebuilt from the scalar element deciders of
+    ``_oracles`` and a scalar NI loop."""
     flags, witnesses = {}, {}
-    for name, decider in _ELEMENT_DECIDERS.items():
+    for name, decider in ELEMENT_DECIDERS.items():
         failure = next((x for x in R.elements() if not decider(R, x)), None)
         flags[name] = failure is None
         if failure is not None:
@@ -489,8 +480,10 @@ def test_ni_witness_peak_is_below_the_mask_engine():
 def test_idempotent_row_blocks_are_held_one_at_a_time():
     # The Boolean ring Z(2)^10 has 1024 idempotents, so the x - e loop of the
     # mask engine reads four row blocks of its 1024 x 1024 table.  Its peak
-    # stays that of a few arrays of one block (512 KiB of int16 each); the
-    # arrays of every block held at once would add 768 KiB per block.
+    # stays under three arrays of one block (512 KiB of int16 each): the
+    # commuting check multiplies only the pairs with x - e nilpotent, not
+    # the whole block, and the arrays of every block held at once would add
+    # 768 KiB per block.
     R = freeze(functools.reduce(direct_product, [make_zmod(2)] * 10))
     assert len(kernel._row_blocks(R, sorted(R.caches.idempotents))) == 4
     tracemalloc.start()
@@ -499,7 +492,7 @@ def test_idempotent_row_blocks_are_held_one_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * kernel.ROW_BLOCK * 2, peak
+    assert peak < 3 * kernel.ROW_BLOCK * 2, peak
 
 
 ABOVE_LIMIT = [

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from finring import (SearchConfig, cyclic, deciders, falsify, fastpath, freeze, group_ring,
@@ -100,9 +101,13 @@ def test_periodic_subset():
 
 
 def test_periodic_catches_wrong_pair(monkeypatch):
-    monkeypatch.setattr(deciders, "periodic_indices", lambda R, x: (1, 2))
+    # A power scan that gives (m, k) = (1, 2) for every element: x = x^2
+    # fails at 2, the least element of Z(4)[C2] that is not idempotent.
+    monkeypatch.setattr(kernel, "_power_scan", lambda R: (
+        np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64)))
     report = suite_periodic([(make_zmod(4), cyclic(2))])
     assert not report.ok and report.failures[0]["got"] == "aperiodic"
+    assert report.failures[0]["witness"] == "2*g0"
 
 
 def test_standard_corpus_shape():
@@ -233,6 +238,30 @@ def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
                          "got": {"unit_regular": True, "regular&morphic": False},
                          "witness": R.format_element(flipped[0])}]
     assert len(deciders._element_masks(R)["regular"]) < flipped[0]
+
+
+def test_falsifier_records_the_least_element_of_an_implication(monkeypatch):
+    # The strongly unit nil-clean mask of Z(3) made false at its last unit 2,
+    # which is unit-regular and not strongly nil-clean: the element-level
+    # check of unit_regular => strongly_unit_nil_clean names 2, and so does
+    # the ring-level universality check.
+    element_masks = deciders._element_masks
+
+    def wrong_masks(R):
+        masks = element_masks(R)
+        masks["strongly_unit_nil_clean"][2] = False
+        return masks
+
+    monkeypatch.setattr(deciders, "_element_masks", wrong_masks)
+    R = make_zmod(3)
+    failures = []
+    harness._check_instance(R, failures)
+    witness = {"index": 2, "element": "2"}
+    assert failures == [
+        {"case": "Z(3)", "expected": "unit_regular => strongly_unit_nil_clean",
+         "got": "violated", "witness": witness},
+        {"case": "Z(3)", "expected": "strongly_unit_nil_clean universal", "got": False,
+         "witness": witness}]
 
 
 @pytest.mark.parametrize("patched, R, witness, sources", [

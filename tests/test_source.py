@@ -4,6 +4,7 @@ import ast
 import re
 from pathlib import Path
 
+from finring import deciders
 from finring.cli import GROUPS, RINGS, parse, unparse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,3 +88,21 @@ def test_readme_cli_section_matches_the_grammar():
     for text in quoted:
         expr = parse(text)
         assert parse(unparse(expr)) == expr, text
+
+
+def test_classify_is_the_one_element_decider():
+    # The element flags are decided only as whole-ring masks, by classify:
+    # deciders.py defines no per-element is_* but is_NI and no Decomposition,
+    # and no module of the package reads a value of _ELEMENT_DECIDERS (an
+    # index, .values() or .items()); its values are None, its keys the flag
+    # names.  So that no second path per flag comes back.
+    tree = ast.parse((PACKAGE / "deciders.py").read_text())
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and (node.name.startswith("is_") or node.name == "Decomposition")]
+    assert defined == ["is_NI"]
+    assert set(deciders._ELEMENT_DECIDERS.values()) == {None}
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Subscript, ast.Attribute))
+             and ast.unparse(node.value).endswith("_ELEMENT_DECIDERS")]
+    assert found == []
