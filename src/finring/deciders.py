@@ -1,15 +1,18 @@
 """Ring-level decision procedures, all over frozen caches.
 
 ``classify`` is the one definition of every flag.  It decides each element
-flag at once on the whole ring, as a boolean mask (``_element_masks``), and
-a false flag's witness is the first False in its mask.  Products are read
+flag at once on the whole ring, as a whole boolean mask (``_element_masks``),
+and a false flag's witness is the first False in its mask.  Products are read
 through ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
-constants above it): the regularity and clean masks in the row blocks of
-``kernel._row_blocks``, and so is ``_left_morphic_mask``; the unit-multiple
-masks are closed under generators of the unit group, the power flags come
-from the power indices of ``freeze``, and NI is read from generating sets of
-the nilpotents.  The per-element definitions the masks are held to live with
-the tests, as their reference.
+constants above it): the clean masks in the row blocks of
+``kernel._row_blocks``; the unit-multiple masks, unit-regularity and with it
+regularity, are closed under generators of the unit group; strong
+regularity and the power flags come from the power indices of ``freeze``;
+and NI is read from generating sets of the nilpotents.  No flag is found by
+a search over rows.  ``_left_ideal_masks`` decides regularity, strong
+regularity and left-morphicity by their definitions, from keys of the
+principal left ideals, for the cross-checks of ``harness``; the per-element
+definitions the masks are held to live with the tests, as their reference.
 """
 
 from __future__ import annotations
@@ -47,25 +50,23 @@ _ELEMENT_DECIDERS = dict.fromkeys((
 RING_FLAGS = (*_ELEMENT_DECIDERS, "NI", "reduced")
 
 
-# -- regularity ------------------------------------------------------------
+# -- principal left ideals ------------------------------------------------
 
 
-def _regular_rows(R: Ring, xs: np.ndarray) -> np.ndarray:
-    """For each x of the column block xs, whether x*y*x == x for some y."""
-    return (_mul_many(R, _mul_many(R, xs, np.arange(R.order)), xs) == xs).any(1)
+def _left_ideal_masks(R: Ring) -> dict:
+    """Three element masks of a frozen R read from principal left ideals, each
+    by its definition, where l(x) = {y : y*x = 0} is the left annihilator:
 
-
-# -- morphic ---------------------------------------------------------------
-
-
-def _left_morphic_mask(R: Ring) -> np.ndarray:
-    """mask[x]: x is left-morphic, some b has l(x) = R*b and l(b) = R*x,
-    where l(x) = {y : y*x = 0} is the left annihilator.
+    - regular: R*x = R*e for some idempotent e.  If x = x*y*x, then e = y*x
+      is idempotent with R*x = R*e; conversely R*x = R*e gives x = x*e and
+      e = y*x, so x = x*y*x;
+    - left_group: R*x = R*x^2, that is x lies in R*x^2;
+    - left_morphic: some b has l(x) = R*b and l(b) = R*x.
 
     The column R*b gives both l(b) and the principal left ideal R*b, each
     keyed as one ``np.packbits`` row; x is left-morphic iff its key pair
     (l(x), R*x) is among the pairs (R*b, l(b)).  Columns are read in the
-    row blocks of ``kernel._row_blocks``.
+    row blocks of ``kernel._row_blocks``: O(n^2) products.
     """
     n = R.order
     every = np.arange(n)
@@ -77,9 +78,14 @@ def _left_morphic_mask(R: Ring) -> np.ndarray:
         ann.append(np.packbits(cols == 0, axis=1))
         ideal.append(np.packbits(members, axis=1))
     ann, ideal = np.concatenate(ann), np.concatenate(ideal)
-    pairs = set(map(bytes, np.concatenate((ideal, ann), axis=1)))
-    keys = np.concatenate((ann, ideal), axis=1)
-    return np.fromiter((bytes(key) in pairs for key in keys), dtype=bool, count=n)
+
+    def among(keys, found):                             # mask[x]: keys[x] is in found
+        return np.fromiter((bytes(key) in found for key in keys), dtype=bool, count=n)
+
+    return {"regular": among(ideal, {bytes(ideal[e]) for e in R.caches.idempotents}),
+            "left_group": (ideal == ideal[_mul_many(R, every, every)]).all(1),
+            "left_morphic": among(np.concatenate((ann, ideal), axis=1),
+                                  set(map(bytes, np.concatenate((ideal, ann), axis=1))))}
 
 
 # -- NI ----------------------------------------------------------------------
@@ -193,17 +199,6 @@ def _periodic_mask(R: Ring, m: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (1 <= m) & (m < k) & (power_m == power_k)
 
 
-def _until_failure(R: Ring, test) -> np.ndarray:
-    """The verdicts test(xs) of R's row blocks xs in index order, up to the
-    first block with a False: a mask prefix that ends past its first False."""
-    verdicts = []
-    for xs in _row_blocks(R, np.arange(R.order)):
-        verdicts.append(test(xs))
-        if not verdicts[-1].all():
-            break
-    return np.concatenate(verdicts)
-
-
 def _closure(T: np.ndarray, generators: list) -> np.ndarray:
     """The boolean stack T (last axis the elements) closed under every
     generator, each a pair (row, steps) for `kernel._orbit_union`.  The
@@ -247,8 +242,8 @@ def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
 
 
 def _element_masks(R: Ring) -> dict:
-    """Every _ELEMENT_DECIDERS flag as a boolean mask, mask[x] whether the
-    flag holds at x.  At x the flags say: regular, x = x*y*x for some y;
+    """Every _ELEMENT_DECIDERS flag as a whole boolean mask, mask[x] whether
+    the flag holds at x.  At x the flags say: regular, x = x*y*x for some y;
     unit_regular, the same for some unit y; strongly_regular, x lies in
     x^2*R and in R*x^2; clean, x = e + u; nil_clean, x = e + b; and
     strongly_nil_clean, x = e + b with e*b == b*e, for an idempotent e, a
@@ -257,18 +252,30 @@ def _element_masks(R: Ring) -> dict:
     strongly_pi_regular, some power of x is strongly regular; periodic,
     x^m == x^k for some 1 <= m < k.
 
-    regular and strongly_regular stop after the first row block with a
-    False.  x is strongly regular iff it has a group inverse, iff its power
-    index m is 1 (Drazin).  x - e for each idempotent e gives the clean and
-    nil-clean flags.  The unit-multiple flags are unions of left orbits of
-    the unit group U: unit_regular is U*E (x*u*x == x iff u*x is
-    idempotent), unit_nil_clean U*NC and strongly_unit_nil_clean U*SNC, for
-    the idempotent, nil-clean and strongly nil-clean masks E, NC and SNC,
-    read as one stack closed under generators of U (`_unit_multiples`).
+    The unit-multiple flags are unions of left orbits of the unit group U:
+    unit_regular is U*E (x*u*x == x iff u*x is idempotent), unit_nil_clean
+    U*NC and strongly_unit_nil_clean U*SNC, for the idempotent, nil-clean
+    and strongly nil-clean masks E, NC and SNC, read as one stack closed
+    under generators of U (`_unit_multiples`).  x - e for each idempotent e
+    gives the clean and nil-clean flags.  In a finite ring two of the flags
+    are others read again:
+
+    - regular is unit_regular.  A finite ring is semilocal, so it has stable
+      range 1 (H. Bass, "K-theory and stable algebra", Publ. Math. IHES 22
+      (1964)).  If a = a*b*a, then R*b + R*(1 - a*b) = R, so u = b + z*(1 - a*b)
+      is a unit for some z, and a*u*a = a;
+    - strongly_regular is m == 1 for the power index m of ``freeze``: x lies
+      in x^2*R and in R*x^2 iff it has a group inverse (M. P. Drazin,
+      "Pseudo-inverses in associative rings and semigroups", Amer. Math.
+      Monthly 65 (1958)).  In a finite ring either side suffices: if
+      x = y*x^2, then r(x^2), the right annihilator of x^2, lies in r(x), so
+      |x*R| = |x^2*R| and x lies in x^2*R.
 
     Raises RingAxiomError where strong nil-cleanness by idempotent search and
-    Diesl's criterion (x - x^2 nilpotent) disagree, or where m == 1 and the
-    definition x in x^2*R and in R*x^2 do on a row block read.
+    Diesl's criterion (x - x^2 nilpotent) disagree, and where a flag's least
+    False holds by its definition, on one row: the least non-unit-regular w
+    with w*y*w == w for some y, or the least w with m != 1 in w^2*R and in
+    R*w^2.
     """
     n = R.order
     caches = R.caches
@@ -278,19 +285,6 @@ def _element_masks(R: Ring) -> dict:
     is_unit = _indicator(n, caches.units)
     is_nil = _indicator(n, caches.nilpotents)
     is_idempotent = _indicator(n, caches.idempotents)
-
-    def strongly_regular(xs):                           # x in x^2*R and in R*x^2
-        sq = _mul_many(R, xs, xs)
-        defined = (_mul_many(R, sq, x) == xs).any(1) & (_mul_many(R, x, sq) == xs).any(1)
-        bad = defined != group[xs[:, 0]]
-        if bad.any():
-            raise RingAxiomError(
-                f"{R.label}: strong regularity and its power index m = 1 disagree "
-                f"at {int(xs[bad.argmax(), 0])}")
-        return defined
-
-    masks = {"regular": _until_failure(R, lambda xs: _regular_rows(R, xs)),
-             "strongly_regular": _until_failure(R, strongly_regular)}
     clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
     for es in _row_blocks(R, sorted(caches.idempotents)):
         diff = _sub_many(R, x, es)                      # [i, x] -> x - e_i
@@ -308,11 +302,21 @@ def _element_masks(R: Ring) -> dict:
             f"{R.label}: Diesl's criterion and the idempotent search disagree at {bad}"
         )
     unit_regular, unc, sunc = _unit_multiples(R, np.stack((is_idempotent, nil_clean, snc)))
-    masks.update(unit_regular=unit_regular, clean=clean, nil_clean=nil_clean,
-                 strongly_nil_clean=snc, unit_nil_clean=unc, strongly_unit_nil_clean=sunc,
-                 strongly_pi_regular=group[_powers(R, x, m)],
-                 periodic=_periodic_mask(R, m, k))
-    return masks
+    if not unit_regular.all():
+        w = int(unit_regular.argmin())
+        if (_mul_many(R, _mul_many(R, w, x), w) == w).any():
+            raise RingAxiomError(f"{R.label}: regularity and unit-regularity disagree at {w}")
+    if not group.all():
+        w = int(group.argmin())
+        sq = _mul_many(R, w, w)
+        if (_mul_many(R, sq, x) == w).any() and (_mul_many(R, x, sq) == w).any():
+            raise RingAxiomError(
+                f"{R.label}: strong regularity and its power index m = 1 disagree at {w}")
+    return {"regular": unit_regular.copy(), "unit_regular": unit_regular,
+            "strongly_regular": group, "clean": clean, "nil_clean": nil_clean,
+            "strongly_nil_clean": snc, "unit_nil_clean": unc, "strongly_unit_nil_clean": sunc,
+            "strongly_pi_regular": group[_powers(R, x, m)],
+            "periodic": _periodic_mask(R, m, k)}
 
 
 def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
@@ -320,14 +324,14 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
 
     A flag holds when it holds at every element; a false flag's witness is
     the least element index at which it fails.  The element flags come from
-    the whole-ring masks of ``_element_masks`` on every ring, and the
-    witness is the first False in the mask.  Their
-    products are read in the row blocks of ``kernel._row_blocks`` (up to
-    ROW_BLOCK // n rows of the op table when the ring has one, and above
-    TABLE_LIMIT one row x*R at a time from ``kernel._mul_many``, in
-    O(n * |g|) memory for a ring with radices) and, for the unit multiples,
-    one row g*R per generator g of the unit group.  The flags are reported
-    in ``_ELEMENT_DECIDERS`` order, then NI and reduced.
+    the whole-ring masks of ``_element_masks``, and the witness is the first
+    False in the mask.  Those masks read x - e in the row blocks of
+    ``kernel._row_blocks`` for each idempotent e (up to ROW_BLOCK // n rows
+    of the op table when the ring has one, and above TABLE_LIMIT one row at
+    a time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
+    radices), one row g*R per generator g of the unit group, and one row for
+    each re-verified least False.  The flags are reported in
+    ``_ELEMENT_DECIDERS`` order, then NI and reduced.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import deciders, fastpath
 from .constructions import (
     generalized_matrix,
@@ -26,7 +24,7 @@ from .constructions import (
 )
 from .errors import CapExceededError, RingAxiomError
 from .groups import cyclic, group_product, symmetric
-from .kernel import Ring, _row_blocks, direct_product, freeze, make_zmod, verify_ring_axioms
+from .kernel import Ring, direct_product, freeze, make_zmod, verify_ring_axioms
 
 DEFAULT_RING_CAP = 1296
 
@@ -158,8 +156,9 @@ def suite_theorem_4_5(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
 
 @_timed
 def suite_connell(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
-    """Brute-force regularity of Z_nG vs the closed form; also checks that
-    regularity and unit-regularity coincide over Z_n bases."""
+    """Regularity of Z_nG by its definition (`deciders._left_ideal_masks`)
+    vs the closed form; also checks that it agrees with classify's
+    unit-regularity over Z_n bases."""
     report = SuiteReport("connell", "discriminating")
     for n, G in cases or connell_cases():
         case = f"GR(Z({n}), {G.label})"
@@ -167,7 +166,9 @@ def suite_connell(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         if R is None:
             continue
         classified = deciders.classify(R)
-        brute, witness = _verdict(classified, "regular")
+        regular = deciders._left_ideal_masks(R)["regular"]
+        brute = bool(regular.all())
+        witness = None if brute else R.format_element(int(regular.argmin()))
         fast = fastpath.connell_regular_zn(n, G)
         report.record(case, brute == fast, expected=fast, got=brute, witness=witness)
         brute_ur, _ = _verdict(classified, "unit_regular")
@@ -351,6 +352,8 @@ _IMPLICATIONS = [
     ("strongly_unit_nil_clean", "unit_nil_clean"),
     ("nil_clean", "clean"),
     ("unit_regular", "strongly_unit_nil_clean"),
+    ("strongly_regular", "unit_regular"),
+    ("strongly_regular", "strongly_pi_regular"),
 ]
 
 
@@ -402,16 +405,27 @@ def _check_instance(R: Ring, failures: list):
     freeze(R)
     try:
         report = deciders.classify(R)
-    except RingAxiomError as exc:     # a cross-check inside classify (Diesl, strong regularity)
+    except RingAxiomError as exc:     # a cross-check inside classify (Diesl, regularity)
         fail("classify cross-checks", str(exc))
         return
-    flags, masks = report.flags, dict(report.masks)
-    # The regular mask stops after the first row block with a False; the
-    # remaining rows are read here, so that the element-level checks see it
-    # whole.
-    rest = _row_blocks(R, np.arange(len(masks["regular"]), R.order))
-    masks["regular"] = np.concatenate(
-        [masks["regular"]] + [deciders._regular_rows(R, xs) for xs in rest])
+    flags = report.flags
+    # Each pair of masks must agree at every element: classify's regularity
+    # masks with their definitions, and Ehrlich's unit-regular <=> regular
+    # and left-morphic.  The checks then read the definitional regular mask.
+    defined = deciders._left_ideal_masks(R)
+    masks = dict(report.masks, regular=defined["regular"])
+    for check, sides in (
+            ("regular by definition",
+             {"classify": report.masks["regular"], "definition": defined["regular"]}),
+            ("strongly_regular by definition (left_group)",
+             {"classify": report.masks["strongly_regular"], "definition": defined["left_group"]}),
+            ("Ehrlich equivalence", {"unit_regular": masks["unit_regular"],
+                                     "regular&morphic": masks["regular"] & defined["left_morphic"]})):
+        lhs, rhs = sides.values()
+        bad = lhs != rhs
+        if bad.any():
+            x = int(bad.argmax())
+            fail(check, {side: bool(mask[x]) for side, mask in sides.items()}, R.format_element(x))
     for pre, post in _IMPLICATIONS:
         bad = masks[pre] & ~masks[post]
         if bad.any():
@@ -427,20 +441,11 @@ def _check_instance(R: Ring, failures: list):
     # A finite ring with J = 0 is semisimple, by Wedderburn-Artin a product
     # of matrix rings over finite fields, so it is unit-regular; and a
     # regular ring has J = 0.
+    regular = bool(masks["regular"].all())
     semisimple = R.caches.jacobson == frozenset({0})
-    if not flags["regular"] == semisimple == flags["unit_regular"]:
+    if not regular == semisimple == flags["unit_regular"]:
         fail("regular <=> J = 0 <=> unit_regular",
-             {"regular": flags["regular"], "J = 0": semisimple,
-              "unit_regular": flags["unit_regular"]})
-    # Ehrlich: unit-regular <=> regular and left-morphic, at every element.
-    ehrlich = masks["regular"] & deciders._left_morphic_mask(R)
-    unit_regular = masks["unit_regular"]
-    bad = unit_regular != ehrlich
-    if bad.any():
-        x = int(bad.argmax())
-        fail("Ehrlich equivalence",
-             {"unit_regular": bool(unit_regular[x]), "regular&morphic": bool(ehrlich[x])},
-             R.format_element(x))
+             {"regular": regular, "J = 0": semisimple, "unit_regular": flags["unit_regular"]})
     if R.kind == "zmod":
         forms = fastpath.closed_forms(R.meta["n"])
     elif R.kind == "group_ring" and R.meta["base"].kind == "zmod":

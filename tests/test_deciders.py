@@ -28,7 +28,7 @@ from finring import (
 )
 from finring.deciders import (
     _element_masks,
-    _left_morphic_mask,
+    _left_ideal_masks,
     _ni_witness,
     _periodic_mask,
     is_NI,
@@ -417,7 +417,7 @@ def test_mask_engine_matches_scalar_deciders(ring):
     assert R.caches.jacobson == jacobson
     # byte-identical JSON, key order included
     assert json.dumps(classify(R).to_json()) == json.dumps(_oracle_report(R))
-    assert _left_morphic_mask(R).tolist() == left_morphic_reference(R)
+    assert _left_ideal_masks(R)["left_morphic"].tolist() == left_morphic_reference(R)
 
 
 @pytest.mark.parametrize("index", range(len(standard_corpus())),
@@ -430,7 +430,7 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
     for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
         assert getattr(S.caches, name) == getattr(R.caches, name), name
     assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())
-    assert (_left_morphic_mask(S) == _left_morphic_mask(R)).all()
+    assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
 
 
 def test_row_path_matches_table_path_above_limit(monkeypatch):
@@ -443,7 +443,7 @@ def test_row_path_matches_table_path_above_limit(monkeypatch):
     for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
         assert getattr(S.caches, name) == getattr(R.caches, name), name
     assert row_path == json.dumps(classify(R).to_json())
-    assert (_left_morphic_mask(S) == _left_morphic_mask(R)).all()
+    assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
 
 
 def test_row_path_memory_is_linear_in_order():
@@ -513,6 +513,21 @@ def test_power_scan_matches_scalar_deciders(ring):
     assert R.caches.units == set(R.caches.unit_inverse)
     for u, v in R.caches.unit_inverse.items():
         assert R.mul(u, v) == R.one == R.mul(v, u)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT)
+def test_regularity_masks_match_scalar_deciders(ring):
+    # At every element: regularity and strong regularity by their
+    # definitions (left-ideal keys) and as classify reads them (the
+    # unit-regular mask and m = 1), against x*y*x and x^2*R, R*x^2.  Every
+    # mask classify reports is whole.
+    R = freeze(ring)
+    regular = [is_regular(R, x) for x in R.elements()]
+    strongly_regular = [is_strongly_regular(R, x) for x in R.elements()]
+    defined, masks = _left_ideal_masks(R), _element_masks(R)
+    assert defined["regular"].tolist() == masks["regular"].tolist() == regular
+    assert defined["left_group"].tolist() == masks["strongly_regular"].tolist() == strongly_regular
+    assert {len(mask) for mask in classify(R).masks.values()} == {R.order}
 
 
 @pytest.mark.parametrize("ring", [make_zmod(4), trivial_extension(make_zmod(33))],

@@ -2,13 +2,14 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
-from finring import (SearchConfig, cyclic, deciders, falsify, fastpath, freeze, group_ring,
-                     harness, kernel, make_zmod, standard_corpus, trivial_extension,
-                     upper_triangular)
+from finring import (RingAxiomError, SearchConfig, cyclic, deciders, falsify, fastpath, freeze,
+                     group_ring, harness, kernel, make_zmod, standard_corpus,
+                     trivial_extension, upper_triangular)
 from finring.cli import main
 from finring.harness import (
     suite_connell,
@@ -70,6 +71,26 @@ def test_connell_records_the_least_failing_element(monkeypatch):
     assert (report.attempted, report.passed) == (2, 1)
     assert report.failures == [{"case": "GR(Z(2), C(2))", "expected": True, "got": False,
                                 "witness": "1*g0 + 1*g1"}]
+
+
+def test_connell_reads_regularity_by_its_definition(monkeypatch):
+    # The regular mask of _left_ideal_masks cleared at the last element of
+    # F3[C2], which is semisimple: the closed form and classify's
+    # unit-regular verdict each disagree with it, at that element.
+    left_ideal_masks = deciders._left_ideal_masks
+
+    def wrong_masks(R):
+        masks = left_ideal_masks(R)
+        masks["regular"][-1] = False
+        return masks
+
+    monkeypatch.setattr(deciders, "_left_ideal_masks", wrong_masks)
+    report = suite_connell([(3, cyclic(2))])
+    assert (report.attempted, report.passed) == (2, 0)
+    assert report.failures == [
+        {"case": "GR(Z(3), C(2))", "expected": True, "got": False, "witness": "2*g0 + 2*g1"},
+        {"case": "GR(Z(3), C(2)) regular<=>unit-regular", "expected": False, "got": True,
+         "witness": None}]
 
 
 def test_connell_subset():
@@ -190,17 +211,17 @@ def test_falsify_records_classify_cross_check_failure(monkeypatch, capsys):
 def _flip_last_unit(monkeypatch, label):
     """Make the left-morphic mask of the ring called label false at its last
     unit, which is unit-regular; return that unit."""
-    morphic = deciders._left_morphic_mask
+    left_ideal_masks = deciders._left_ideal_masks
     flipped = []
 
-    def wrong_mask(R):
-        mask = morphic(R)
+    def wrong_masks(R):
+        masks = left_ideal_masks(R)
         if R.label == label:
             flipped.append(int(R.caches.unit_array[-1]))
-            mask[flipped[-1]] = False
-        return mask
+            masks["left_morphic"][flipped[-1]] = False
+        return masks
 
-    monkeypatch.setattr(deciders, "_left_morphic_mask", wrong_mask)
+    monkeypatch.setattr(deciders, "_left_ideal_masks", wrong_masks)
     return flipped
 
 
@@ -225,8 +246,8 @@ def test_falsify_records_ehrlich_mismatch(monkeypatch, capsys):
 @pytest.mark.parametrize("n, table_limit", [(24, None), (6, 0)])
 def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
     # Triv(Z(24)) has op tables and order 576 > 512, Triv(Z(6)) has none.
-    # In both the regular mask of _element_masks stops after the row block
-    # of the first non-regular element, before the flipped unit.
+    # In both the first non-regular element comes before the flipped unit,
+    # and the regular mask of _element_masks is whole all the same.
     if table_limit is not None:
         monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
     R = freeze(trivial_extension(make_zmod(n)))
@@ -237,7 +258,56 @@ def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
     assert failures == [{"case": R.label, "expected": "Ehrlich equivalence",
                          "got": {"unit_regular": True, "regular&morphic": False},
                          "witness": R.format_element(flipped[0])}]
-    assert len(deciders._element_masks(R)["regular"]) < flipped[0]
+    regular = deciders._element_masks(R)["regular"]
+    assert len(regular) == R.order and regular.argmin() < flipped[0]
+
+
+def test_classify_rejects_a_wrong_unit_regular_mask(monkeypatch):
+    # 2 = 2*2*2 is regular in Z(3); with the unit-regular mask cleared there,
+    # it is the least False of both regularity masks, and its one-row check
+    # finds the y.
+    unit_multiples = deciders._unit_multiples
+
+    def wrong_masks(R, T):
+        masks = unit_multiples(R, T)
+        if R.label == "Z(3)":
+            masks[0, 2] = False
+        return masks
+
+    monkeypatch.setattr(deciders, "_unit_multiples", wrong_masks)
+    message = "Z(3): regularity and unit-regularity disagree at 2"
+    with pytest.raises(RingAxiomError, match=f"^{re.escape(message)}$"):
+        deciders.classify(make_zmod(3))
+    failures = []
+    harness._check_instance(make_zmod(3), failures)
+    assert failures == [{"case": "Z(3)", "expected": "classify cross-checks", "got": message,
+                         "witness": None}]
+
+
+def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
+    # The power scan of Z(8) claims m = 1 at 4, where 4^2 = 0.  The least
+    # element with m != 1 is still 2, which is not strongly regular, so
+    # classify's one-row check passes; the falsifier's left_group check
+    # (R*x = R*x^2 at every element) names 4, and so do the implication
+    # strongly_regular => unit_regular and the periodic check.
+    scan = kernel._power_scan
+
+    def wrong_scan(R):
+        m, k = scan(R)
+        if R.label == "Z(8)":
+            m[4] = 1
+        return m, k
+
+    monkeypatch.setattr(kernel, "_power_scan", wrong_scan)
+    failures = []
+    harness._check_instance(make_zmod(8), failures)
+    witness = {"index": 4, "element": "4"}
+    assert failures == [
+        {"case": "Z(8)", "expected": "strongly_regular by definition (left_group)",
+         "got": {"classify": True, "definition": False}, "witness": "4"},
+        {"case": "Z(8)", "expected": "strongly_regular => unit_regular", "got": "violated",
+         "witness": witness},
+        {"case": "Z(8)", "expected": "periodic universal", "got": False, "witness": witness}]
 
 
 def test_falsifier_records_the_least_element_of_an_implication(monkeypatch):

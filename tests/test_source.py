@@ -57,18 +57,25 @@ def test_harness_skips_and_records_through_one_place():
 
 
 def test_ring_level_sets_read_no_row_per_element_or_unit():
-    # The Jacobson radical is sieved from the nilpotents and the unit-multiple
-    # masks are closed under generators of the unit group, so that neither
-    # reads one row per element or per unit again.
+    # The Jacobson radical is sieved from the nilpotents, the unit-multiple
+    # masks are closed under generators of the unit group, and regular and
+    # strongly regular are read from those masks and the power scan.
+    # deciders.py reads row blocks only for the left-ideal keys of every
+    # element (the cross-checks' definitions), for the ordered NI search
+    # over the nilpotents and for x - e over the idempotents, and harness.py
+    # reads none.  So that no row per element or per unit comes back into
+    # freeze or classify.
     found = []
-    for module, name in [("kernel.py", "_compute_jacobson"), ("deciders.py", "_element_masks")]:
+    for module, names in [("kernel.py", ["_compute_jacobson"]), ("deciders.py", None)]:
         tree = ast.parse((PACKAGE / module).read_text())
-        [function] = [node for node in tree.body
-                      if isinstance(node, ast.FunctionDef) and node.name == name]
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_row_blocks":
-                found.append((name, ast.unparse(node.args[1])))
-    assert found == [("_element_masks", "sorted(caches.idempotents)")]
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and (names is None or top.name in names):
+                found += [(top.name, ast.unparse(node.args[1])) for node in ast.walk(top)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "_row_blocks"]
+    assert found == [("_left_ideal_masks", "every"), ("_ni_witness", "N"), ("_ni_witness", "N"),
+                     ("_element_masks", "sorted(caches.idempotents)")]
+    assert "_row_blocks" not in ast.unparse(ast.parse((PACKAGE / "harness.py").read_text()))
 
 
 def _keywords(line):
