@@ -27,7 +27,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .kernel import (
-    ARITH_CAP, Ring, _add_many, _additive_generators, _assoc_violation, _mul_many, is_nilpotent,
+    ARITH_CAP, Ring, _add_many, _additive_generators, _assoc_violation, _mul_many, _powers,
 )
 
 
@@ -177,6 +177,7 @@ def augmentation(RG: Ring, x: int) -> int:
     """Coefficient sum of a group-ring element, in the base ring."""
     if RG.kind != "group_ring":
         raise WrongConstructionError(f"{RG.label} was not built by group_ring")
+    _require_element(RG, x, "x")
     base = RG.meta["base"]
     b = base.order
     acc = 0
@@ -201,6 +202,14 @@ def trivial_extension(base: Ring, cap: int = ARITH_CAP) -> Ring:
 # -- generalized and formal matrix rings -----------------------------------
 
 
+def _require_element(R: Ring, x, name: str) -> None:
+    """Raise ValueError unless x is an integer in 0..order-1, an element index
+    of R; numpy would read a negative index from the end."""
+    if not isinstance(x, (int, np.integer)) or not 0 <= x < R.order:
+        raise ValueError(f"{name} = {x!r} is not an element index of {R.label} "
+                         f"(0..{R.order - 1})")
+
+
 def _require_central(base: Ring, s: int, label: str):
     every = np.arange(base.order)
     bad = np.flatnonzero(_mul_many(base, s, every) != _mul_many(base, every, s))
@@ -218,6 +227,7 @@ def generalized_matrix(base: Ring, s: int, cap: int = ARITH_CAP) -> Ring:
     pick up a factor of s on the off-diagonal cross terms.  Its product is
     that of the formal matrix ring FM(2, R, s), for any central s.
     """
+    _require_element(base, s, "s")
     label = f"Ks({base.label}, {base.format_element(s)})"
 
     def terms():
@@ -252,11 +262,14 @@ def formal_matrix(base: Ring, k: int, s: int, cap: int = ARITH_CAP) -> Ring:
     """
     if k < 2:
         raise ValueError("formal matrix ring needs k >= 2")
+    _require_element(base, s, "s")
     label = f"FM({k}, {base.label}, {base.format_element(s)})"
 
     def terms():
         _require_central(base, s, label)
-        if not is_nilpotent(base, s):
+        # A nilpotent's powers are distinct until the first zero, so its
+        # index is at most |base|.
+        if _powers(base, np.array([s]), np.array([base.order]))[0] != 0:
             raise NotNilpotentError(
                 f"{label}: s = {base.format_element(s)} is not nilpotent"
             )

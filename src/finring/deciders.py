@@ -7,12 +7,13 @@ through ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
 constants above it): the clean masks in the row blocks of
 ``kernel._row_blocks``; the unit-multiple masks, unit-regularity and with it
 regularity, are closed under generators of the unit group; strong
-regularity and the power flags come from the power indices of ``freeze``;
-and NI is read from generating sets of the nilpotents.  No flag is found by
-a search over rows.  ``_left_ideal_masks`` decides regularity, strong
-regularity and left-morphicity by their definitions, from keys of the
-principal left ideals, for the cross-checks of ``harness``; the per-element
-definitions the masks are held to live with the tests, as their reference.
+regularity and the power flags come from the power indices (m, k) of
+``freeze`` and its cycle start x^m; and NI is read from generating sets of
+the nilpotents.  No flag is found by a search over rows.
+``_left_ideal_masks`` decides regularity, strong regularity and
+left-morphicity by their definitions, from keys of the principal left
+ideals, for the cross-checks of ``harness``; the per-element definitions
+the masks are held to live with the tests, as their reference.
 """
 
 from __future__ import annotations
@@ -190,13 +191,12 @@ class PropertyReport:
         }
 
 
-def _periodic_mask(R: Ring, m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """1 <= m < k and x^m == x^k, the powers recomputed independently of the
-    scan that found (m, k)."""
-    x = np.arange(len(m))
-    both = _powers(R, np.concatenate((x, x)), np.concatenate((m, k)))
-    power_m, power_k = both.reshape(2, -1)
-    return (1 <= m) & (m < k) & (power_m == power_k)
+def _periodic_mask(R: Ring) -> np.ndarray:
+    """1 <= m < k and x^m == x^k for the power indices (m, k) of a frozen R:
+    x^m is the cycle start of ``freeze``, and x^k is recomputed from k,
+    independently of the scan that found (m, k)."""
+    m, k = R.caches.power_indices
+    return (1 <= m) & (m < k) & (R.caches.cycle_start == _powers(R, np.arange(R.order), k))
 
 
 def _closure(T: np.ndarray, generators: list) -> np.ndarray:
@@ -257,7 +257,7 @@ def _element_masks(R: Ring) -> dict:
     U*NC and strongly_unit_nil_clean U*SNC, for the idempotent, nil-clean
     and strongly nil-clean masks E, NC and SNC, read as one stack closed
     under generators of U (`_unit_multiples`).  x - e for each idempotent e
-    gives the clean and nil-clean flags.  In a finite ring two of the flags
+    gives the clean and nil-clean flags.  In a finite ring three of the flags
     are others read again:
 
     - regular is unit_regular.  A finite ring is semilocal, so it has stable
@@ -269,7 +269,11 @@ def _element_masks(R: Ring) -> dict:
       "Pseudo-inverses in associative rings and semigroups", Amer. Math.
       Monthly 65 (1958)).  In a finite ring either side suffices: if
       x = y*x^2, then r(x^2), the right annihilator of x^2, lies in r(x), so
-      |x*R| = |x^2*R| and x lies in x^2*R.
+      |x*R| = |x^2*R| and x lies in x^2*R;
+    - strongly_pi_regular is m == 1 at x^m, the cycle start of ``freeze``.
+      The powers x^j with m <= j < k are a cyclic group, so x^m has a group
+      inverse whenever (m, k) is right; the mask reads the scan once more
+      at x^m.
 
     Raises RingAxiomError where strong nil-cleanness by idempotent search and
     Diesl's criterion (x - x^2 nilpotent) disagree, and where a flag's least
@@ -280,8 +284,7 @@ def _element_masks(R: Ring) -> dict:
     n = R.order
     caches = R.caches
     x = np.arange(n)
-    m, k = caches.power_indices
-    group = m == 1
+    group = caches.power_indices[0] == 1
     is_unit = _indicator(n, caches.units)
     is_nil = _indicator(n, caches.nilpotents)
     is_idempotent = _indicator(n, caches.idempotents)
@@ -315,8 +318,8 @@ def _element_masks(R: Ring) -> dict:
     return {"regular": unit_regular.copy(), "unit_regular": unit_regular,
             "strongly_regular": group, "clean": clean, "nil_clean": nil_clean,
             "strongly_nil_clean": snc, "unit_nil_clean": unc, "strongly_unit_nil_clean": sunc,
-            "strongly_pi_regular": group[_powers(R, x, m)],
-            "periodic": _periodic_mask(R, m, k)}
+            "strongly_pi_regular": group[caches.cycle_start],
+            "periodic": _periodic_mask(R)}
 
 
 def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:

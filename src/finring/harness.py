@@ -263,8 +263,9 @@ def suite_group_ring_sunc(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteRepor
 def suite_periodic(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
     """Every element of every finite group ring is periodic: x^m = x^k for
     the least pair (m, k) of the power scan in `freeze`, with both powers
-    recomputed independently of it (`deciders._periodic_mask`).  The witness
-    is the least element that is not."""
+    recomputed from (m, k), independently of the scan: x^m once in `freeze`
+    and x^k in `deciders._periodic_mask`.  The witness is the least element
+    that is not."""
     report = SuiteReport("periodic", "consistency")
     if cases is None:
         g = _std_groups()
@@ -274,7 +275,7 @@ def suite_periodic(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
         RG = _frozen(report, case, lambda: group_ring(base, G, cap=cap), cap)
         if RG is None:
             continue
-        periodic = deciders._periodic_mask(RG, *RG.caches.power_indices)
+        periodic = deciders._periodic_mask(RG)
         bad = None if periodic.all() else int(periodic.argmin())
         report.record(
             case, bad is None,

@@ -18,6 +18,12 @@ of digit vectors through the structure constants, so a whole row x*R or
 column R*x costs O(n * |g|) memory.  Besides these three, only
 ``_row_blocks`` knows whether the tables exist: whole-ring reads take blocks
 of ROW_BLOCK // n rows with them, one row at a time without them.
+
+Every power that freeze reads comes from one power scan (`_power_scan`):
+for each x the least m < k with x^m == x^k, and x^m itself, the start of
+the cycle of its powers (``RingCaches.cycle_start``).  The units, the
+nilpotents (x^m == 0) and the power flags of ``deciders`` are read from
+them; no module of the package calls the scalar ``Ring.mul``.
 """
 
 from __future__ import annotations
@@ -47,20 +53,23 @@ ROW_BLOCK = 2**18
 
 
 class RingCaches:
-    """Structural sets populated by freeze(), and the power indices (m, k):
-    for every element x the least m < k with x^m == x^k (`_power_scan`)."""
+    """Structural sets populated by freeze(); the power indices (m, k): for
+    every element x the least m < k with x^m == x^k (`_power_scan`); and
+    cycle_start, x^m for every x, the first power of x on the cycle of its
+    powers, from which the nilpotents (x^m == 0) are read."""
 
     __slots__ = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson",
-                 "unit_array", "power_indices")
+                 "power_indices", "cycle_start")
 
-    def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson, power_indices):
+    def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson, power_indices,
+                 cycle_start):
         self.units = frozenset(units)
-        self.unit_array = np.array(sorted(self.units), dtype=np.int64)   # in index order
         self.unit_inverse = dict(unit_inverse)
         self.idempotents = frozenset(idempotents)
         self.nilpotents = frozenset(nilpotents)
         self.jacobson = frozenset(jacobson)
         self.power_indices = power_indices
+        self.cycle_start = cycle_start
 
 
 class Ring:
@@ -336,7 +345,8 @@ def _row_blocks(R: Ring, xs) -> list:
 
 
 def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """base[i]^exponent[i] for every i, multiplied in the order ring_pow uses."""
+    """base[i]^exponent[i] for every i, by binary exponentiation: the low
+    bits of the exponent first, x^0 = one."""
     result = np.full_like(base, R.one)
     while exponent.any():
         result = np.where((exponent & 1) == 1, _mul_many(R, result, base), result)
@@ -394,14 +404,15 @@ def _compute_units(R: Ring):
     return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k)
 
 
-def _compute_nilpotents(R: Ring):
-    # x is nilpotent iff x^(2^k) = 0 for 2^k >= order (nilpotency index
-    # is at most the order in a finite ring).
-    n = R.order
-    y = np.arange(n)
-    for _ in range(max(1, (n - 1).bit_length())):
-        y = _mul_many(R, y, y)
-    return set(np.flatnonzero(y == 0).tolist())
+def _compute_nilpotents(R: Ring, m: np.ndarray) -> tuple:
+    """(the nilpotents, x^m for every x), m the power index of `_power_scan`,
+    with one `_powers` call.  x is nilpotent iff x^m == 0: if t is the least
+    exponent with x^t = 0, the powers x, ..., x^t are distinct (x^i = x^j,
+    i < j <= t, would make x^i recur beyond t, where every power is 0, while
+    x^i != 0 for i < t), and x^(t+1) = 0 = x^t is the first repeat, so
+    m = t.  Conversely x^m == 0 says x is nilpotent."""
+    start = _powers(R, np.arange(R.order), m)
+    return set(np.flatnonzero(start == 0).tolist()), start
 
 
 def _orbit_union(T: np.ndarray, row: np.ndarray, steps: int) -> np.ndarray:
@@ -455,10 +466,11 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     Op tables are built up to TABLE_LIMIT.  On either side of it every set
     is read through `_mul_many`, in O(n * |g|) memory per read above the
     limit: one power scan gives the power indices (m, k) of every element
-    and from them the units and their inverses (`_compute_units`);
-    idempotents and nilpotents are whole-ring products; the Jacobson
-    radical is sieved from the nilpotents, one column R*x per nilpotent x
-    tested (`_compute_jacobson`).
+    and from them the units and their inverses (`_compute_units`) and x^m,
+    the cycle start, whose zeros are the nilpotents (`_compute_nilpotents`);
+    the idempotents are the x with x*x == x; the Jacobson radical is sieved
+    from the nilpotents, one column R*x per nilpotent x tested
+    (`_compute_jacobson`).
     """
     if R.caches is not None:
         return R
@@ -471,36 +483,11 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     units = frozenset(inverse)
     x = np.arange(R.order)
     idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
-    nilpotents = frozenset(_compute_nilpotents(R))
+    nilpotents, cycle_start = _compute_nilpotents(R, power_indices[0])
     jacobson = frozenset(_compute_jacobson(R, units, nilpotents))
-    R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices)
+    R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices,
+                          cycle_start)
     return R
-
-
-def ring_pow(R: Ring, x: int, k: int) -> int:
-    """k-fold product, x^0 = one."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    result = R.one
-    base = x
-    while k:
-        if k & 1:
-            result = R.mul(result, base)
-        base = R.mul(base, base)
-        k >>= 1
-    return result
-
-
-def is_nilpotent(R: Ring, x: int) -> bool:
-    """Iterate powers of x until zero or a repeat; independent of the cache."""
-    seen = set()
-    y = x
-    while y not in seen:
-        if y == 0:
-            return True
-        seen.add(y)
-        y = R.mul(y, x)
-    return False
 
 
 def make_zmod(n: int, cap: int = ARITH_CAP) -> Ring:

@@ -11,8 +11,39 @@ from typing import Optional
 
 import numpy as np
 
-from finring import Ring, make_zmod, matrix_ring, ring_pow
+from finring import Ring, make_zmod, matrix_ring
 from finring.kernel import _add_many, _indicator, _mul_many, _row_blocks, _sub_many
+
+
+def ring_pow(R, x: int, k: int) -> int:
+    """k-fold product by scalar binary exponentiation, x^0 = one."""
+    if k < 0:
+        raise ValueError("exponent must be >= 0")
+    result = R.one
+    base = x
+    while k:
+        if k & 1:
+            result = R.mul(result, base)
+        base = R.mul(base, base)
+        k >>= 1
+    return result
+
+
+def is_nilpotent(R, x: int) -> bool:
+    """Iterate the powers of x until zero or a repeat; independent of the cache."""
+    seen = set()
+    y = x
+    while y not in seen:
+        if y == 0:
+            return True
+        seen.add(y)
+        y = R.mul(y, x)
+    return False
+
+
+def _units(R) -> np.ndarray:
+    """The units of a frozen R, in index order."""
+    return np.array(sorted(R.caches.units), dtype=np.int64)
 
 
 def _check_assoc_np(T):
@@ -72,7 +103,7 @@ def is_regular(R, x) -> bool:
 def is_unit_regular(R, x) -> bool:
     """x = x*u*x for some unit u: the products x*u over the units, multiplied
     by x, hold x."""
-    return bool((_mul_many(R, _mul_many(R, x, R.caches.unit_array), x) == x).any())
+    return bool((_mul_many(R, _mul_many(R, x, _units(R)), x) == x).any())
 
 
 def is_strongly_regular(R, x) -> bool:
@@ -119,7 +150,7 @@ def is_clean(R, x) -> Optional[Decomposition]:
 def _least_unit_multiple(R, x, decide) -> Optional[Decomposition]:
     """decide's decomposition of the first unit multiple u*x, over the units
     in index order, with u recorded on it; None when there is none."""
-    units = R.caches.unit_array
+    units = _units(R)
     for u, ux in zip(units.tolist(), _mul_many(R, units, x).tolist()):
         dec = decide(R, ux)
         if dec is not None:
@@ -199,7 +230,7 @@ def unit_row_masks(R, nil_clean, snc):
     every = np.arange(n)
     targets = np.stack((_indicator(n, R.caches.idempotents), nil_clean, snc))
     masks = np.zeros((3, n), dtype=bool)
-    for us in _row_blocks(R, R.caches.unit_array):
+    for us in _row_blocks(R, _units(R)):
         masks |= targets[:, _mul_many(R, us, every)].any(1)      # [t, j, x] -> u_j*x
     return masks
 

@@ -238,6 +238,20 @@ class TestGeneralizedMatrix:
         verify_ring_axioms(generalized_matrix(make_zmod(3), 0))
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: generalized_matrix(make_zmod(4), -1), "s = -1"),
+    (lambda: generalized_matrix(make_zmod(4), 5), "s = 5"),
+    (lambda: formal_matrix(make_zmod(4), 2, -2), "s = -2"),
+    (lambda: augmentation(group_ring(make_zmod(2), cyclic(2)), 9), "x = 9"),
+], ids=["Ks s=-1", "Ks s=5", "FM s=-2", "augmentation x=9"])
+def test_out_of_range_elements_are_rejected(build, shown):
+    # A negative index would be read from the end of numpy arrays (Ks(Z(4),
+    # -1) would be Ks(Z(4), 3) under another label), and one past the order
+    # would fail inside them or be summed as digits of another element.
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an element index of "):
+        build()
+
+
 class TestFormalMatrix:
     def test_k2_matches_generalized(self):
         F = freeze(formal_matrix(make_zmod(4), 2, 2))

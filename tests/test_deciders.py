@@ -18,11 +18,9 @@ from finring import (
     freeze,
     group_ring,
     harness,
-    is_nilpotent,
     kernel,
     make_zmod,
     matrix_ring,
-    ring_pow,
     standard_corpus,
     trivial_extension,
 )
@@ -40,6 +38,7 @@ from _oracles import (
     Decomposition,
     is_clean,
     is_nil_clean,
+    is_nilpotent,
     is_periodic,
     is_regular,
     is_strongly_nil_clean,
@@ -52,6 +51,7 @@ from _oracles import (
     left_morphic_reference,
     ni_search,
     periodic_indices,
+    ring_pow,
     snc_poly_criterion,
     unit_row_masks,
 )
@@ -235,8 +235,6 @@ class TestPeriodic:
                 assert periodic_indices(z6, e) == (1, 2)
 
     def test_least_pair_property(self, z6):
-        from finring import ring_pow
-
         for x in z6.elements():
             m, n = periodic_indices(z6, x)
             assert 1 <= m < n
@@ -253,11 +251,14 @@ class TestPeriodic:
         assert list(zip(m.tolist(), k.tolist())) == [
             periodic_indices(z6, x) for x in z6.elements()
         ]
-        assert _periodic_mask(z6, m, k).all()
+        assert _periodic_mask(z6).all()
 
-    def test_mask_engine_catches_wrong_pair(self, z4):
-        ones, twos = np.ones(4, dtype=np.int64), np.full(4, 2, dtype=np.int64)
-        mask = _periodic_mask(z4, ones, twos)
+    def test_mask_engine_catches_wrong_pair(self, monkeypatch):
+        # A power scan that gives (m, k) = (1, 2) for every element: x = x^2
+        # fails at 2 and 3, the elements of Z(4) that are not idempotent.
+        monkeypatch.setattr(kernel, "_power_scan", lambda R: (
+            np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64)))
+        mask = _periodic_mask(freeze(make_zmod(4)))
         assert mask.tolist() == [True, True, False, False]
 
 
@@ -505,11 +506,16 @@ ABOVE_LIMIT = [
 @pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT)
 def test_power_scan_matches_scalar_deciders(ring):
     # Below the limit test_mask_engine_matches_scalar_deciders also holds
-    # the units and inverses read from the scan to brute force.
+    # the units and inverses read from the scan to brute force.  The cycle
+    # start x^m is the power by scalar products, and it is 0 exactly at the
+    # nilpotents.
     R = freeze(ring)
     m, k = R.caches.power_indices
     assert list(zip(m.tolist(), k.tolist())) == [periodic_indices(R, x) for x in R.elements()]
     assert (m == 1).tolist() == [is_strongly_regular(R, x) for x in R.elements()]
+    start = R.caches.cycle_start.tolist()
+    assert start == [ring_pow(R, x, int(m[x])) for x in R.elements()]
+    assert [y == 0 for y in start] == [is_nilpotent(R, x) for x in R.elements()]
     assert R.caches.units == set(R.caches.unit_inverse)
     for u, v in R.caches.unit_inverse.items():
         assert R.mul(u, v) == R.one == R.mul(v, u)

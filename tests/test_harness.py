@@ -217,7 +217,7 @@ def _flip_last_unit(monkeypatch, label):
     def wrong_masks(R):
         masks = left_ideal_masks(R)
         if R.label == label:
-            flipped.append(int(R.caches.unit_array[-1]))
+            flipped.append(max(R.caches.units))
             masks["left_morphic"][flipped[-1]] = False
         return masks
 
@@ -289,7 +289,10 @@ def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
     # element with m != 1 is still 2, which is not strongly regular, so
     # classify's one-row check passes; the falsifier's left_group check
     # (R*x = R*x^2 at every element) names 4, and so do the implication
-    # strongly_regular => unit_regular and the periodic check.
+    # strongly_regular => unit_regular and the periodic check.  The
+    # nilpotents are the x with x^m = 0, and 4^1 = 4, so 4 is no longer
+    # nilpotent: it is neither 0 nor 1 plus a nilpotent, and the strongly
+    # unit nil-clean check names it too.
     scan = kernel._power_scan
 
     def wrong_scan(R):
@@ -306,6 +309,8 @@ def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
         {"case": "Z(8)", "expected": "strongly_regular by definition (left_group)",
          "got": {"classify": True, "definition": False}, "witness": "4"},
         {"case": "Z(8)", "expected": "strongly_regular => unit_regular", "got": "violated",
+         "witness": witness},
+        {"case": "Z(8)", "expected": "strongly_unit_nil_clean universal", "got": False,
          "witness": witness},
         {"case": "Z(8)", "expected": "periodic universal", "got": False, "witness": witness}]
 

@@ -21,16 +21,14 @@ from finring import (
     deciders,
     direct_product,
     freeze,
-    is_nilpotent,
     kernel,
     make_zmod,
-    ring_pow,
     trivial_extension,
     verify_ring_axioms,
 )
 from finring.cli import elaborate, parse
 
-from _oracles import _check_assoc_np
+from _oracles import _check_assoc_np, is_nilpotent, ring_pow
 
 
 def frozen_zmod(n):
@@ -451,17 +449,22 @@ def _count_scalar_calls(R):
     return calls
 
 
-@pytest.mark.parametrize("ring, jacobson, classified", [
-    (trivial_extension(make_zmod(33)), 1, 40),
-    (direct_product(make_zmod(5), trivial_extension(make_zmod(15))), 1, 43),
+@pytest.mark.parametrize("ring, nilpotents, jacobson, classified", [
+    (trivial_extension(make_zmod(33)), 4, 1, 36),
+    (direct_product(make_zmod(5), trivial_extension(make_zmod(15))), 4, 1, 39),
 ], ids=["Triv(Z(33))", "Z(5) x Triv(Z(15))"])
-def test_ring_level_sets_read_few_products_above_limit(ring, jacobson, classified, monkeypatch):
+def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobson, classified,
+                                                       monkeypatch):
     # Above TABLE_LIMIT every product read is one _mul_many call.  The
-    # Jacobson sieve reads one column per nilpotent it tests and the unit
-    # masks one row per generator of the unit group, where one row per
-    # element would take n = 1089 or 1125 calls in _compute_jacobson alone.
-    # classify reads no row search: regular and strongly regular are the
-    # unit-regular mask and m = 1, each re-verified at its least False.
+    # nilpotents are the zeros of x^m, one _powers call over the ring: two
+    # calls per bit of the largest m, which is 2 here, where squaring every
+    # element up to an exponent >= n would take 11.  The Jacobson sieve reads one
+    # column per nilpotent it tests and the unit masks one row per generator
+    # of the unit group, where one row per element would take n = 1089 or
+    # 1125 calls in _compute_jacobson alone.  classify reads no row search:
+    # regular and strongly regular are the unit-regular mask and m = 1, each
+    # re-verified at its least False, and strongly pi-regular is m = 1 at
+    # the cached x^m.
     R = freeze(ring)
     assert R._mul_np is None
     calls = []
@@ -473,6 +476,10 @@ def test_ring_level_sets_read_few_products_above_limit(ring, jacobson, classifie
 
     monkeypatch.setattr(kernel, "_mul_many", counted)
     monkeypatch.setattr(deciders, "_mul_many", counted)
+    nil, start = kernel._compute_nilpotents(R, R.caches.power_indices[0])
+    assert nil == R.caches.nilpotents and (start == R.caches.cycle_start).all()
+    assert len(calls) == nilpotents
+    calls.clear()
     assert kernel._compute_jacobson(R, R.caches.units, R.caches.nilpotents) == R.caches.jacobson
     assert len(calls) == jacobson
     calls.clear()
