@@ -404,6 +404,11 @@ def _check_instance(R: Ring, failures: list):
         fail("ring axioms", str(exc))
         return
     freeze(R)
+    # The Jacobson radical of a finite ring is nil.
+    loose = R.caches.jacobson - R.caches.nilpotents
+    if loose:
+        x = min(loose)
+        fail("J ⊆ Nil", "violated", {"index": x, "element": R.format_element(x)})
     try:
         report = deciders.classify(R)
     except RingAxiomError as exc:     # a cross-check inside classify (Diesl, regularity)

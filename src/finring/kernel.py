@@ -21,9 +21,12 @@ of ROW_BLOCK // n rows with them, one row at a time without them.
 
 Every power that freeze reads comes from one power scan (`_power_scan`):
 for each x the least m < k with x^m == x^k, and x^m itself, the start of
-the cycle of its powers (``RingCaches.cycle_start``).  The units, the
-nilpotents (x^m == 0) and the power flags of ``deciders`` are read from
-them; no module of the package calls the scalar ``Ring.mul``.
+the cycle of its powers (``RingCaches.cycle_start``).  The scan takes
+O(sqrt(n)) products: m <= floor(log2 n), so Brent's saved power is held
+once it passes that bound, and long periods are found by baby and giant
+steps.  The units, the nilpotents (x^m == 0) and the power flags of
+``deciders`` are read from them; no module of the package calls the
+scalar ``Ring.mul``.
 """
 
 from __future__ import annotations
@@ -357,34 +360,101 @@ def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 def _power_scan(R: Ring) -> tuple:
     """For every element x at once: the least (m, k), m < k, with x^m == x^k
-    (x, ..., x^(k-1) distinct and x^k the first repeat), in O(n) memory.  Brent's cycle detection
-    steps x^j -> x^(j+1) for the open x and compares x^j with x (a hit gives
-    m = 1, k = j) and with the saved x^s, s = 2^i < j <= 2s (a hit gives
-    k - m = j - s once s >= m, k - m); for those x m is then the least j
-    with x^j == x^(j+k-m)."""
+    (x, ..., x^(k-1) distinct and x^k the first repeat), in O(sqrt(n))
+    products.  t = k - m is the period of x.
+
+    The power index m is at most top = floor(log2 n) (or 1).  The right
+    ideals x^j*R form a chain of additive subgroups; each strict step down
+    at least halves it, and once x^j*R == x^(j+1)*R the chain is stable
+    (x^(j+1)*R = x*x^j*R = x*x^(j+1)*R).  So it is stable from some j <= top
+    on, and so is R*x^j.  There x^j lies in x^(2j)*R and in R*x^(2j), so
+    x^j has a group inverse (Drazin): it lies in a finite subgroup of
+    (R, *), its powers return to it, and m <= j.
+
+    Brent's cycle detection steps x^j -> x^(j+1) for the open x and
+    compares x^j with x (a hit gives m = 1, k = j) and with the saved
+    x^e (a hit gives t = j - e once e >= m).  e doubles, 1, 2, 4, ..., until
+    it reaches top, and is then held at that exponent h >= top >= m, so
+    every x closes by j = h + t.  On orders with s = ceil(sqrt(n)) + 1 >=
+    2 * n.bit_length() (about 200 and up) the scan stops at j = h + 2s and
+    every x still open, with t > 2s, takes baby and giant steps (Shanks):
+    the scan's last s steps record the baby steps B_i = x^(h+s+1+i), i < s,
+    and the giant steps are G_J = x^(h+s+1+J*s), the first the scan's last
+    power and each next one G_J * x^s, x^s kept at j = s.  All of them lie
+    on the cycle, where x^a == x^b iff t divides a - b, so G_J == B_i iff
+    t divides J*s - i.  Since t > s the baby steps are distinct and each
+    range (J-1)*s < J*s - i <= J*s holds at most one multiple of t: the
+    first hit is J = ceil(t/s) <= ceil(n/s), at i = J*s - t, so t = J*s - i.
+    Below that order the tail's fixed cost, the binary powers of the
+    m-search for x that Brent closes at x^j == x, outweighs the steps it
+    saves.  Finally m is the least j with x^j == x^(j+t).
+
+    A table that is not a ring's can break these bounds; the scan then
+    raises RingAxiomError, also under ``python -O``: an x still open at
+    j = h + n without the tail, a giant hit with t <= 2s, no giant hit by
+    J = ceil(n/s) + 1, or m above top.  The baby table is one n x s array
+    of the narrowest dtype that holds n - 1, with one n x s boolean buffer
+    for its lookups.
+    """
     n = R.order
+    top = max(1, n.bit_length() - 1)                # m <= top in a ring
+    hold = 1 << (top - 1).bit_length()              # the saved exponent once held, >= top
+    s = math.isqrt(n - 1) + 2                       # ceil(sqrt(n)) + 1
+    tail = s >= 2 * n.bit_length()
+    last = hold + 2 * s if tail else hold + n
     x = np.arange(n)
     m, period = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    live, saved, power = x, x, _mul_many(R, x, x)    # x^s and x^j, s = 1, j = 2
-    s, j = 1, 2
-    while live.size:
+    live, saved, power = x, x, _mul_many(R, x, x)    # x^e and x^j, e = 1, j = 2
+    e, j = 1, 2
+    while live.size and j <= last:
         back = power == live                           # x^j == x
         hit = back | (power == saved)
         if hit.any():
             m[live[back]] = 1
-            period[live[hit]] = np.where(back, j - 1, j - s)[hit]
+            period[live[hit]] = np.where(back, j - 1, j - e)[hit]
             live, saved, power = live[~hit], saved[~hit], power[~hit]
-        if j == 2 * s:
-            saved, s = power, j
+        if j == 2 * e and e < top:
+            saved, e = power, j
+        if tail and j == s:
+            stride = np.zeros(n, dtype=power.dtype)
+            stride[live] = power
+        if tail and j > hold + s:
+            if j == hold + s + 1:
+                baby = np.empty((n, s), dtype=np.min_scalar_type(n - 1))
+            baby[live, j - hold - s - 1] = power
         power = _mul_many(R, power, live)
         j += 1
+    if live.size and not tail:
+        raise RingAxiomError(f"{R.label}: the powers of {int(live[0])} do not return to "
+                             f"x^{hold}, so its power index exceeds log2({n})")
+    if live.size:
+        step, giant = stride[live], np.zeros(n, dtype=baby.dtype)
+        meet = np.empty((n, s), dtype=bool)
+        for J in range(1, -(-n // s) + 2):           # power = G_J
+            giant[live] = power
+            found = np.equal(baby, giant[:, None], out=meet).any(1)[live]
+            if found.any():
+                t = J * s - meet[live[found]].argmax(1)
+                if t.min() <= 2 * s:
+                    y = int(live[found][t.argmin()])
+                    raise RingAxiomError(f"{R.label}: the powers of {y} repeat within "
+                                         f"{2 * s} steps of x^{hold + s + 1}")
+                period[live[found]] = t
+                live, power, step = live[~found], power[~found], step[~found]
+                if not live.size:
+                    break
+            power = _mul_many(R, power, step)
+        else:
+            raise RingAxiomError(f"{R.label}: the giant steps of {int(live[0])} never meet "
+                                 f"its baby steps")
+        del baby, meet
     live = np.flatnonzero(m == 0)
-    low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+k-m), j = 1
+    low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
     j = 1
     while live.size:
-        if j > n:       # m <= n in a ring: products of powers of x disagree
-            raise RingAxiomError(f"{R.label}: multiplication not power-associative at "
-                                 f"{int(live[0])}")
+        if j > top:
+            raise RingAxiomError(f"{R.label}: the power index of {int(live[0])} exceeds "
+                                 f"log2({n})")
         hit = low == high
         m[live[hit]] = j
         live, low, high = live[~hit], low[~hit], high[~hit]

@@ -503,7 +503,15 @@ ABOVE_LIMIT = [
 ]
 
 
-@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT)
+# Table-path rings whose long periods the power scan finds by baby and giant
+# steps (orders above the scan's gate at about 200).
+GIANT_STEPS = [
+    pytest.param(make_zmod(251), id="Z(251)"),
+    pytest.param(group_ring(make_zmod(3), cyclic(5)), id="GR(Z(3), C(5))"),
+]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT + GIANT_STEPS)
 def test_power_scan_matches_scalar_deciders(ring):
     # Below the limit test_mask_engine_matches_scalar_deciders also holds
     # the units and inverses read from the scan to brute force.  The cycle

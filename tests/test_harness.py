@@ -292,7 +292,9 @@ def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
     # strongly_regular => unit_regular and the periodic check.  The
     # nilpotents are the x with x^m = 0, and 4^1 = 4, so 4 is no longer
     # nilpotent: it is neither 0 nor 1 plus a nilpotent, and the strongly
-    # unit nil-clean check names it too.
+    # unit nil-clean check names it too.  The Jacobson sieve still spans
+    # {0, 2, 4, 6} from 2, and NI <=> Nil == J holds with both sides False,
+    # so only the check that J is nil names the wrong nilpotent set.
     scan = kernel._power_scan
 
     def wrong_scan(R):
@@ -302,10 +304,12 @@ def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
         return m, k
 
     monkeypatch.setattr(kernel, "_power_scan", wrong_scan)
-    failures = []
-    harness._check_instance(make_zmod(8), failures)
+    R, failures = make_zmod(8), []
+    harness._check_instance(R, failures)
+    assert (R.caches.nilpotents, R.caches.jacobson) == ({0, 2, 6}, {0, 2, 4, 6})
     witness = {"index": 4, "element": "4"}
     assert failures == [
+        {"case": "Z(8)", "expected": "J ⊆ Nil", "got": "violated", "witness": witness},
         {"case": "Z(8)", "expected": "strongly_regular by definition (left_group)",
          "got": {"classify": True, "definition": False}, "witness": "4"},
         {"case": "Z(8)", "expected": "strongly_regular => unit_regular", "got": "violated",

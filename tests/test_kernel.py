@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finring import (
     CapExceededError,
@@ -28,7 +29,7 @@ from finring import (
 )
 from finring.cli import elaborate, parse
 
-from _oracles import _check_assoc_np, is_nilpotent, ring_pow
+from _oracles import _check_assoc_np, is_nilpotent, periodic_indices, ring_pow
 
 
 def frozen_zmod(n):
@@ -199,17 +200,28 @@ for R in non_rings:
         verify_ring_axioms(R)
     except AssertionError as exc:
         print(__debug__, type(exc).__name__)
-# Z(6) tables with 5*2 = 0 and 5*5 = 2: the powers of 5 by repeated products
-# and by squaring never meet, so the power scan must stop and raise.
-R = make_zmod(6)
-kernel._build_tables(R)
-M = R._mul_np.copy()
-M[5, 2], M[5, 5] = 0, 2
-R._mul_np = M
-try:
-    freeze(R)
-except AssertionError as exc:
-    print(__debug__, type(exc).__name__)
+# Tampered Z(n) tables, each rejected by one bound of the power scan.
+for n, entries in [
+    # 5*2 = 0 and 5*5 = 2: the powers of 5 by repeated products and by
+    # squaring never meet, so no power index m <= log2(6) is found.
+    (6, {(5, 2): 0, (5, 5): 2}),
+    # Right products by 3 give 3 -> 5 -> 7 -> 9 -> 11 -> 13 -> 13: a power
+    # index 6 > log2(16), so the held saved power 3^4 = 9 never recurs.
+    (16, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13}),
+    # The first giant step of the primitive root 6, 6^43 * 6^17, sent to 0:
+    # its giant steps never meet its baby steps 6^26, ..., 6^42.
+    (251, {(pow(6, 43, 251), pow(6, 17, 251)): 0}),
+]:
+    R = make_zmod(n)
+    kernel._build_tables(R)
+    M = R._mul_np.copy()
+    for at, product in entries.items():
+        M[at] = product
+    R._mul_np = M
+    try:
+        freeze(R)
+    except AssertionError as exc:
+        print(__debug__, type(exc).__name__)
 # A power scan that denies 0 = 0^2 its group inverse: classify's check of
 # strong regularity against m = 1 rejects it.
 R = freeze(make_zmod(4))
@@ -229,7 +241,35 @@ def test_axioms_reject_non_ring_under_optimize():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "RingAxiomError"] * 5
+    assert done.stdout.split() == ["False", "RingAxiomError"] * 7
+
+
+def _tampered_zmod(n, entries):
+    """Z(n) with op tables whose products (a, b) -> a*b are replaced by `entries`."""
+    R = make_zmod(n)
+    kernel._build_tables(R)
+    M = R._mul_np.copy()
+    for at, product in entries.items():
+        M[at] = product
+    R._mul_np = M
+    return R
+
+
+@pytest.mark.parametrize("n, entries, message", [
+    (6, {(5, 2): 0, (5, 5): 2}, "the power index of 5 exceeds log2(6)"),
+    (16, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13},
+     "the powers of 3 do not return to x^4, so its power index exceeds log2(16)"),
+    (251, {(pow(6, 43, 251), pow(6, 17, 251)): 0},
+     "the giant steps of 6 never meet its baby steps"),
+    # The second giant step of 6 sent to its first baby step 6^26: a
+    # period of 2s = 34, which the scan before the giant steps finds.
+    (251, {(pow(6, 43, 251), pow(6, 17, 251)): pow(6, 26, 251)},
+     "the powers of 6 repeat within 34 steps of x^26"),
+], ids=["m-search", "held power", "no giant hit", "short giant hit"])
+def test_power_scan_names_the_broken_bound(n, entries, message):
+    # The tables of _NON_RINGS, and one more, each stopped by its own bound.
+    with pytest.raises(RingAxiomError, match=f"^{re.escape(f'Z({n}): {message}')}$"):
+        kernel._power_scan(_tampered_zmod(n, entries))
 
 
 # Rings above TABLE_LIMIT, each rejected by verify_ring_axioms with the
@@ -485,6 +525,43 @@ def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobso
     calls.clear()
     classify(R)
     assert len(calls) == classified
+
+
+@pytest.mark.parametrize("ring, calls", [
+    (trivial_extension(make_zmod(33)), 113),
+    (trivial_extension(make_zmod(34)), 113),
+    (make_zmod(17), 17),
+], ids=["Triv(Z(33))", "Triv(Z(34))", "Z(17)"])
+def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
+    # One _mul_many call per step.  Brent's scan with a saved power that
+    # keeps doubling took 347 and 804 calls on the two trivial extensions
+    # (max k = 331 and 274).  Held at x^16, it stops at x^(16 + 2s),
+    # s = ceil(sqrt(n)) + 1 = 34 and 35, and the long periods take a few
+    # giant steps x^s, then the m-search.  Z(17) is below the giant-step
+    # gate and takes one step per power, as before: every unit closes at
+    # x^j == x, by j = 17.
+    count = []
+    mul_many = kernel._mul_many
+
+    def counted(*args):
+        count.append(1)
+        return mul_many(*args)
+
+    monkeypatch.setattr(kernel, "_mul_many", counted)
+    kernel._power_scan(ring)
+    assert len(count) == calls
+
+
+@settings(deadline=None)
+@given(st.one_of(st.builds(make_zmod, st.integers(1, 400)),
+                 st.builds(lambda a, b: direct_product(make_zmod(a), make_zmod(b)),
+                           st.integers(1, 32), st.integers(1, 32))))
+def test_power_scan_matches_power_orbits(R):
+    # Orders on both sides of the giant-step gate, up to TABLE_LIMIT, so
+    # the scalar orbits read the op tables.
+    kernel._build_tables(R)
+    m, k = kernel._power_scan(R)
+    assert list(zip(m.tolist(), k.tolist())) == [periodic_indices(R, x) for x in R.elements()]
 
 
 @pytest.mark.parametrize("expr,generators", [("M(2, Z(3))", 4), ("GR(Z(2), C(10))", 10)])
