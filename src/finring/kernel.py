@@ -14,10 +14,11 @@ built from them; above it products are computed from them directly, and
 verify_ring_axioms checks them alone.  Products of many elements at once
 go through ``_mul_many`` (and sums and differences through ``_add_many`` and
 ``_sub_many``): a lookup in the op tables when they exist, else the product
-of digit vectors through the structure constants, so a whole row x*R or
-column R*x costs O(n * |g|) memory.  Besides these three, only
-``_row_blocks`` knows whether the tables exist: whole-ring reads take blocks
-of ROW_BLOCK // n rows with them, one row at a time without them.
+of digit vectors through the structure constants, one term per nonzero
+constant, so a whole row x*R or column R*x costs O(n * |g|) memory.
+Besides these three, only ``_row_blocks`` knows whether the tables exist:
+whole-ring reads take blocks of ROW_BLOCK // n rows with them, one row at a
+time without them.
 
 Every power that freeze reads comes from one power scan (`_power_scan`):
 for each x the least m < k with x^m == x^k, and x^m itself, the start of
@@ -52,6 +53,8 @@ TABLE_LIMIT = 1024
 TABLE_DTYPE = np.int16
 # Products per row block on the table path (512 KiB of int16): the whole
 # ring up to order 512, so a read never holds more than a few such arrays.
+# The power scan's giant steps read their baby table in blocks of at most
+# as many entries.
 ROW_BLOCK = 2**18
 
 
@@ -156,6 +159,7 @@ class Ring:
         self._mul_np: Optional[np.ndarray] = None
         self._neg_np: Optional[np.ndarray] = None
         self._structure: Optional[tuple] = None     # see _structure_constants
+        self._digits: Optional[tuple] = None        # see _digits
 
     # -- basic derived ops -------------------------------------------------
 
@@ -235,8 +239,9 @@ def _build_tables(R: Ring) -> None:
         return
     n = R.order
     every = np.arange(n)
-    D, C, r, w = _structure_constants(R)
-    add_np = _doubling_table(R, _add_many(R, w[:, None], every), every,
+    C, r, w = _constants(R)
+    D = every[:, None] // w % r     # [z, l] -> digit l of z; not cached, no lookup reads it
+    add_np = _doubling_table(R, (D[w][:, None] + D) % r @ w, every,     # [i, z] -> g_i + z
                              lambda block, row: block.take(row, axis=1))
     flat = add_np.ravel()                     # x + z at x*n + z, widened before the product
     mul_np = _doubling_table(R, D @ C % r @ w, 0,        # [i, z] -> g_i*z
@@ -269,19 +274,47 @@ def _constants(R: Ring) -> tuple:
 
 
 def _structure_constants(R: Ring) -> tuple:
-    """(D, C, r, w) of R, built on first use and cached: (C, r, w) of
-    `_constants`, and D[x, l] = x // w_l % r_l, digit l of x, an n x |g|
-    matrix."""
+    """(C, r, w, terms) of R, built by its first product without op tables
+    and cached: (C, r, w) of `_constants`, and terms[l], the triples
+    (i, j, c) with C[i, j, l] = c != 0, that is, c != 0 mod r_l.  Nothing
+    of size n.
+
+    The general product of `_mul_many` sums c * a_i * b_j over terms[l]
+    before it reduces mod r_l.  Each term is at most
+    (r_l - 1)(r_i - 1)(r_j - 1) < max(r)^3 <= n^3, and terms[l] holds at
+    most |g|^2 <= log2(n)^2 of them, so the sum is below
+    log2(n)^2 * n^3 < 2^63 at every order up to 2^18, four times
+    ARITH_CAP.  Past that order (a raised cap, or a Ring built directly)
+    the sum's largest value is computed here in Python integers, and
+    CapExceededError is raised where it would wrap in int64.
+    """
     if R._structure is None:
         C, r, w = _constants(R)
-        R._structure = (np.arange(R.order)[:, None] // w % r, C, r, w)
+        i, j, l = np.nonzero(C)
+        terms = tuple([] for _ in r)
+        for p, q, d, c in zip(i.tolist(), j.tolist(), l.tolist(), C[i, j, l].tolist()):
+            terms[d].append((p, q, c))
+        if R.order > 2**18:
+            radix = r.tolist()
+            bound = max(sum(c * (radix[p] - 1) * (radix[q] - 1) for p, q, c in t) for t in terms)
+            if bound >= 2**63:
+                raise CapExceededError(f"{R.label}: a product digit sums to {bound} before "
+                                       f"it is reduced, past the int64 range")
+        R._structure = (C, r, w, terms)
     return R._structure
 
 
-def _index(R: Ring, digits: np.ndarray) -> np.ndarray:
-    """Element indices of unreduced digit vectors (last axis)."""
-    _, _, r, w = _structure_constants(R)
-    return digits % r @ w
+def _digits(R: Ring) -> tuple:
+    """(D, DT, r, w): the radices r and weights w of `_constants`,
+    D[x, l] = x // w_l % r_l, digit l of x, an n x |g| matrix, and DT, the
+    same digits digit-major (|g| x n, each digit's row contiguous for the
+    general product of `_mul_many`); built on first use and cached.  An
+    index is the reduced digits times w."""
+    if R._digits is None:
+        _, r, w = _constants(R)
+        DT = np.arange(R.order) // w[:, None] % r[:, None]
+        R._digits = (np.ascontiguousarray(DT.T), DT, r, w)
+    return R._digits
 
 
 def _mul_many(R: Ring, a, b) -> np.ndarray:
@@ -292,10 +325,15 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     tables' dtype TABLE_DTYPE (widen it before any arithmetic).  Without
     tables (above TABLE_LIMIT, or before `_build_tables`), it multiplies
     digit vectors: the product is the bilinear extension of R.products, so
-    a*b = sum over i, j of a_i * b_j * (g_i*g_j), reduced mod r digit by
-    digit after each contraction.  A single a gives the row a*b as one
-    |g| x |g| matrix (the digits of a*g_j) applied to the digits of b, a
-    single b likewise the column; otherwise the sum runs over j.
+    a*b = sum over i, j of a_i * b_j * (g_i*g_j).  A single a against many b
+    gives the row a*b as one |g| x |g| matrix (the digits of a*g_j) applied
+    to the digits of b, a single b likewise the column.  Otherwise digit l
+    of a*b is the sum of c * a_i * b_j over the nonzero structure constants
+    c = C[i, j, l] (`_structure_constants`, which bounds the sum below
+    2^63), reduced mod r_l and added times w_l straight into the index:
+    nnz(C) multiply-adds per product, with O(size) temporaries besides the
+    digits of a and b.  The digits of a single element are read as
+    x // w % r, so one product builds nothing of size n.
     """
     a, b = np.asarray(a), np.asarray(b)
     if R._mul_np is not None:
@@ -305,19 +343,36 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
         if b.shape[1:] == (1,) and a.shape == every and (a == np.arange(R.order)).all():
             return R._mul_np[:, b[:, 0]].T             # the columns R*b
         return R._mul_np[a, b]
-    D, C, r, _ = _structure_constants(R)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    L = len(r)
-    if a.size == 1:          # [j, l] -> digit l of a*g_j
+    C, r, w, terms = _structure_constants(R)
+    shape = np.broadcast(a, b).shape
+    if a.size == 1 < b.size:     # [j, l] -> digit l of a*g_j
+        D, L = _digits(R)[0], len(r)
         digits = D.take(b, 0) @ ((D[a.item()] @ C.reshape(L, L * L)).reshape(L, L) % r)
-    elif b.size == 1:        # [i, l] -> digit l of g_i*b
+        return (digits % r @ w).reshape(shape)
+    if b.size == 1 < a.size:     # [i, l] -> digit l of g_i*b
+        D = _digits(R)[0]
         digits = D.take(a, 0) @ (C.transpose(0, 2, 1) @ D[b.item()] % r)
-    else:
-        da, db = D.take(a, 0), D.take(b, 0)
-        digits = np.zeros(shape + (L,), dtype=np.int64)
-        for j in range(L):   # the digits of a*g_j, times b_j
-            digits += db[..., j, None] * (da @ C[:, j] % r)
-    return _index(R, digits).reshape(shape)
+        return (digits % r @ w).reshape(shape)
+    radix, weight = r.tolist(), w.tolist()
+    da, db = (_digit_columns(R, x, radix, weight) for x in (a, b))
+    index = np.zeros(shape, dtype=np.int64)
+    for triples, q, v in zip(terms, radix, weight):
+        digit = 0
+        for i, j, c in triples:
+            term = da[i] * db[j]
+            digit = digit + (term if c == 1 else c * term)
+        index += digit % q * v
+    return index
+
+
+def _digit_columns(R: Ring, x: np.ndarray, radix: list, weight: list):
+    """The digits of the index array x, digit l at [l]: Python ints
+    x // w % r for a single element, which builds nothing of size n, else
+    its columns of DT (`_digits`)."""
+    if x.size == 1:
+        x = x.item()
+        return [x // v % q for q, v in zip(radix, weight)]
+    return _digits(R)[1].take(x, 1)
 
 
 def _add_many(R: Ring, a, b) -> np.ndarray:
@@ -325,16 +380,16 @@ def _add_many(R: Ring, a, b) -> np.ndarray:
     digit by digit without op tables (see `_mul_many`)."""
     if R._add_np is not None:
         return R._add_np[a, b]
-    D = _structure_constants(R)[0]
-    return _index(R, D.take(a, 0) + D.take(b, 0))
+    D, _, r, w = _digits(R)
+    return (D.take(a, 0) + D.take(b, 0)) % r @ w
 
 
 def _sub_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise differences a - b, as `_add_many`."""
     if R._add_np is not None:
         return R._add_np[a, R._neg_np[b]]
-    D = _structure_constants(R)[0]
-    return _index(R, D.take(a, 0) - D.take(b, 0))
+    D, _, r, w = _digits(R)
+    return (D.take(a, 0) - D.take(b, 0)) % r @ w
 
 
 def _row_blocks(R: Ring, xs) -> list:
@@ -393,8 +448,10 @@ def _power_scan(R: Ring) -> tuple:
     raises RingAxiomError, also under ``python -O``: an x still open at
     j = h + n without the tail, a giant hit with t <= 2s, no giant hit by
     J = ceil(n/s) + 1, or m above top.  The baby table is one n x s array
-    of the narrowest dtype that holds n - 1, with one n x s boolean buffer
-    for its lookups.
+    of the narrowest dtype that holds n - 1.  A giant step is looked up in
+    the rows of the open x only, in blocks of at most ROW_BLOCK // s and at
+    most n // (itemsize + 1) rows, so that a block's gathered rows and its
+    boolean compare take at most n * s bytes.
     """
     n = R.order
     top = max(1, n.bit_length() - 1)                # m <= top in a ring
@@ -428,13 +485,18 @@ def _power_scan(R: Ring) -> tuple:
         raise RingAxiomError(f"{R.label}: the powers of {int(live[0])} do not return to "
                              f"x^{hold}, so its power index exceeds log2({n})")
     if live.size:
-        step, giant = stride[live], np.zeros(n, dtype=baby.dtype)
-        meet = np.empty((n, s), dtype=bool)
+        step = stride[live]
+        rows = max(1, min(ROW_BLOCK // s, n // (baby.itemsize + 1)))
         for J in range(1, -(-n // s) + 2):           # power = G_J
-            giant[live] = power
-            found = np.equal(baby, giant[:, None], out=meet).any(1)[live]
+            giant, i = power.astype(baby.dtype), np.full(live.size, s)
+            for lo in range(0, live.size, rows):     # i = the baby step G_J meets, or s
+                meet = baby.take(live[lo:lo + rows], 0) == giant[lo:lo + rows, None]
+                hit = meet.any(1)
+                if hit.any():
+                    i[lo:lo + rows][hit] = meet[hit].argmax(1)
+            found = i < s
             if found.any():
-                t = J * s - meet[live[found]].argmax(1)
+                t = J * s - i[found]
                 if t.min() <= 2 * s:
                     y = int(live[found][t.argmin()])
                     raise RingAxiomError(f"{R.label}: the powers of {y} repeat within "
@@ -447,7 +509,7 @@ def _power_scan(R: Ring) -> tuple:
         else:
             raise RingAxiomError(f"{R.label}: the giant steps of {int(live[0])} never meet "
                                  f"its baby steps")
-        del baby, meet
+        del baby
     live = np.flatnonzero(m == 0)
     low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
     j = 1

@@ -29,6 +29,45 @@ def ring_pow(R, x: int, k: int) -> int:
     return result
 
 
+@functools.lru_cache(maxsize=16)
+def _generator_products(R) -> tuple:
+    """(places, terms): (w, r) for every radix r > 1 of R, w its weight, and
+    (i, j, digits) for every product g_i*g_j of generators that is not 0,
+    digits its nonzero digits (l, d), all read off R.radices and
+    R.products."""
+    places, w = [], 1
+    for r in R.radices:
+        if r > 1:
+            places.append((w, r))
+        w *= r
+    terms = []
+    for i, row in enumerate(R.products.tolist()):
+        for j, p in enumerate(row):
+            digits = [(l, p // v % q) for l, (v, q) in enumerate(places) if p // v % q]
+            if digits:
+                terms.append((i, j, digits))
+    return places, terms
+
+
+def bilinear_product(R, a: int, b: int) -> int:
+    """a*b by the definition of the product, in Python integers: the
+    bilinear extension a*b = sum over i, j of a_i * b_j * (g_i*g_j), the
+    digits of a, b and g_i*g_j read off R.radices and added digit by digit
+    modulo the radices.  It reads R.radices and R.products alone, through
+    no kernel helper, so it does not share the structure constants that
+    ``_mul_many`` and the scalar R.mul compute with."""
+    places, terms = _generator_products(R)
+    da = [a // w % r for w, r in places]
+    db = [b // w % r for w, r in places]
+    total = [0] * len(places)
+    for i, j, digits in terms:
+        ab = da[i] * db[j]
+        if ab:
+            for l, d in digits:
+                total[l] += ab * d
+    return sum(t % r * w for t, (w, r) in zip(total, places))
+
+
 def is_nilpotent(R, x: int) -> bool:
     """Iterate the powers of x until zero or a repeat; independent of the cache."""
     seen = set()

@@ -21,6 +21,7 @@ from finring import (
     classify,
     deciders,
     direct_product,
+    formal_matrix,
     freeze,
     kernel,
     make_zmod,
@@ -29,7 +30,13 @@ from finring import (
 )
 from finring.cli import elaborate, parse
 
-from _oracles import _check_assoc_np, is_nilpotent, periodic_indices, ring_pow
+from _oracles import (
+    _check_assoc_np,
+    bilinear_product,
+    is_nilpotent,
+    periodic_indices,
+    ring_pow,
+)
 
 
 def frozen_zmod(n):
@@ -552,6 +559,24 @@ def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
     assert len(count) == calls
 
 
+def test_giant_steps_hold_one_baby_table():
+    # Z(4093) takes giant steps (s = 65) from an n x s baby table of uint16.
+    # Each lookup gathers the open rows in blocks whose rows and boolean
+    # compare take at most n*s bytes, the size of the one n x s boolean
+    # buffer the lookups once held, so the scan peaks below the table, that
+    # much again and a few int64 arrays of length n.  Blocks of
+    # ROW_BLOCK // s rows alone would take 3 * 4032 * 65 bytes, 1.5 n*s.
+    R = make_zmod(4093)
+    n, s = R.order, 65
+    tracemalloc.start()
+    try:
+        kernel._power_scan(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * s + n * s + 16 * 8 * n, peak
+
+
 @settings(deadline=None)
 @given(st.one_of(st.builds(make_zmod, st.integers(1, 400)),
                  st.builds(lambda a, b: direct_product(make_zmod(a), make_zmod(b)),
@@ -591,7 +616,7 @@ def test_axioms_read_only_the_structure_constants(expr):
     finally:
         tracemalloc.stop()
     assert calls == {"add": 0, "mul": 0, "neg": 0}
-    assert R._mul_np is None and R._structure is None
+    assert R._mul_np is None and R._structure is None and R._digits is None
     assert peak < 2**20, peak
 
 
@@ -635,9 +660,9 @@ def test_installed_tables_are_read_only(table):
 
 def test_table_build_keeps_one_copy_of_each_table():
     # The memory _build_tables retains is the three tables themselves, not
-    # a second per-ring copy behind the scalar ops.
+    # a second per-ring copy behind the scalar ops, and no digits or
+    # structure constants: once the tables exist every product is a lookup.
     R = elaborate(parse("GR(Z(2), C(10))"))
-    kernel._structure_constants(R)
     tracemalloc.start()
     try:
         kernel._build_tables(R)
@@ -646,6 +671,7 @@ def test_table_build_keeps_one_copy_of_each_table():
         tracemalloc.stop()
     tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
     assert retained <= 1.25 * tables, (retained, tables)
+    assert R._digits is None and R._structure is None
 
 
 # With `frozen`, the tables as freeze installs them rather than _build_tables.
@@ -694,27 +720,31 @@ def test_tables_at_order_1024_match_structure_constants(expr):
 # -- the vectorised product against the scalar ops -------------------------
 
 
-def _products_mismatch(R, pairs, rows):
-    """First (form, a, b) at which kernel._mul_many, _add_many or _sub_many
-    differ from R's scalar ops, or None.
+def _products_mismatch(R, pairs, rows, cols):
+    """First (form, a, b) at which kernel._mul_many, the scalar R.mul,
+    _add_many or _sub_many differ from their reference, or None.
 
-    The scalar ops are captured before R is frozen.  The elementwise forms
-    are checked on `pairs`; the row a*R and the column R*a of _mul_many
-    for every a in `rows`.
+    Products are held to `bilinear_product`, which reads R.radices and
+    R.products alone; sums and differences to R's scalar add and neg,
+    captured before R is frozen.  The elementwise forms are checked on
+    `pairs`; the row x*R and the column R*x of _mul_many at every z in
+    `cols`, for every x in `rows`.
     """
-    add, mul = functools.cache(R.add), functools.cache(R.mul)
-    neg = R.neg
+    mul = functools.cache(functools.partial(bilinear_product, R))
+    add, neg = functools.cache(R.add), R.neg
     freeze(R)
-    n = R.order
-    every = np.arange(n)
+    every = np.arange(R.order)
     a, b = (np.array(t, dtype=np.int64) for t in zip(*pairs))
+    cols = np.array(cols, dtype=np.int64)
     forms = [("mul", a, b, kernel._mul_many(R, a, b), mul),
+             ("scalar", a, b, np.array([R.mul(p, q) for p, q in zip(a.tolist(), b.tolist())]),
+              mul),
              ("add", a, b, kernel._add_many(R, a, b), add),
              ("sub", a, b, kernel._sub_many(R, a, b), lambda p, q: add(p, neg(q)))]
     for x in rows:
-        same = np.full(n, x)
-        forms += [("row", same, every, kernel._mul_many(R, x, every), mul),
-                  ("column", every, same, kernel._mul_many(R, every, x), mul)]
+        same = np.full(len(cols), x)
+        forms += [("row", same, cols, kernel._mul_many(R, x, every)[cols], mul),
+                  ("column", cols, same, kernel._mul_many(R, every, x)[cols], mul)]
     for form, xs, ys, got, op in forms:
         for p, q, g in zip(xs.tolist(), ys.tolist(), got.tolist()):
             if op(p, q) != g:
@@ -723,7 +753,8 @@ def _products_mismatch(R, pairs, rows):
 
 
 def _all_pairs_mismatch(R):
-    return _products_mismatch(R, itertools.product(range(R.order), repeat=2), range(R.order))
+    every = range(R.order)
+    return _products_mismatch(R, itertools.product(every, repeat=2), every, every)
 
 
 @pytest.mark.parametrize("expr", _EXHAUSTIVE)
@@ -739,20 +770,103 @@ def test_mul_many_matches_scalar_ops_nested_base(expr, monkeypatch):
     R = elaborate(parse(expr))
     monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
     assert _all_pairs_mismatch(R.meta["base"]) is None
-    # The base's table lookups then keep the n^2 scalar products of R cheap.
+    # R's products read its own structure constants, not its base's op
+    # tables, so they are the same once the base has tables.
     monkeypatch.undo()
     kernel._build_tables(R.meta["base"])
     monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
     assert _all_pairs_mismatch(R) is None
 
 
-@pytest.mark.parametrize("expr", ["Triv(Z(33))", "Z(5) x Triv(Z(15))", "M(2, Z(6))"])
+@pytest.mark.parametrize("expr", ["Triv(Z(33))", "Z(5) x Triv(Z(15))", "M(2, Z(6))",
+                                  "GR(Z(2), C(12))", "FM(3, Z(2), 0) x Z(8)"])
 def test_mul_many_matches_scalar_ops_sampled(expr):
+    # 10^4 sampled pairs for each form: the elementwise ones, and the rows
+    # and columns of 10 sampled elements at 1000 sampled elements.
     R = elaborate(parse(expr))
     assert R.order > kernel.TABLE_LIMIT
     rng = random.Random(0)
     pairs = [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)]
-    assert _products_mismatch(R, pairs, rng.sample(range(R.order), 10)) is None
+    rows, cols = rng.sample(range(R.order), 10), rng.sample(range(R.order), 1000)
+    assert _products_mismatch(R, pairs, rows, cols) is None
+
+
+@pytest.mark.parametrize("expr, nonzero", [
+    ("Triv(Z(33))", 3), ("Z(5) x Triv(Z(15))", 4), ("GR(Z(2), C(12))", 144),
+    ("FM(3, Z(2), 0) x Z(8)", 19), ("M(2, Z(6))", 8), ("M(2, Z(3))", 8), ("Z(12)", 1),
+    ("M(2, Z(1))", 0),
+])
+def test_product_terms_are_the_nonzero_structure_constants(expr, nonzero):
+    # The general product sums one term per nonzero C[i, j, l]: the term
+    # list holds each of them once, with its coefficient, and nothing else,
+    # and building it builds nothing of size n.
+    R = elaborate(parse(expr))
+    C, r, w, terms = kernel._structure_constants(R)
+    assert len(terms) == len(r)
+    assert sum(map(len, terms)) == np.count_nonzero(C) == nonzero
+    rebuilt = np.zeros_like(C)
+    for l, triples in enumerate(terms):
+        for i, j, c in triples:
+            assert c % r[l] != 0, (i, j, l)
+            rebuilt[i, j, l] = c
+    assert np.array_equal(rebuilt, C)
+    assert R._digits is None
+
+
+def _negated_zmod(n):
+    """Z(n) through x -> -x: the product -a*b mod n, with one n - 1.  Its
+    structure constant g*g = n - 1 is the largest a one-radix ring has."""
+    return Ring(n, [[n - 1]], one=n - 1, label=f"-Z({n})", radices=(n,))
+
+
+@pytest.mark.parametrize("ring, product, first", [
+    (make_zmod(65536), lambda p, q: p * q % 65536, [1, 2]),
+    (direct_product(make_zmod(256), make_zmod(256)),
+     lambda p, q: (p // 256) * (q // 256) % 256 * 256 + (p % 256) * (q % 256) % 256, [257, 258]),
+    (_negated_zmod(65536), lambda p, q: -p * q % 65536, [65535, 65534]),
+], ids=["Z(65536)", "Z(256) x Z(256)", "-Z(65536)"])
+def test_products_at_extreme_digits(ring, product, first):
+    # The general product sums c * a_i * b_j before it reduces mod r_l; at
+    # the largest digits, a = b = n - 1 and n - 2, each such term is near
+    # 2^32 in Z(65536), 2^16 in Z(256) x Z(256) and 2^48 in -Z(65536),
+    # where c = n - 1.  Every form is held to Python integers.
+    n = ring.order
+    pairs = list(itertools.product([n - 1, n - 2], repeat=2))
+    a, b = (np.array(t) for t in zip(*pairs))
+    expected = [product(p, q) for p, q in pairs]
+    assert expected[:2] == first
+    assert kernel._mul_many(ring, a, b).tolist() == expected
+    assert [ring.mul(p, q) for p, q in pairs] == expected
+    big = np.array([n - 1, n - 2])
+    assert kernel._mul_many(ring, n - 1, big).tolist() == expected[:2]
+    assert kernel._mul_many(ring, big, n - 1).tolist() == expected[::2]
+
+
+def test_products_that_could_pass_int64_are_refused():
+    # Up to order 2^18 the unreduced digit sum is below 2^63 by its bound;
+    # past it the bound is computed.  In -Z(2^22) the one term reaches
+    # (2^22 - 1)^3 > 2^63, so the ring's first product raises instead of
+    # wrapping, before anything of size n is built; in -Z(2^21) it fits.
+    big = _negated_zmod(2**22)
+    with pytest.raises(CapExceededError, match=r"^-Z\(4194304\): a product digit sums to "):
+        big.mul(3, 5)
+    assert big._structure is None and big._digits is None
+    edge = _negated_zmod(2**21)
+    assert edge.mul(2**21 - 1, 2**21 - 2) == 2**21 - 2 and edge._digits is None
+
+
+def test_one_product_builds_nothing_of_the_ring_order():
+    # Two single elements are multiplied from their digits x // w % r; the
+    # n x |g| digit matrix (order 4^9 here) is built only for arrays.
+    F = formal_matrix(make_zmod(4), 3, 2, cap=4**9)
+    tracemalloc.start()
+    try:
+        got = F.mul(5, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == bilinear_product(F, 5, 7)
+    assert F._digits is None and peak < 2**20, peak
 
 
 def test_product_radices():

@@ -24,8 +24,8 @@ def test_no_assert_statements():
 def test_package_makes_no_scalar_product():
     # No module calls a scalar .mul(: every product goes through _mul_many,
     # whole arrays at a time, so that no scalar product loop comes back into
-    # the package (above TABLE_LIMIT each scalar product is a small matrix
-    # product of its own).
+    # the package (above TABLE_LIMIT each scalar product is a Python loop
+    # over the nonzero structure constants of its own).
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
