@@ -396,6 +396,9 @@ def cmd_info(args) -> int:
         print(f"{R.label}  (order {R.order})")
         for key in ("units", "idempotents", "nilpotents", "jacobson"):
             print(f"  {key}: {census[key]}")
+        if R._blocks is not None:       # frozen as its p-primary blocks
+            print("  blocks: " + ", ".join(f"{p}-part (order {B.order})"
+                                           for p, B, _ in R._blocks))
     return 0
 
 

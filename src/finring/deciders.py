@@ -9,11 +9,14 @@ constants above it): the clean masks in the row blocks of
 regularity, are closed under generators of the unit group; strong
 regularity and the power flags come from the power indices (m, k) of
 ``freeze`` and its cycle start x^m; and NI is read from generating sets of
-the nilpotents.  No flag is found by a search over rows.
+the nilpotents.  No flag is found by a search over rows.  For a ring that
+``freeze`` split into its p-primary blocks, the masks that need products
+and NI are read on the blocks and ANDed; the checks stay on R itself.
 ``_left_ideal_masks`` decides regularity, strong regularity and
 left-morphicity by their definitions, from keys of the principal left
-ideals, for the cross-checks of ``harness``; the per-element definitions
-the masks are held to live with the tests, as their reference.
+ideals, on the undivided ring, for the cross-checks of ``harness``; the
+per-element definitions the masks are held to live with the tests, as
+their reference.
 """
 
 from __future__ import annotations
@@ -137,14 +140,18 @@ def _ni_witness(R: Ring) -> Optional[int]:
     """The first sum or product of nilpotents that is not nilpotent, or None
     when R is NI.
 
-    Whether R is NI is read from generating sets (`_nil_is_ideal`).  Only
-    when it is not does the ordered search run: a + b over nilpotents a, b
-    in index order; then, for each nilpotent a in index order and each r,
-    the product r*a and then a*r; a block of a (``kernel._row_blocks``) at
-    a time.
+    Whether R is NI is read from generating sets (`_nil_is_ideal`), on R
+    itself or, for a ring that ``freeze`` split into its p-primary blocks,
+    on every block: the nilpotents of R are the product of theirs, an ideal
+    iff each of theirs is.  Only when R is not NI does the ordered search
+    run, on R: a + b over nilpotents a, b in index order; then, for each
+    nilpotent a in index order and each r, the product r*a and then a*r; a
+    block of a (``kernel._row_blocks``) at a time.
     """
     is_nil = _indicator(R.order, R.caches.nilpotents)
-    if _nil_is_ideal(R, is_nil):
+    rings = [(R, is_nil)] if R._blocks is None else [
+        (B, _indicator(B.order, B.caches.nilpotents)) for _, B, _ in R._blocks]
+    if all(_nil_is_ideal(*ring) for ring in rings):
         return None
     N = np.flatnonzero(is_nil)
     every = np.arange(R.order)
@@ -241,6 +248,33 @@ def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
         T = _closure(T, generators)
 
 
+def _undivided_masks(R: Ring) -> dict:
+    """The element masks of a frozen R that ``_element_masks`` reads with
+    products, all read on R itself: clean, nil_clean, strongly_nil_clean,
+    unit_regular, unit_nil_clean, strongly_unit_nil_clean and periodic.
+    Nothing here is checked; see ``_element_masks``."""
+    n = R.order
+    caches = R.caches
+    x = np.arange(n)
+    is_unit = _indicator(n, caches.units)
+    is_nil = _indicator(n, caches.nilpotents)
+    is_idempotent = _indicator(n, caches.idempotents)
+    clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
+    for es in _row_blocks(R, sorted(caches.idempotents)):
+        diff = _sub_many(R, x, es)                      # [i, x] -> x - e_i
+        nil_diff = is_nil[diff]
+        clean |= is_unit[diff].any(0)
+        nil_clean |= nil_diff.any(0)
+        i, j = np.nonzero(nil_diff)                     # x_j - e_i nilpotent
+        e, d = es[i, 0], diff[i, j]
+        snc[j[_mul_many(R, e, d) == _mul_many(R, d, e)]] = True
+        del diff, nil_diff, i, j, e, d                  # before the next block's
+    unit_regular, unc, sunc = _unit_multiples(R, np.stack((is_idempotent, nil_clean, snc)))
+    return {"unit_regular": unit_regular, "clean": clean, "nil_clean": nil_clean,
+            "strongly_nil_clean": snc, "unit_nil_clean": unc, "strongly_unit_nil_clean": sunc,
+            "periodic": _periodic_mask(R)}
+
+
 def _element_masks(R: Ring) -> dict:
     """Every _ELEMENT_DECIDERS flag as a whole boolean mask, mask[x] whether
     the flag holds at x.  At x the flags say: regular, x = x*y*x for some y;
@@ -257,8 +291,12 @@ def _element_masks(R: Ring) -> dict:
     U*NC and strongly_unit_nil_clean U*SNC, for the idempotent, nil-clean
     and strongly nil-clean masks E, NC and SNC, read as one stack closed
     under generators of U (`_unit_multiples`).  x - e for each idempotent e
-    gives the clean and nil-clean flags.  In a finite ring three of the flags
-    are others read again:
+    gives the clean and nil-clean flags.  These masks, and periodic, are
+    read by ``_undivided_masks``: on R itself, or, for a ring that
+    ``freeze`` split into its p-primary blocks (``R._blocks``), on every
+    block, and then mask[x] is the AND of the block masks at e_p*x, since
+    each flag holds at x iff it holds at every e_p*x.  In a finite ring
+    three of the flags are others read again, from R's own caches:
 
     - regular is unit_regular.  A finite ring is semilocal, so it has stable
       range 1 (H. Bass, "K-theory and stable algebra", Publ. Math. IHES 22
@@ -275,36 +313,29 @@ def _element_masks(R: Ring) -> dict:
       inverse whenever (m, k) is right; the mask reads the scan once more
       at x^m.
 
-    Raises RingAxiomError where strong nil-cleanness by idempotent search and
-    Diesl's criterion (x - x^2 nilpotent) disagree, and where a flag's least
-    False holds by its definition, on one row: the least non-unit-regular w
-    with w*y*w == w for some y, or the least w with m != 1 in w^2*R and in
+    Raises RingAxiomError, on R itself whether it is split or not, where
+    strong nil-cleanness by idempotent search and Diesl's criterion
+    (x - x^2 nilpotent) disagree, and where a flag's least False holds by
+    its definition, on one row: the least non-unit-regular w with
+    w*y*w == w for some y, or the least w with m != 1 in w^2*R and in
     R*w^2.
     """
-    n = R.order
     caches = R.caches
-    x = np.arange(n)
+    if R._blocks is None:
+        masks = _undivided_masks(R)
+    else:
+        parts = [(_undivided_masks(B), phi) for _, B, phi in R._blocks]
+        masks = {name: np.logical_and.reduce([block[name][phi] for block, phi in parts])
+                 for name in parts[0][0]}
+    x = np.arange(R.order)
     group = caches.power_indices[0] == 1
-    is_unit = _indicator(n, caches.units)
-    is_nil = _indicator(n, caches.nilpotents)
-    is_idempotent = _indicator(n, caches.idempotents)
-    clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
-    for es in _row_blocks(R, sorted(caches.idempotents)):
-        diff = _sub_many(R, x, es)                      # [i, x] -> x - e_i
-        nil_diff = is_nil[diff]
-        clean |= is_unit[diff].any(0)
-        nil_clean |= nil_diff.any(0)
-        i, j = np.nonzero(nil_diff)                     # x_j - e_i nilpotent
-        e, d = es[i, 0], diff[i, j]
-        snc[j[_mul_many(R, e, d) == _mul_many(R, d, e)]] = True
-        del diff, nil_diff, i, j, e, d                  # before the next block's
-    diesl = is_nil[_sub_many(R, x, _mul_many(R, x, x))]
-    if not np.array_equal(snc, diesl):
-        bad = int((snc != diesl).argmax())
+    diesl = _indicator(R.order, caches.nilpotents)[_sub_many(R, x, _mul_many(R, x, x))]
+    if not np.array_equal(masks["strongly_nil_clean"], diesl):
+        bad = int((masks["strongly_nil_clean"] != diesl).argmax())
         raise RingAxiomError(
             f"{R.label}: Diesl's criterion and the idempotent search disagree at {bad}"
         )
-    unit_regular, unc, sunc = _unit_multiples(R, np.stack((is_idempotent, nil_clean, snc)))
+    unit_regular = masks["unit_regular"]
     if not unit_regular.all():
         w = int(unit_regular.argmin())
         if (_mul_many(R, _mul_many(R, w, x), w) == w).any():
@@ -315,11 +346,9 @@ def _element_masks(R: Ring) -> dict:
         if (_mul_many(R, sq, x) == w).any() and (_mul_many(R, x, sq) == w).any():
             raise RingAxiomError(
                 f"{R.label}: strong regularity and its power index m = 1 disagree at {w}")
-    return {"regular": unit_regular.copy(), "unit_regular": unit_regular,
-            "strongly_regular": group, "clean": clean, "nil_clean": nil_clean,
-            "strongly_nil_clean": snc, "unit_nil_clean": unc, "strongly_unit_nil_clean": sunc,
-            "strongly_pi_regular": group[caches.cycle_start],
-            "periodic": _periodic_mask(R)}
+    masks.update(regular=unit_regular.copy(), strongly_regular=group,
+                 strongly_pi_regular=group[caches.cycle_start])
+    return masks
 
 
 def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:

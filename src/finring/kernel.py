@@ -28,19 +28,29 @@ once it passes that bound, and long periods are found by baby and giant
 steps.  The units, the nilpotents (x^m == 0) and the power flags of
 ``deciders`` are read from them; no module of the package calls the
 scalar ``Ring.mul``.
+
+A ring above TABLE_LIMIT whose order has two or more prime factors is
+frozen as its p-primary blocks R_p = e_p*R instead (``blocks``): R is their
+direct product, each block small enough gets op tables, and R's caches,
+and the element masks of ``deciders``, are read back from the blocks'
+through x -> e_p*x.  Every other ring, and every block, is frozen on
+itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, RingAxiomError
 
-# Order caps.  Exhaustive classification costs O(order^2) per flag for the
-# whole ring (the mask engine); arithmetic-only use tolerates larger rings.
+# Order caps.  Exhaustive classification reads every element: O(sqrt(order))
+# whole-ring products for the power scan, and one whole-ring pass per
+# idempotent and per generator of the unit group; arithmetic-only use
+# tolerates larger rings.
 CLASSIFY_CAP = 4096
 ARITH_CAP = 65536
 
@@ -160,6 +170,7 @@ class Ring:
         self._neg_np: Optional[np.ndarray] = None
         self._structure: Optional[tuple] = None     # see _structure_constants
         self._digits: Optional[tuple] = None        # see _digits
+        self._blocks: Optional[tuple] = None        # see blocks._primary_blocks
 
     # -- basic derived ops -------------------------------------------------
 
@@ -196,8 +207,10 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
     (`_additive_generators`), in their order.
 
     In the factor of weight w and radix r, rows [p*w, q*w), q = min(2p, r),
-    are T[p*w:q*w] = combine(T[0:(q-p)*w], T[p*w]), with row p*w taken from
-    (p/2)*w + (p/2)*w; rows below w are done before the factor starts.
+    are combine(T[0:(q-p)*w], T[p*w]), written by combine into its third
+    argument T[p*w:q*w], with row p*w taken from (p/2)*w + (p/2)*w; rows
+    below w are done before the factor starts.  The rows read and the rows
+    written never overlap, so combine writes in place.
     """
     n = R.order
     T = np.empty((n, n), dtype=TABLE_DTYPE)
@@ -209,9 +222,9 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
         while p < r:
             if p > 1:
                 h = (p // 2) * w
-                T[p * w] = combine(T[h:h + 1], T[h])[0]
+                combine(T[h:h + 1], T[h], T[p * w:p * w + 1])
             q = min(2 * p, r)
-            T[p * w:q * w] = combine(T[0:(q - p) * w], T[p * w])
+            combine(T[0:(q - p) * w], T[p * w], T[p * w:q * w])
             p = q
         w *= r
     return T
@@ -226,14 +239,16 @@ def _build_tables(R: Ring) -> None:
 
     The generator rows g + z come from the digits, and all rows g_i*z at
     once from the structure constants as one stack D @ C[i] % r, so the
-    build makes no scalar call.  The negatives are read off the add table,
-    -x being the z with x + z = 0.  Row 0 is 0 + z = z and 0*z = 0, and
-    `_doubling_table` fills the rest,
+    build makes no scalar call.  The negatives are the digits -D % r.  Row
+    0 is 0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
     x + z = (x - p*w) + (p*w + z) by composing add rows and
     x*z = (x - p*w)*z + (p*w)*z through the finished add table, both as
-    flat ``take`` gathers (the flat index x*n + z formed in int32).  So the
-    tables are the bilinear extension of R.products, the same product
-    `_mul_many` gives above TABLE_LIMIT.
+    flat ``take`` gathers straight into the table.  The flat index x*n + z
+    is formed in place in int32, which ``take`` widens to intp,
+    max(n // 8, 2^14 // n) rows at a time: at most 12 bytes per entry of
+    n^2 / 8 entries, or of 2^14 on small tables; every index is below n^2,
+    so the gathers clip nothing.  So the tables are the bilinear extension
+    of R.products, the same product `_mul_many` gives above TABLE_LIMIT.
     """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
@@ -241,12 +256,23 @@ def _build_tables(R: Ring) -> None:
     every = np.arange(n)
     C, r, w = _constants(R)
     D = every[:, None] // w % r     # [z, l] -> digit l of z; not cached, no lookup reads it
-    add_np = _doubling_table(R, (D[w][:, None] + D) % r @ w, every,     # [i, z] -> g_i + z
-                             lambda block, row: block.take(row, axis=1))
-    flat = add_np.ravel()                     # x + z at x*n + z, widened before the product
-    mul_np = _doubling_table(R, D @ C % r @ w, 0,        # [i, z] -> g_i*z
-                             lambda block, row: flat.take(block.astype(np.int32) * n + row))
-    neg_np = (add_np == 0).argmax(1).astype(TABLE_DTYPE)   # the column of 0 in each row x + z
+
+    def add_rows(block, row, out):
+        block.take(row, axis=1, out=out, mode="clip")
+
+    step = max(n // 8, 2**14 // n)
+
+    def mul_rows(block, row, out):
+        for i in range(0, len(block), step):
+            index = block[i:i + step].astype(np.int32)
+            index *= n
+            index += row
+            flat.take(index, out=out[i:i + step], mode="clip")
+
+    add_np = _doubling_table(R, (D[w][:, None] + D) % r @ w, every, add_rows)   # [i, z] -> g_i + z
+    flat = add_np.ravel()                     # x + z at x*n + z
+    mul_np = _doubling_table(R, D @ C % r @ w, 0, mul_rows)                      # [i, z] -> g_i*z
+    neg_np = ((-D % r) @ w).astype(TABLE_DTYPE)
     for T in (add_np, mul_np, neg_np):
         T.flags.writeable = False
     R._mul_np = mul_np
@@ -377,19 +403,36 @@ def _digit_columns(R: Ring, x: np.ndarray, radix: list, weight: list):
 
 def _add_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise sums a + b of two index arrays, which broadcast;
-    digit by digit without op tables (see `_mul_many`)."""
+    digit by digit without op tables (`_digit_sum`)."""
     if R._add_np is not None:
         return R._add_np[a, b]
-    D, _, r, w = _digits(R)
-    return (D.take(a, 0) + D.take(b, 0)) % r @ w
+    return _digit_sum(R, a, b, operator.add)
 
 
 def _sub_many(R: Ring, a, b) -> np.ndarray:
     """The elementwise differences a - b, as `_add_many`."""
     if R._add_np is not None:
         return R._add_np[a, R._neg_np[b]]
+    return _digit_sum(R, a, b, operator.sub)
+
+
+def _digit_sum(R: Ring, a, b, op) -> np.ndarray:
+    """op(a, b), op the sum or the difference, of two index arrays, which
+    broadcast, digit by digit modulo the radices.  When one side is a single
+    element, its digits are Python ints (`_digit_columns`) added to or
+    subtracted from the digit-major rows of the other's digits: |g| vector
+    ops of its size, and one gather of its digits.  Otherwise both sides'
+    digits are gathered from D."""
+    a, b = np.asarray(a), np.asarray(b)
     D, _, r, w = _digits(R)
-    return (D.take(a, 0) - D.take(b, 0)) % r @ w
+    if a.size > 1 and b.size > 1:
+        return op(D.take(a, 0), D.take(b, 0)) % r @ w
+    radix, weight = r.tolist(), w.tolist()
+    da, db = (_digit_columns(R, x, radix, weight) for x in (a, b))
+    index = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for x, y, q, v in zip(da, db, radix, weight):
+        index += op(x, y) % q * v
+    return index
 
 
 def _row_blocks(R: Ring, xs) -> list:
@@ -592,24 +635,15 @@ def _compute_jacobson(R: Ring, units, nilpotents):
             todo[_add_many(R, x, np.flatnonzero(S))] = False
 
 
-def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
-    """Populate the structural caches; idempotent; returns the same ring.
-
-    Op tables are built up to TABLE_LIMIT.  On either side of it every set
-    is read through `_mul_many`, in O(n * |g|) memory per read above the
-    limit: one power scan gives the power indices (m, k) of every element
-    and from them the units and their inverses (`_compute_units`) and x^m,
-    the cycle start, whose zeros are the nilpotents (`_compute_nilpotents`);
-    the idempotents are the x with x*x == x; the Jacobson radical is sieved
-    from the nilpotents, one column R*x per nilpotent x tested
-    (`_compute_jacobson`).
-    """
-    if R.caches is not None:
-        return R
-    if R.order > cap:
-        raise CapExceededError(
-            f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
-        )
+def _freeze_undivided(R: Ring) -> Ring:
+    """Populate R's caches on R itself, with op tables up to TABLE_LIMIT:
+    every set is read through `_mul_many`, in O(n * |g|) memory per read
+    above the limit.  One power scan gives the power indices (m, k) of
+    every element and from them the units and their inverses
+    (`_compute_units`) and x^m, the cycle start, whose zeros are the
+    nilpotents (`_compute_nilpotents`); the idempotents are the x with
+    x*x == x; the Jacobson radical is sieved from the nilpotents, one column
+    R*x per nilpotent x tested (`_compute_jacobson`)."""
     _build_tables(R)
     inverse, power_indices = _compute_units(R)
     units = frozenset(inverse)
@@ -620,6 +654,29 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices,
                           cycle_start)
     return R
+
+
+def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
+    """Populate the structural caches; idempotent; returns the same ring.
+
+    A ring above TABLE_LIMIT whose order has two or more prime factors is
+    frozen as its p-primary blocks (``blocks._primary_blocks`` and
+    ``blocks._freeze_split``), each block with op tables when it is small
+    enough, and R keeps the blocks in R._blocks for ``deciders``; any other
+    ring is frozen on itself (`_freeze_undivided`).  The caches are the
+    same either way.
+    """
+    if R.caches is not None:
+        return R
+    if R.order > cap:
+        raise CapExceededError(
+            f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
+        )
+    if R.order > TABLE_LIMIT:
+        from .blocks import _freeze_split, _prime_factors, _primary_blocks   # blocks imports kernel
+        if len(_prime_factors(R.order)) > 1:
+            return _freeze_split(R, _primary_blocks(R), cap)
+    return _freeze_undivided(R)
 
 
 def make_zmod(n: int, cap: int = ARITH_CAP) -> Ring:

@@ -68,6 +68,13 @@ def bilinear_product(R, a: int, b: int) -> int:
     return sum(t % r * w for t, (w, r) in zip(total, places))
 
 
+def digit_sum(R, a: int, b: int, sign: int = 1) -> int:
+    """a + sign*b by the definition of the sum, in Python integers: digit by
+    digit modulo R.radices, through no kernel helper."""
+    places, _ = _generator_products(R)
+    return sum((a // w % r + sign * (b // w % r)) % r * w for w, r in places)
+
+
 def is_nilpotent(R, x: int) -> bool:
     """Iterate the powers of x until zero or a repeat; independent of the cache."""
     seen = set()

@@ -223,6 +223,19 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["units"] == 6 and payload["order"] == 16
 
+    def test_info_names_the_blocks(self, capsys):
+        # A ring above TABLE_LIMIT whose order has two prime factors is
+        # frozen as its p-primary blocks; the text census names them, and
+        # the JSON census stays the same keys.
+        assert main(["info", "Triv(Z(33))"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "  blocks: 3-part (order 9), 11-part (order 121)"
+        assert main(["info", "Triv(Z(33))", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "label", "order", "units", "idempotents", "nilpotents", "jacobson"}
+        assert main(["info", "M(2, Z(2))"]) == 0
+        assert "blocks" not in capsys.readouterr().out
+
 
 # Every ParseError branch of the grammar: (text, str(error), position, expected).
 _RINGS = ("Z", "M", "U", "GR", "Triv", "Ks", "FM")

@@ -33,6 +33,7 @@ from finring.cli import elaborate, parse
 from _oracles import (
     _check_assoc_np,
     bilinear_product,
+    digit_sum,
     is_nilpotent,
     periodic_indices,
     ring_pow,
@@ -249,6 +250,60 @@ def test_axioms_reject_non_ring_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "RingAxiomError"] * 7
+
+
+# Z(n) frozen as its p-primary blocks (which freeze would do only above
+# TABLE_LIMIT), one block's op table tampered with: each is rejected, also
+# under python -O, by the block itself, by the check of the blocks' units on
+# Z(n), or by Diesl's check on Z(n) in classify.
+_TAMPERED_BLOCKS = """
+from finring import classify, kernel, make_zmod
+from finring.blocks import _freeze_split, _primary_blocks
+
+for n, p, entries in [
+    # The 2-part of Z(48) is Z(16), with the held-power table of _NON_RINGS:
+    # its power scan raises inside the block, naming Z(48) and 2.
+    (48, 2, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13}),
+    # 2*2 = 1 in the 5-part of Z(10): the block takes 2 for its own inverse,
+    # so Z(10) takes 7, with parts 1 and 2, for the inverse of 7.
+    (10, 5, {(2, 2): 1}),
+    # 2*2 = 2 in the 3-part of Z(6): the block takes 2 for an idempotent, so
+    # 2, with parts 0 and 2, is strongly nil-clean by the blocks, while
+    # 2 - 2^2 = 4 is not nilpotent in Z(6).
+    (6, 3, {(2, 2): 2}),
+]:
+    R = make_zmod(n)
+    blocks = _primary_blocks(R)
+    B = next(B for q, B, _ in blocks if q == p)
+    kernel._build_tables(B)
+    M = B._mul_np.copy()
+    for at, product in entries.items():
+        M[at] = product
+    B._mul_np = M
+    try:
+        classify(_freeze_split(R, blocks))
+        print("accepted", R.label)
+    except AssertionError as exc:
+        print(__debug__, type(exc).__name__, exc, sep="|")
+"""
+
+
+def test_tampered_blocks_are_rejected_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_BLOCKS], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split("|") for line in done.stdout.splitlines()] == [
+        ["False", "RingAxiomError", "2-part of Z(48): the powers of 3 do not return to x^4, so "
+                                    "its power index exceeds log2(16)"],
+        ["False", "RingAxiomError", "Z(10): the unit 7 of its blocks has no two-sided inverse "
+                                    "in it"],
+        ["False", "RingAxiomError", "Z(6): Diesl's criterion and the idempotent search disagree "
+                                    "at 2"],
+    ]
 
 
 def _tampered_zmod(n, entries):
@@ -511,9 +566,11 @@ def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobso
     # 1125 calls in _compute_jacobson alone.  classify reads no row search:
     # regular and strongly regular are the unit-regular mask and m = 1, each
     # re-verified at its least False, and strongly pi-regular is m = 1 at
-    # the cached x^m.
-    R = freeze(ring)
-    assert R._mul_np is None
+    # the cached x^m.  The ring is frozen undivided, as freeze would do if
+    # its order were a prime power; test_split_rings_read_few_products
+    # counts the products of the p-primary split freeze makes by default.
+    R = kernel._freeze_undivided(ring)
+    assert R._mul_np is None and R._blocks is None
     calls = []
     mul_many = kernel._mul_many
 
@@ -674,6 +731,22 @@ def test_table_build_keeps_one_copy_of_each_table():
     assert R._digits is None and R._structure is None
 
 
+def test_table_build_peaks_near_its_tables():
+    # The doubling fill gathers straight into the tables, and the mul fill
+    # forms its flat index n // 8 rows at a time, so at order 1024 the
+    # build peaks at about 1.5 times the three tables; forming the index
+    # for a whole doubling step peaked at 2.8 times.
+    R = elaborate(parse("Triv(Z(32))"))
+    tracemalloc.start()
+    try:
+        kernel._build_tables(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
+    assert peak < 1.6 * tables, (peak, tables)
+
+
 # With `frozen`, the tables as freeze installs them rather than _build_tables.
 @pytest.mark.parametrize("expr,frozen",
                          [(e, False) for e in _EXHAUSTIVE] + [("Z(2) x Z(4)", True)])
@@ -789,6 +862,33 @@ def test_mul_many_matches_scalar_ops_sampled(expr):
     pairs = [(rng.randrange(R.order), rng.randrange(R.order)) for _ in range(10_000)]
     rows, cols = rng.sample(range(R.order), 10), rng.sample(range(R.order), 1000)
     assert _products_mismatch(R, pairs, rows, cols) is None
+
+
+@pytest.mark.parametrize("expr", ["Z(12) x Z(10)", "M(2, Z(3))", "GR(Z(2), C(4))",
+                                  "Triv(Z(33))", "M(2, Z(6))", "FM(3, Z(2), 0) x Z(8)"])
+def test_sums_with_one_element_match_digit_sums(expr, monkeypatch):
+    # Without op tables, a sum or difference with one single element adds
+    # its digits, Python ints, to the digit-major rows of the other side.
+    # Every form the package calls: the element on either side, as a scalar
+    # or a (1, 1) block against every element, and two scalars.
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    R = elaborate(parse(expr))
+    every, n = np.arange(R.order), R.order
+    for x in random.Random(0).sample(range(n), 6) + [0, n - 1]:
+        block = np.array([[x]])
+        for got, sign, left in [(kernel._add_many(R, every, x), 1, False),
+                                (kernel._add_many(R, x, every), 1, True),
+                                (kernel._sub_many(R, every, x), -1, False),
+                                (kernel._sub_many(R, x, every), -1, True),
+                                (kernel._sub_many(R, every, block), -1, False),
+                                (kernel._add_many(R, block, every), 1, True)]:
+            want = [digit_sum(R, x, z, sign) if left else digit_sum(R, z, x, sign)
+                    for z in range(n)]
+            assert got.shape[-1] == n and got.ravel().tolist() == want, (x, sign, left)
+        y = (x * 7 + 3) % n
+        assert int(kernel._add_many(R, x, y)) == digit_sum(R, x, y)
+        assert int(kernel._sub_many(R, x, y)) == digit_sum(R, x, y, -1)
+    assert R._add_np is None
 
 
 @pytest.mark.parametrize("expr, nonzero", [

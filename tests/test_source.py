@@ -74,9 +74,9 @@ def test_ring_level_sets_read_no_row_per_element_or_unit():
     # strongly regular are read from those masks and the power scan.
     # deciders.py reads row blocks only for the left-ideal keys of every
     # element (the cross-checks' definitions), for the ordered NI search
-    # over the nilpotents and for x - e over the idempotents, and harness.py
-    # reads none.  So that no row per element or per unit comes back into
-    # freeze or classify.
+    # over the nilpotents and for x - e over the idempotents (of R, or of
+    # each of its p-primary blocks), and harness.py reads none.  So that no
+    # row per element or per unit comes back into freeze or classify.
     found = []
     for module, names in [("kernel.py", ["_compute_jacobson"]), ("deciders.py", None)]:
         tree = ast.parse((PACKAGE / module).read_text())
@@ -86,8 +86,25 @@ def test_ring_level_sets_read_no_row_per_element_or_unit():
                           if isinstance(node, ast.Call)
                           and getattr(node.func, "id", None) == "_row_blocks"]
     assert found == [("_left_ideal_masks", "every"), ("_ni_witness", "N"), ("_ni_witness", "N"),
-                     ("_element_masks", "sorted(caches.idempotents)")]
+                     ("_undivided_masks", "sorted(caches.idempotents)")]
     assert "_row_blocks" not in ast.unparse(ast.parse((PACKAGE / "harness.py").read_text()))
+
+
+def test_definitional_cross_checks_read_no_block():
+    # The left-ideal keys of _left_ideal_masks and the falsifier's checks in
+    # _check_instance read the undivided ring: none of their names mentions
+    # a p-primary block (the row blocks of kernel._row_blocks aside), so that
+    # the connell suite and the falsifier stay an independent check of the
+    # split that freeze and classify read.
+    found = {}
+    for module, name in [("deciders.py", "_left_ideal_masks"), ("harness.py", "_check_instance")]:
+        tree = ast.parse((PACKAGE / module).read_text())
+        top = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name)
+        found[name] = {getattr(node, "id", getattr(node, "attr", "")) for node in ast.walk(top)
+                       if isinstance(node, (ast.Name, ast.Attribute))}
+        found[name] = {word for word in found[name] if "block" in word} - {"_row_blocks"}
+    assert found == {"_left_ideal_masks": set(), "_check_instance": set()}
 
 
 def _keywords(line):
