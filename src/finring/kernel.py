@@ -59,7 +59,10 @@ ARITH_CAP = 65536
 TABLE_LIMIT = 1024
 # The one dtype of all three op tables: every entry is an index below
 # TABLE_LIMIT <= 2^15.  Lookups return it; arithmetic on a looked-up value
-# must widen it first (an int16 array times a Python int stays int16).
+# must widen it first (an int16 array times a Python int stays int16).  The
+# carry-free fill of `_build_tables` adds entries in it digit field by digit
+# field: every field sum is below 2*r_l, so every entry is below
+# 2n <= 2^11.
 TABLE_DTYPE = np.int16
 # Products per row block on the table path (512 KiB of int16): the whole
 # ring up to order 512, so a read never holds more than a few such arrays.
@@ -202,19 +205,22 @@ class Ring:
         return f"<Ring {self.label} order={self.order} {state}>"
 
 
-def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
-    """Op table from row 0 and `rows`, the rows of the additive generators
-    (`_additive_generators`), in their order.
+def _doubling_table(R: Ring, rows: np.ndarray, combine) -> np.ndarray:
+    """Table of an additive map of R, one row T[x] per element x, from
+    T[0] = 0 and `rows`, the rows of the additive generators
+    (`_additive_generators`), in their order: x -> x*z gives the mul table,
+    and x -> (g_i*x for each i) its generator rows.
 
-    In the factor of weight w and radix r, rows [p*w, q*w), q = min(2p, r),
-    are combine(T[0:(q-p)*w], T[p*w]), written by combine into its third
-    argument T[p*w:q*w], with row p*w taken from (p/2)*w + (p/2)*w; rows
-    below w are done before the factor starts.  The rows read and the rows
-    written never overlap, so combine writes in place.
+    In the factor of weight w and radix r, rows (p*w, q*w), q = min(2p, r),
+    are T[x] = T[x - p*w] + T[p*w]: combine(T[1:(q-p)*w], T[p*w]), the sum
+    of a block of rows and one row, written by combine into its third
+    argument T[p*w+1:q*w].  Row p*w is the generator's row for p = 1 and
+    (p/2)*w + (p/2)*w after it; rows below w are done before the factor
+    starts.  The rows read and the rows written never overlap, so combine
+    writes in place (numpy copies an operand that overlaps its output).
     """
-    n = R.order
-    T = np.empty((n, n), dtype=TABLE_DTYPE)
-    T[0] = row0
+    T = np.empty((R.order, rows.shape[1]), dtype=TABLE_DTYPE)
+    T[0] = 0
     T[_additive_generators(R)] = rows
     w = 1
     for r in R.radices:
@@ -224,10 +230,33 @@ def _doubling_table(R: Ring, rows: np.ndarray, row0, combine) -> np.ndarray:
                 h = (p // 2) * w
                 combine(T[h:h + 1], T[h], T[p * w:p * w + 1])
             q = min(2 * p, r)
-            combine(T[0:(q - p) * w], T[p * w], T[p * w:q * w])
+            combine(T[1:(q - p) * w], T[p * w], T[p * w + 1:q * w])
             p = q
         w *= r
     return T
+
+
+def _kronecker_sum(R: Ring) -> np.ndarray:
+    """The add table, folded factor by factor.
+
+    In the factor of radix q > 1 and weight w, digit sums are the q x q
+    circulant ((a + b) mod q)*w, a sliding window over the doubled arange
+    (0, w, ..., (q-1)*w, 0, w, ...).  An index is the sum of its factors'
+    digit terms, so with the factors below w folded into S (order w), the
+    table up to order w*q is S_q[:, None, :, None] + S[None, :, None, :]
+    read as (w*q) x (w*q): one int16 add per entry, no lookup.
+    """
+    S = np.zeros((1, 1), dtype=TABLE_DTYPE)
+    w = 1
+    for q in R.radices:
+        if q > 1:
+            cycle = np.arange(0, 2 * q * w, w, dtype=TABLE_DTYPE)
+            cycle[q:] -= q * w
+            window = np.ndarray((q, q), TABLE_DTYPE, cycle, strides=cycle.strides * 2)
+            m = S.shape[0]
+            S = np.add(window[:, None, :, None], S[None, :, None, :]).reshape(q * m, q * m)
+        w *= q
+    return S
 
 
 def _build_tables(R: Ring) -> None:
@@ -237,42 +266,68 @@ def _build_tables(R: Ring) -> None:
     int: the tables are the only copy, with no Python list behind the
     scalar ops.
 
-    The generator rows g + z come from the digits, and all rows g_i*z at
-    once from the structure constants as one stack D @ C[i] % r, so the
-    build makes no scalar call.  The negatives are the digits -D % r.  Row
-    0 is 0 + z = z and 0*z = 0, and `_doubling_table` fills the rest,
-    x + z = (x - p*w) + (p*w + z) by composing add rows and
-    x*z = (x - p*w)*z + (p*w)*z through the finished add table, both as
-    flat ``take`` gathers straight into the table.  The flat index x*n + z
-    is formed in place in int32, which ``take`` widens to intp,
-    max(n // 8, 2^14 // n) rows at a time: at most 12 bytes per entry of
-    n^2 / 8 entries, or of 2^14 on small tables; every index is below n^2,
-    so the gathers clip nothing.  So the tables are the bilinear extension
-    of R.products, the same product `_mul_many` gives above TABLE_LIMIT.
+    The add table is the Kronecker sum of the cyclic factors
+    (`_kronecker_sum`), and the negatives are one of its columns read
+    upwards.  The mul table is a `_doubling_table` fill from the generator
+    rows g_i*z, and its one operation, a sum of rows, is chosen from
+    R.radices.  When every radix is a power of 2, an index's bits are its
+    digits and a sum is carry-free: with H the top bit of each digit
+    field, a + b = ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H) (H. S. Warren,
+    *Hacker's Delight*, 2-18), plain XOR when every radix is 2; the
+    generator rows are then such a fill too, from R.products.  Otherwise
+    the generator rows come from the structure constants as one stack
+    D @ C[i] % r, and a sum is a flat ``take`` gather from the add table at
+    x*n + z.  Both sums work max(n // 8, 2^14 // n) rows at a time in one
+    temporary per sum: the intp flat index, at most 8 bytes per entry of
+    n^2 / 8 entries, or of 2^14 on small tables, or the int16 top bits.
+    Every index is below n^2, so the gathers clip nothing.  So the build
+    makes no scalar call, and the tables are the bilinear extension of
+    R.products, the same product `_mul_many` gives above TABLE_LIMIT.
     """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
     n = R.order
-    every = np.arange(n)
-    C, r, w = _constants(R)
-    D = every[:, None] // w % r     # [z, l] -> digit l of z; not cached, no lookup reads it
-
-    def add_rows(block, row, out):
-        block.take(row, axis=1, out=out, mode="clip")
-
-    step = max(n // 8, 2**14 // n)
-
-    def mul_rows(block, row, out):
-        for i in range(0, len(block), step):
-            index = block[i:i + step].astype(np.int32)
-            index *= n
-            index += row
-            flat.take(index, out=out[i:i + step], mode="clip")
-
-    add_np = _doubling_table(R, (D[w][:, None] + D) % r @ w, every, add_rows)   # [i, z] -> g_i + z
+    places = _places(R.radices)
+    add_np = _kronecker_sum(R)
     flat = add_np.ravel()                     # x + z at x*n + z
-    mul_np = _doubling_table(R, D @ C % r @ w, 0, mul_rows)                      # [i, z] -> g_i*z
-    neg_np = ((-D % r) @ w).astype(TABLE_DTYPE)
+    # -x is the digit complement n - 1 - x plus 1 in every digit.
+    neg_np = add_np[::-1, sum(w for w, _ in places)].copy()
+    step = max(n // 8, 2**14 // n)
+    high = TABLE_DTYPE(sum(w * r // 2 for w, r in places))     # H
+    low = TABLE_DTYPE(n - 1) ^ high                             # ~H below n
+
+    def field_sum(block, row, out):
+        if not low:
+            np.bitwise_xor(block, row, out=out)
+            return
+        row_low = row & low
+        top = np.empty((min(step, len(block)), block.shape[1]), dtype=TABLE_DTYPE)
+        for i in range(0, len(block), step):
+            a, o = block[i:i + step], out[i:i + step]
+            t = top[:len(a)]
+            np.bitwise_xor(a, row, out=t)
+            t &= high
+            np.bitwise_and(a, low, out=o)
+            o += row_low
+            o ^= t
+
+    def gather(block, row, out):
+        index = np.empty((min(step, len(block)), block.shape[1]), dtype=np.intp)
+        for i in range(0, len(block), step):
+            a, o = block[i:i + step], out[i:i + step]
+            x = index[:len(a)]
+            np.multiply(a, n, out=x, dtype=np.intp)
+            x += row
+            flat.take(x, out=o, mode="clip")
+
+    if all(r & (r - 1) == 0 for _, r in places):
+        combine = field_sum
+        rows = _doubling_table(R, R.products.T, combine).T    # [i, z] -> g_i*z
+    else:
+        combine = gather
+        C, r, w = _constants(R)
+        rows = np.arange(n)[:, None] // w % r @ C % r @ w      # [i, z] -> g_i*z
+    mul_np = _doubling_table(R, rows, combine)                # [x, z] -> x*z
     for T in (add_np, mul_np, neg_np):
         T.flags.writeable = False
     R._mul_np = mul_np

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 import random
 import re
@@ -25,6 +26,7 @@ from finring import (
     freeze,
     kernel,
     make_zmod,
+    standard_corpus,
     trivial_extension,
     verify_ring_axioms,
 )
@@ -488,11 +490,14 @@ def test_law_check_matches_reference_on_mutants(expr):
 def _table_mismatch(R, pairs=None):
     """First (op, a, b) where R's op tables differ from its scalar ops, or None.
 
-    The scalar ops are taken before the tables are built, because building
-    them rebinds R.add, R.mul and R.neg to table lookups.  All pairs unless
-    `pairs` is given; neg on every element.
+    The scalar add and neg are taken before the tables are built, because
+    building them rebinds R.add, R.mul and R.neg to table lookups.  The
+    scalar mul reads the mul table once it exists, so products are held to
+    `bilinear_product` instead.  All pairs unless `pairs` is given; neg on
+    every element.
     """
-    add, mul, neg = R.add, R.mul, R.neg
+    add, neg = R.add, R.neg
+    mul = functools.partial(bilinear_product, R)
     kernel._build_tables(R)
     n = R.order
     for a in range(n):
@@ -506,10 +511,14 @@ def _table_mismatch(R, pairs=None):
     return None
 
 
-# One ring per construction family, and the zero ring.
+# One ring per construction family, and the zero ring; then radix shapes
+# of the carry-free fill that no family above has: 2-power digit fields of
+# mixed widths, radices (8, 2) and (2, 4, 4), where a sum's carries must stop
+# at each field's top, and one 2-power radix alone.
 _EXHAUSTIVE = [
     "Z(12)", "Z(4) x Z(6)", "M(2, Z(3))", "U(2, Z(4))", "GR(Z(2), S(3))",
     "Triv(Z(12))", "Ks(Z(4), 2)", "FM(2, Z(4), 2)", "M(2, Z(1))",
+    "Z(2) x Z(8)", "Triv(Z(4)) x Z(2)", "Z(64)",
 ]
 _SAMPLED = ["GR(Z(2), C(10))", "Triv(Z(32))", "U(2, Z(10))", "FM(3, Z(2), 0)"]
 
@@ -517,6 +526,17 @@ _SAMPLED = ["GR(Z(2), C(10))", "Triv(Z(32))", "U(2, Z(10))", "FM(3, Z(2), 0)"]
 @pytest.mark.parametrize("expr", _EXHAUSTIVE)
 def test_tables_match_scalar_ops(expr):
     R = elaborate(parse(expr))
+    assert _table_mismatch(R) is None
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.sampled_from([2, 4, 8, 16]) | st.integers(1, 16), min_size=1, max_size=4)
+       .filter(lambda moduli: math.prod(moduli) <= 256))
+def test_tables_of_cyclic_products_match_scalar_ops(moduli):
+    # Direct products of Z(m) factors up to order 256: any mix of radices,
+    # 2-power or not, in one or several digit fields; 2-power moduli are
+    # drawn more often, so carry-free fills of mixed widths come up.
+    R = functools.reduce(direct_product, map(make_zmod, moduli))
     assert _table_mismatch(R) is None
 
 
@@ -731,12 +751,16 @@ def test_table_build_keeps_one_copy_of_each_table():
     assert R._digits is None and R._structure is None
 
 
-def test_table_build_peaks_near_its_tables():
-    # The doubling fill gathers straight into the tables, and the mul fill
-    # forms its flat index n // 8 rows at a time, so at order 1024 the
-    # build peaks at about 1.5 times the three tables; forming the index
-    # for a whole doubling step peaked at 2.8 times.
-    R = elaborate(parse("Triv(Z(32))"))
+# One ring per mul fill: the field sum with carries, XOR, and the gather.
+@pytest.mark.parametrize("expr", ["Triv(Z(32))", "GR(Z(2), C(10))", "U(2, Z(10))"])
+def test_table_build_peaks_near_its_tables(expr):
+    # Every fill writes straight into the tables.  The add table's fold
+    # holds one smaller table besides it; the field sum works n // 8 rows
+    # at a time on one int16 temporary, XOR in place, and the gather forms
+    # its intp flat index n // 8 rows at a time.  So at order 1000-1024 a
+    # build peaks below 1.6 times the three tables; forming the index for
+    # a whole doubling step peaked at 2.8 times.
+    R = elaborate(parse(expr))
     tracemalloc.start()
     try:
         kernel._build_tables(R)
@@ -776,10 +800,10 @@ def test_order_1024_tables_take_two_bytes_per_entry():
 
 @pytest.mark.parametrize("expr", ["GR(Z(2), C(10))", "Triv(Z(32))"])
 def test_tables_at_order_1024_match_structure_constants(expr):
-    # The flat index x*n + z of the mul build leaves the int16 range from
-    # order 182 on, so at order 1024 the tables are held on all n^2 pairs to
-    # the products a fresh ring without tables reads through its structure
-    # constants, row by row.
+    # Both rings take the carry-free fill, whose int16 field sums are
+    # widest at order 1024, the top of the table range; there the tables
+    # are held on all n^2 pairs to the products a fresh ring without tables
+    # reads through its structure constants, row by row.
     R, S = elaborate(parse(expr)), elaborate(parse(expr))
     kernel._build_tables(R)
     assert R.order == 1024 and S._mul_np is None
@@ -788,6 +812,41 @@ def test_tables_at_order_1024_match_structure_constants(expr):
         assert np.array_equal(R._add_np[x], kernel._add_many(S, x, every)), ("add", x)
         assert np.array_equal(R._mul_np[x], kernel._mul_many(S, x, every)), ("mul", x)
     assert S._mul_np is None
+
+
+def _gather_fill(R):
+    """R's mul table by the fill of rings whose radices are not all powers
+    of 2: the generator rows from the digits and the structure constants,
+    then `_doubling_table` with every sum of rows read from R's add table."""
+    C, r, w = kernel._constants(R)
+    rows = np.arange(R.order)[:, None] // w % r @ C % r @ w
+
+    def gather(block, row, out):
+        out[...] = R._add_np[block, row]
+
+    return kernel._doubling_table(R, rows, gather)
+
+
+def _carry_free(R):
+    return all(q & (q - 1) == 0 for q in R.radices)
+
+
+_CARRY_FREE_CORPUS = [i for i, R in enumerate(standard_corpus()) if _carry_free(R)]
+
+
+def test_corpus_has_carry_free_rings():
+    assert len(_CARRY_FREE_CORPUS) == 16
+
+
+# The corpus rings by index, then the two carry-free rings of order 1024.
+@pytest.mark.parametrize(
+    "source", _CARRY_FREE_CORPUS + ["GR(Z(2), C(10))", "Triv(Z(32))"],
+    ids=[standard_corpus()[i].label for i in _CARRY_FREE_CORPUS] + ["GR(Z(2), C(10))", "Triv(Z(32))"])
+def test_carry_free_fill_matches_gather_fill(source):
+    R = standard_corpus()[source] if isinstance(source, int) else elaborate(parse(source))
+    assert _carry_free(R)
+    kernel._build_tables(R)
+    assert np.array_equal(R._mul_np, _gather_fill(R))
 
 
 # -- the vectorised product against the scalar ops -------------------------
