@@ -16,16 +16,21 @@ go through ``_mul_many`` (and sums and differences through ``_add_many`` and
 ``_sub_many``): a lookup in the op tables when they exist, else the product
 of digit vectors through the structure constants, one term per nonzero
 constant, so a whole row x*R or column R*x costs O(n * |g|) memory.
-Besides these three, only ``_row_blocks`` knows whether the tables exist:
-whole-ring reads take blocks of ROW_BLOCK // n rows with them, one row at a
-time without them.
+Besides these three, only ``_row_blocks`` and ``_power_scan`` ask whether
+the tables exist: whole-ring reads take blocks of ROW_BLOCK // n rows with
+them, one row at a time without them, and the power scan takes its powers
+from a power table with them, one product per step without them.
 
 Every power that freeze reads comes from one power scan (`_power_scan`):
 for each x the least m < k with x^m == x^k, and x^m itself, the start of
-the cycle of its powers (``RingCaches.cycle_start``).  The scan takes
-O(sqrt(n)) products: m <= floor(log2 n), so Brent's saved power is held
-once it passes that bound, and long periods are found by baby and giant
-steps.  The units, the nilpotents (x^m == 0) and the power flags of
+the cycle of its powers (``RingCaches.cycle_start``).  m <= floor(log2 n),
+so every x^h, h the least power of 2 at or above that bound, lies on the
+cycle.  With op tables the scan fills the power table x^1, ..., x^L of
+every x by doubling, one lookup per doubling, and reads the periods, the
+power indices, the units' inverses and the cycle starts off it.  Without
+them Brent's saved power is held at x^h, in O(sqrt(n)) products.  Either
+way, periods too long for the table or the scan are found by baby and
+giant steps.  The units, the nilpotents (x^m == 0) and the power flags of
 ``deciders`` are read from them; no module of the package calls the
 scalar ``Ring.mul``.
 
@@ -502,12 +507,64 @@ def _row_blocks(R: Ring, xs) -> list:
 
 def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """base[i]^exponent[i] for every i, by binary exponentiation: the low
-    bits of the exponent first, x^0 = one."""
+    bits of the exponent first, x^0 = one.  One product per bit of the
+    largest exponent and one squaring between two bits, none after the
+    last."""
     result = np.full_like(base, R.one)
-    while exponent.any():
-        result = np.where((exponent & 1) == 1, _mul_many(R, result, base), result)
-        base = _mul_many(R, base, base)
-        exponent = exponent >> 1
+    bits = int(exponent.max()).bit_length() if exponent.size else 0
+    for bit in range(bits):
+        result = np.where((exponent >> bit) & 1 == 1, _mul_many(R, result, base), result)
+        if bit + 1 < bits:
+            base = _mul_many(R, base, base)
+    return result
+
+
+class _Scan(tuple):
+    """The power indices (m, k) of `_power_scan`, which unpack as a pair,
+    and `powers`, the power table P they were read from (P[j-1] = x^j for
+    every element x and every j <= len(P)), or None where the ring has no
+    op tables."""
+    powers = None
+
+
+def _power_table(R: Ring, hold: int, last: int, period: np.ndarray) -> np.ndarray:
+    """The power table P of `_power_scan`: P[j-1] = x^j for every element
+    x, exponent-major, filled by doubling.  With rows up to x^w, rows
+    x^(w+1), ..., x^(2w) are x^w * x^i, i = 1, ..., w: one `_mul_many`
+    lookup of w x n entries, the last one cut at x^last.  It stops at the
+    first doubling after which every x^hold has come back, or at x^last.
+    Each x whose x^hold has come back, first at x^(hold+t), gets period t;
+    the others keep period 0."""
+    n = R.order
+    P = np.empty((last, n), dtype=TABLE_DTYPE)
+    P[0] = np.arange(n)
+    w = 1
+    while w < last:
+        c = min(w, last - w)
+        P[w:w + c] = _mul_many(R, P[w - 1], P[:c])
+        lo, w = max(w, hold), w + c
+        if w > hold:                                # rows lo, ..., w-1 are x^(lo+1), ..., x^w
+            back = P[lo:w] == P[hold - 1]
+            new = (period == 0) & back.any(0)
+            period[new] = back.argmax(0)[new] + lo + 1 - hold
+            if period.all():
+                break
+    return P[:w]
+
+
+def _read_powers(R: Ring, P, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base[i]^exponent[i] for elements base[i], as int64: read off the
+    power table P of `_power_scan` where 1 <= exponent <= len(P), one
+    where the exponent is 0, by `_powers` wherever it runs past P (and
+    everywhere when P is None)."""
+    if P is None:
+        return _powers(R, base, exponent)
+    result = np.full(base.shape, R.one, dtype=np.int64)
+    inside = (1 <= exponent) & (exponent <= len(P))
+    result[inside] = P[exponent[inside] - 1, base[inside]]
+    far = exponent > len(P)
+    if far.any():
+        result[far] = _powers(R, base[far], exponent[far])
     return result
 
 
@@ -522,34 +579,47 @@ def _power_scan(R: Ring) -> tuple:
     (x^(j+1)*R = x*x^j*R = x*x^(j+1)*R).  So it is stable from some j <= top
     on, and so is R*x^j.  There x^j lies in x^(2j)*R and in R*x^(2j), so
     x^j has a group inverse (Drazin): it lies in a finite subgroup of
-    (R, *), its powers return to it, and m <= j.
+    (R, *), its powers return to it, and m <= j.  So x^h, h the least power
+    of 2 >= top, is on the cycle, and t is the least t with x^(h+t) == x^h.
+    On orders with s = ceil(sqrt(n)) + 1 >= 2 * n.bit_length() (about 200
+    and up) the powers are taken up to last = h + 2s, below them up to
+    last = h + n.
 
-    Brent's cycle detection steps x^j -> x^(j+1) for the open x and
-    compares x^j with x (a hit gives m = 1, k = j) and with the saved
-    x^e (a hit gives t = j - e once e >= m).  e doubles, 1, 2, 4, ..., until
-    it reaches top, and is then held at that exponent h >= top >= m, so
-    every x closes by j = h + t.  On orders with s = ceil(sqrt(n)) + 1 >=
-    2 * n.bit_length() (about 200 and up) the scan stops at j = h + 2s and
-    every x still open, with t > 2s, takes baby and giant steps (Shanks):
-    the scan's last s steps record the baby steps B_i = x^(h+s+1+i), i < s,
-    and the giant steps are G_J = x^(h+s+1+J*s), the first the scan's last
-    power and each next one G_J * x^s, x^s kept at j = s.  All of them lie
-    on the cycle, where x^a == x^b iff t divides a - b, so G_J == B_i iff
-    t divides J*s - i.  Since t > s the baby steps are distinct and each
-    range (J-1)*s < J*s - i <= J*s holds at most one multiple of t: the
-    first hit is J = ceil(t/s) <= ceil(n/s), at i = J*s - t, so t = J*s - i.
-    Below that order the tail's fixed cost, the binary powers of the
-    m-search for x that Brent closes at x^j == x, outweighs the steps it
-    saves.  Finally m is the least j with x^j == x^(j+t).
+    With op tables the scan reads the power table P of `_power_table`,
+    P[j-1] = x^j, filled by doubling in ceil(log2(last)) lookups at most,
+    and returns it in `_Scan.powers`, so that freeze reads the units'
+    inverses and the cycle starts off it too.  Each x whose x^h has come
+    back by the end of P has its period.  Without op tables Brent's cycle
+    detection steps x^j -> x^(j+1), one product per step, for the open x
+    and compares x^j with x (a hit gives m = 1, k = j) and with the saved
+    x^e (a hit gives t = j - e once e >= m).  e doubles, 1, 2, 4, ...,
+    until it reaches top, and is then held at h, so every x closes by
+    j = h + t.
+
+    Above the gate every x still open at x^last, with t > 2s, takes baby
+    and giant steps (Shanks).  The baby steps are B_i = x^(h+s+1+i),
+    i < s: the last s rows of P, or the last s steps of Brent's scan.  The
+    giant steps are G_J = x^(h+s+1+J*s), the first x^last * x and each
+    next one G_J * x^s, x^s the row of P, or Brent's step, at j = s.  All
+    of them lie on the cycle, where x^a == x^b iff t divides a - b, so
+    G_J == B_i iff t divides J*s - i.  Since t > s the baby steps are
+    distinct and each range (J-1)*s < J*s - i <= J*s holds at most one
+    multiple of t: the first hit is J = ceil(t/s) <= ceil(n/s), at
+    i = J*s - t, so t = J*s - i.  Below the gate Brent's tail, the binary
+    powers of the m-search for x that it closes at x^j == x, outweighs
+    the steps it saves.  Finally m is the least j with x^j == x^(j+t),
+    read off P where x^(top+t) is in it, else from the binary power
+    x^(1+t) by one product per step.
 
     A table that is not a ring's can break these bounds; the scan then
     raises RingAxiomError, also under ``python -O``: an x still open at
-    j = h + n without the tail, a giant hit with t <= 2s, no giant hit by
-    J = ceil(n/s) + 1, or m above top.  The baby table is one n x s array
-    of the narrowest dtype that holds n - 1.  A giant step is looked up in
-    the rows of the open x only, in blocks of at most ROW_BLOCK // s and at
-    most n // (itemsize + 1) rows, so that a block's gathered rows and its
-    boolean compare take at most n * s bytes.
+    x^last below the gate, a giant hit with t <= 2s, no giant hit by
+    J = ceil(n/s) + 1, or m above top.  Without op tables the baby table
+    is one n x s array of the narrowest dtype that holds n - 1.  A giant
+    step is looked up in the baby rows of the open x only, in blocks of at
+    most ROW_BLOCK // s and at most n // (itemsize + 1) rows, so that a
+    block's gathered rows and its boolean compare take at most n * s
+    bytes.
     """
     n = R.order
     top = max(1, n.bit_length() - 1)                # m <= top in a ring
@@ -559,26 +629,33 @@ def _power_scan(R: Ring) -> tuple:
     last = hold + 2 * s if tail else hold + n
     x = np.arange(n)
     m, period = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    live, saved, power = x, x, _mul_many(R, x, x)    # x^e and x^j, e = 1, j = 2
-    e, j = 1, 2
-    while live.size and j <= last:
-        back = power == live                           # x^j == x
-        hit = back | (power == saved)
-        if hit.any():
-            m[live[back]] = 1
-            period[live[hit]] = np.where(back, j - 1, j - e)[hit]
-            live, saved, power = live[~hit], saved[~hit], power[~hit]
-        if j == 2 * e and e < top:
-            saved, e = power, j
-        if tail and j == s:
-            stride = np.zeros(n, dtype=power.dtype)
-            stride[live] = power
-        if tail and j > hold + s:
-            if j == hold + s + 1:
-                baby = np.empty((n, s), dtype=np.min_scalar_type(n - 1))
-            baby[live, j - hold - s - 1] = power
-        power = _mul_many(R, power, live)
-        j += 1
+    P = None
+    if R._mul_np is not None:
+        P = _power_table(R, hold, last, period)
+        live = np.flatnonzero(period == 0)
+        if live.size and tail:
+            power, stride, baby = _mul_many(R, P[-1, live], live), P[s - 1], P[hold + s:].T
+    else:
+        live, saved, power = x, x, _mul_many(R, x, x)    # x^e and x^j, e = 1, j = 2
+        e, j = 1, 2
+        while live.size and j <= last:
+            back = power == live                           # x^j == x
+            hit = back | (power == saved)
+            if hit.any():
+                m[live[back]] = 1
+                period[live[hit]] = np.where(back, j - 1, j - e)[hit]
+                live, saved, power = live[~hit], saved[~hit], power[~hit]
+            if j == 2 * e and e < top:
+                saved, e = power, j
+            if tail and j == s:
+                stride = np.zeros(n, dtype=power.dtype)
+                stride[live] = power
+            if tail and j > hold + s:
+                if j == hold + s + 1:
+                    baby = np.empty((n, s), dtype=np.min_scalar_type(n - 1))
+                baby[live, j - hold - s - 1] = power
+            power = _mul_many(R, power, live)
+            j += 1
     if live.size and not tail:
         raise RingAxiomError(f"{R.label}: the powers of {int(live[0])} do not return to "
                              f"x^{hold}, so its power index exceeds log2({n})")
@@ -609,39 +686,56 @@ def _power_scan(R: Ring) -> tuple:
                                  f"its baby steps")
         del baby
     live = np.flatnonzero(m == 0)
-    low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
+    wrong = live[:0]
+    if P is not None:               # x^j and x^(j+t), j <= top, are rows of P
+        near = period[live] + top <= len(P)
+        y, j = live[near], np.arange(top)[:, None]
+        hit = P[:top, y] == P[j + period[y], y]          # [j-1, i]: x^j == x^(j+t) at y[i]
+        m[y] = hit.argmax(0) + 1
+        live, wrong = live[~near], y[~hit.any(0)]
+    if live.size:
+        low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
     j = 1
-    while live.size:
-        if j > top:
-            raise RingAxiomError(f"{R.label}: the power index of {int(live[0])} exceeds "
-                                 f"log2({n})")
+    while live.size and j <= top:
         hit = low == high
         m[live[hit]] = j
         live, low, high = live[~hit], low[~hit], high[~hit]
         low, high = _mul_many(R, np.stack((low, high)), live)
         j += 1
-    return m, m + period
+    wrong = np.concatenate((wrong, live))
+    if wrong.size:
+        raise RingAxiomError(f"{R.label}: the power index of {int(wrong.min())} exceeds "
+                             f"log2({n})")
+    scan = _Scan((m, m + period))
+    scan.powers = P
+    return scan
 
 
 def _compute_units(R: Ring):
-    """(unit -> inverse, power indices (m, k) of `_power_scan`).  x is a unit
-    iff m = 1 and x^(k-1) = 1, and then x^(k-2) is its inverse; every pair
-    is checked two-sided, u*v == v*u == 1."""
-    m, k = _power_scan(R)
+    """(unit -> inverse, power indices (m, k), power table) of `_power_scan`.
+    x is a unit iff m = 1 and x^t = 1, t = k - 1 its period, and then
+    x^(t-1) is its inverse, read off the scan's power table where it is in
+    it (`_read_powers`); every pair is checked two-sided, u*v == v*u == 1.
+    The power table is None without op tables, and also wherever
+    `_power_scan` returns a plain pair."""
+    scan = _power_scan(R)
+    m, k = scan
+    P = getattr(scan, "powers", None)
     u = np.flatnonzero(m == 1)
-    v = _powers(R, u, k[u] - 2)
+    v = _read_powers(R, P, u, k[u] - 2)
     ok = (_mul_many(R, u, v) == R.one) & (_mul_many(R, v, u) == R.one)
-    return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k)
+    return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k), P
 
 
-def _compute_nilpotents(R: Ring, m: np.ndarray) -> tuple:
-    """(the nilpotents, x^m for every x), m the power index of `_power_scan`,
-    with one `_powers` call.  x is nilpotent iff x^m == 0: if t is the least
-    exponent with x^t = 0, the powers x, ..., x^t are distinct (x^i = x^j,
-    i < j <= t, would make x^i recur beyond t, where every power is 0, while
-    x^i != 0 for i < t), and x^(t+1) = 0 = x^t is the first repeat, so
-    m = t.  Conversely x^m == 0 says x is nilpotent."""
-    start = _powers(R, np.arange(R.order), m)
+def _compute_nilpotents(R: Ring, m: np.ndarray, powers=None) -> tuple:
+    """(the nilpotents, x^m for every x), m the power index of `_power_scan`:
+    read off its power table `powers` (m <= top lies in it), or one
+    `_powers` call without it.  x is nilpotent iff x^m == 0: if t is the
+    least exponent with x^t = 0, the powers x, ..., x^t are distinct
+    (x^i = x^j, i < j <= t, would make x^i recur beyond t, where every power
+    is 0, while x^i != 0 for i < t), and x^(t+1) = 0 = x^t is the first
+    repeat, so m = t.  Conversely x^m == 0 says x is nilpotent."""
+    start = _read_powers(R, powers, np.arange(R.order), m)
     return set(np.flatnonzero(start == 0).tolist()), start
 
 
@@ -696,15 +790,17 @@ def _freeze_undivided(R: Ring) -> Ring:
     above the limit.  One power scan gives the power indices (m, k) of
     every element and from them the units and their inverses
     (`_compute_units`) and x^m, the cycle start, whose zeros are the
-    nilpotents (`_compute_nilpotents`); the idempotents are the x with
+    nilpotents (`_compute_nilpotents`), both read off the scan's power
+    table where there is one, which is dropped once both have read it; the idempotents are the x with
     x*x == x; the Jacobson radical is sieved from the nilpotents, one column
     R*x per nilpotent x tested (`_compute_jacobson`)."""
     _build_tables(R)
-    inverse, power_indices = _compute_units(R)
+    inverse, power_indices, powers = _compute_units(R)
     units = frozenset(inverse)
     x = np.arange(R.order)
     idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
-    nilpotents, cycle_start = _compute_nilpotents(R, power_indices[0])
+    nilpotents, cycle_start = _compute_nilpotents(R, power_indices[0], powers)
+    del powers
     jacobson = frozenset(_compute_jacobson(R, units, nilpotents))
     R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices,
                           cycle_start)

@@ -76,15 +76,22 @@ def test_blocks_are_the_primary_parts():
 
 
 @pytest.mark.parametrize("expr, frozen, classified", [
-    ("Triv(Z(33))", {"3": 27, "11": 139, "R": 6}, {"3": 12, "11": 20, "R": 5}),
-    ("Z(5) x Triv(Z(15))", {"3": 27, "5": 47, "R": 6}, {"3": 12, "5": 17, "R": 5}),
+    ("Triv(Z(33))", {"3": 8, "11": 11, "R": 5}, {"3": 11, "11": 19, "R": 5}),
+    ("Z(5) x Triv(Z(15))", {"3": 8, "5": 9, "R": 5}, {"3": 11, "5": 16, "R": 5}),
 ], ids=["Triv(Z(33))", "Z(5) x Triv(Z(15))"])
 def test_split_rings_read_few_products(expr, frozen, classified, monkeypatch):
     # The _mul_many calls of freeze and classify, by ring: the blocks read
-    # their op tables, and R itself takes two products to check the units'
-    # inverses, four for x^m (m <= 2) and, in classify, one for Diesl's
-    # check and two for each least False re-verified.  The undivided ring
-    # takes 36 and 39 calls in classify alone
+    # their op tables.  A block's power scan is its power table, filled in
+    # one doubling lookup per power of 2 up to the last power it needs: 4
+    # on the block of order 9, 7 and 5 on those of order 121 and 125, where
+    # Brent's scan took one lookup per step (27, 139 and 47 calls in all in
+    # freeze); then two products check the units' inverses, one finds the
+    # idempotents and one tests the Jacobson radical.  R itself takes two
+    # products to check the units' inverses and three for x^m (m <= 2:
+    # two bits, one squaring between them), and in classify one for Diesl's
+    # check and two for each least False re-verified.  In classify each
+    # block's periodic mask recomputes x^k by _powers.
+    # The undivided ring takes 35 and 38 calls in classify alone
     # (test_ring_level_sets_read_few_products_above_limit).
     calls = Counter()
     mul_many = kernel._mul_many

@@ -511,13 +511,38 @@ GIANT_STEPS = [
 ]
 
 
-@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT + GIANT_STEPS)
+# Table-path rings at the edges of the power table: Z(1); both sides of
+# the giant-step gate (Z(196) fills its table to x^204, Z(197) stops at
+# x^40 and takes giant steps); Z(205), whose periods 40 run past its table
+# of 40 rows; Z(256), Z(509) and Z(1009), with periods up to 1008 found by
+# giant steps and inverses x^(t-1) beyond the table; and two products of
+# 2-power rings.
+TABLE_EDGES = [pytest.param(make_zmod(n), id=f"Z({n})")
+               for n in (1, 196, 197, 205, 256, 509, 1009)] + [
+    pytest.param(direct_product(make_zmod(2), make_zmod(8)), id="Z(2) x Z(8)"),
+    pytest.param(direct_product(trivial_extension(make_zmod(4)), make_zmod(2)),
+                 id="Triv(Z(4)) x Z(2)"),
+]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT + GIANT_STEPS + TABLE_EDGES)
 def test_power_scan_matches_scalar_deciders(ring):
     # Below the limit test_mask_engine_matches_scalar_deciders also holds
     # the units and inverses read from the scan to brute force.  The cycle
     # start x^m is the power by scalar products, and it is 0 exactly at the
-    # nilpotents.
+    # nilpotents.  On the table path (m, k), the cycle start and the
+    # inverses also equal those of the scan without op tables (Brent's
+    # scan, through the structure constants) on the same ring unfrozen.
     R = freeze(ring)
+    if R._mul_np is not None:
+        S = kernel.Ring(R.order, R.products, R.one, R.label, R.radices)
+        inverse, (m, k), powers = kernel._compute_units(S)
+        _, start = kernel._compute_nilpotents(S, m, powers)
+        assert S._mul_np is None and powers is None
+        assert np.array_equal(m, R.caches.power_indices[0])
+        assert np.array_equal(k, R.caches.power_indices[1])
+        assert np.array_equal(start, R.caches.cycle_start)
+        assert inverse == R.caches.unit_inverse
     m, k = R.caches.power_indices
     assert list(zip(m.tolist(), k.tolist())) == [periodic_indices(R, x) for x in R.elements()]
     assert (m == 1).tolist() == [is_strongly_regular(R, x) for x in R.elements()]

@@ -210,14 +210,16 @@ for R in non_rings:
         verify_ring_axioms(R)
     except AssertionError as exc:
         print(__debug__, type(exc).__name__)
-# Tampered Z(n) tables, each rejected by one bound of the power scan.
+# Tampered Z(n) tables, each rejected by one bound of the power scan, which
+# reads them through its power table x^(w+i) = x^w * x^i.
 for n, entries in [
-    # 5*2 = 0 and 5*5 = 2: the powers of 5 by repeated products and by
-    # squaring never meet, so no power index m <= log2(6) is found.
-    (6, {(5, 2): 0, (5, 5): 2}),
-    # Right products by 3 give 3 -> 5 -> 7 -> 9 -> 11 -> 13 -> 13: a power
-    # index 6 > log2(16), so the held saved power 3^4 = 9 never recurs.
-    (16, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13}),
+    # 5*5 = 2: the powers of 5 are 5, 2, 2*5 = 10, 2*2 = 4, 4*5 = 8, 4*2 = 8,
+    # 4*10 = 4, so 5^4 recurs with period 3, but none of 5, 2 and 10
+    # recurs 3 powers later: no power index m <= log2(12) is found.
+    (12, {(5, 5): 2}),
+    # 3*3 = 2: the powers of 3 are 3, 2, 6, 4, 12, 8, 8, 0, 0, ...: a power
+    # index 6 > log2(16), so the held power 3^4 = 4 never recurs.
+    (16, {(3, 3): 2}),
     # The first giant step of the primitive root 6, 6^43 * 6^17, sent to 0:
     # its giant steps never meet its baby steps 6^26, ..., 6^42.
     (251, {(pow(6, 43, 251), pow(6, 17, 251)): 0}),
@@ -265,7 +267,7 @@ from finring.blocks import _freeze_split, _primary_blocks
 for n, p, entries in [
     # The 2-part of Z(48) is Z(16), with the held-power table of _NON_RINGS:
     # its power scan raises inside the block, naming Z(48) and 2.
-    (48, 2, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13}),
+    (48, 2, {(3, 3): 2}),
     # 2*2 = 1 in the 5-part of Z(10): the block takes 2 for its own inverse,
     # so Z(10) takes 7, with parts 1 and 2, for the inverse of 7.
     (10, 5, {(2, 2): 1}),
@@ -320,9 +322,8 @@ def _tampered_zmod(n, entries):
 
 
 @pytest.mark.parametrize("n, entries, message", [
-    (6, {(5, 2): 0, (5, 5): 2}, "the power index of 5 exceeds log2(6)"),
-    (16, {(3, 3): 5, (5, 3): 7, (7, 3): 9, (9, 3): 11, (11, 3): 13, (13, 3): 13},
-     "the powers of 3 do not return to x^4, so its power index exceeds log2(16)"),
+    (12, {(5, 5): 2}, "the power index of 5 exceeds log2(12)"),
+    (16, {(3, 3): 2}, "the powers of 3 do not return to x^4, so its power index exceeds log2(16)"),
     (251, {(pow(6, 43, 251), pow(6, 17, 251)): 0},
      "the giant steps of 6 never meet its baby steps"),
     # The second giant step of 6 sent to its first baby step 6^26: a
@@ -331,7 +332,17 @@ def _tampered_zmod(n, entries):
      "the powers of 6 repeat within 34 steps of x^26"),
 ], ids=["m-search", "held power", "no giant hit", "short giant hit"])
 def test_power_scan_names_the_broken_bound(n, entries, message):
-    # The tables of _NON_RINGS, and one more, each stopped by its own bound.
+    # The tables of _NON_RINGS, and one more, each stopped by its own bound
+    # on the table path, where the doubling fill squares powers, x^4 =
+    # x^2 * x^2, instead of stepping by x.  The m-search case is on Z(12):
+    # on Z(6), as on every order whose floor(log2 n) is a power of 2, the
+    # held power is x^top, so the x^j, j <= top, that must recur include
+    # the held power that did, and only the giant steps could break the
+    # bound.  Its 5*5 = 2 is the entry the Z(6) table had besides 5*2 = 0,
+    # which the fill never reads.  The held-power case replaces the right
+    # products by 3 of Brent's scan, which the fill does not take, by
+    # 3*3 = 2.  The giant steps read the same products as before: G_2 =
+    # 6^43 * 6^17 on Z(251).
     with pytest.raises(RingAxiomError, match=f"^{re.escape(f'Z({n}): {message}')}$"):
         kernel._power_scan(_tampered_zmod(n, entries))
 
@@ -572,21 +583,22 @@ def _count_scalar_calls(R):
 
 
 @pytest.mark.parametrize("ring, nilpotents, jacobson, classified", [
-    (trivial_extension(make_zmod(33)), 4, 1, 36),
-    (direct_product(make_zmod(5), trivial_extension(make_zmod(15))), 4, 1, 39),
+    (trivial_extension(make_zmod(33)), 3, 1, 35),
+    (direct_product(make_zmod(5), trivial_extension(make_zmod(15))), 3, 1, 38),
 ], ids=["Triv(Z(33))", "Z(5) x Triv(Z(15))"])
 def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobson, classified,
                                                        monkeypatch):
     # Above TABLE_LIMIT every product read is one _mul_many call.  The
-    # nilpotents are the zeros of x^m, one _powers call over the ring: two
-    # calls per bit of the largest m, which is 2 here, where squaring every
-    # element up to an exponent >= n would take 11.  The Jacobson sieve reads one
+    # nilpotents are the zeros of x^m, one _powers call over the ring: one
+    # product per bit of the largest m, which is 2 here, and one squaring
+    # between two bits, 3 calls, where squaring every element up to an
+    # exponent >= n would take 11.  The Jacobson sieve reads one
     # column per nilpotent it tests and the unit masks one row per generator
     # of the unit group, where one row per element would take n = 1089 or
     # 1125 calls in _compute_jacobson alone.  classify reads no row search:
     # regular and strongly regular are the unit-regular mask and m = 1, each
     # re-verified at its least False, and strongly pi-regular is m = 1 at
-    # the cached x^m.  The ring is frozen undivided, as freeze would do if
+    # the cached x^m.  The periodic mask recomputes x^k by one _powers call.  The ring is frozen undivided, as freeze would do if
     # its order were a prime power; test_split_rings_read_few_products
     # counts the products of the p-primary split freeze makes by default.
     R = kernel._freeze_undivided(ring)
@@ -612,18 +624,20 @@ def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobso
 
 
 @pytest.mark.parametrize("ring, calls", [
-    (trivial_extension(make_zmod(33)), 113),
-    (trivial_extension(make_zmod(34)), 113),
+    (trivial_extension(make_zmod(33)), 112),
+    (trivial_extension(make_zmod(34)), 112),
     (make_zmod(17), 17),
 ], ids=["Triv(Z(33))", "Triv(Z(34))", "Z(17)"])
 def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
-    # One _mul_many call per step.  Brent's scan with a saved power that
+    # The scan without op tables (these rings are not frozen): one _mul_many
+    # call per step.  Brent's scan with a saved power that
     # keeps doubling took 347 and 804 calls on the two trivial extensions
     # (max k = 331 and 274).  Held at x^16, it stops at x^(16 + 2s),
     # s = ceil(sqrt(n)) + 1 = 34 and 35, and the long periods take a few
-    # giant steps x^s, then the m-search.  Z(17) is below the giant-step
-    # gate and takes one step per power, as before: every unit closes at
-    # x^j == x, by j = 17.
+    # giant steps x^s, then the m-search, whose binary powers x^(1+t),
+    # 1 + t <= 332, take 9 products and 8 squarings.  Z(17) is below the
+    # giant-step gate and takes one step per power, as before: every unit
+    # closes at x^j == x, by j = 17.
     count = []
     mul_many = kernel._mul_many
 
@@ -634,6 +648,40 @@ def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
     monkeypatch.setattr(kernel, "_mul_many", counted)
     kernel._power_scan(ring)
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("n, constant", [(193, 0), (1009, 2 * 1009 .bit_length())],
+                         ids=["Z(193)", "Z(1009)"])
+def test_tabled_power_scan_fills_in_log_lookups(n, constant, monkeypatch):
+    # With op tables the power table x^1, ..., x^L is filled in one lookup
+    # per doubling, at most ceil(log2(last)) of them: last = hold + n below
+    # the giant-step gate (Z(193): 8 + 193 = 201, and its periods 192 take
+    # the table to x^201, 8 lookups) and hold + 2s above it (Z(1009):
+    # 16 + 66 = 82, 7 lookups), where Brent's scan takes one lookup per
+    # power (193 and 133 calls in all).  The x still open take one lookup per giant step, the first
+    # at J = 1 and the last at J = ceil(t/s) <= 31 on Z(1009), and the m-search
+    # of the x whose x^(top+t) is past the table computes x^(1+t),
+    # 1 + t <= n, in at most 2 * bitlen(n) - 1 lookups and takes one step:
+    # the constant.  Z(193) reads its m-search off the table.
+    R = make_zmod(n)
+    kernel._build_tables(R)
+    count = []
+    mul_many = kernel._mul_many
+
+    def counted(*args):
+        count.append(1)
+        return mul_many(*args)
+
+    monkeypatch.setattr(kernel, "_mul_many", counted)
+    m, k = kernel._power_scan(R)
+    top = n.bit_length() - 1
+    hold, s = 1 << (top - 1).bit_length(), math.isqrt(n - 1) + 2
+    last = hold + 2 * s if s >= 2 * n.bit_length() else hold + n
+    t = k - m
+    far = t[t > last - hold]                    # the periods the giant steps find
+    giant = int((-(-far // s)).max()) if far.size else 0
+    assert len(count) <= math.ceil(math.log2(last)) + giant + constant
+    assert (giant, len(count)) == ((0, 8) if n == 193 else (31, 58))
 
 
 def test_giant_steps_hold_one_baby_table():

@@ -142,3 +142,24 @@ def test_classify_is_the_one_element_decider():
              if isinstance(node, (ast.Subscript, ast.Attribute))
              and ast.unparse(node.value).endswith("_ELEMENT_DECIDERS")]
     assert found == []
+
+
+def test_only_the_lookups_name_the_op_tables():
+    # The op tables are named only where they are built (_build_tables),
+    # looked up (_mul_many, _add_many, _sub_many), asked for whether they
+    # exist (_row_blocks and _power_scan, which picks the power table) and
+    # declared (Ring.__init__), so that the power table's products go
+    # through _mul_many and no more code reads the tables directly.
+    tables = {"_mul_np", "_add_np", "_neg_np"}
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            units = [(f"{top.name}.{node.name}", node) for node in top.body
+                     if isinstance(node, ast.FunctionDef)] if isinstance(top, ast.ClassDef) \
+                else [(getattr(top, "name", f"{path.name}:{top.lineno}"), top)]
+            for name, unit in units:
+                if any(getattr(node, "attr", getattr(node, "id", None)) in tables
+                       for node in ast.walk(unit)):
+                    found.add(name)
+    assert found == {"Ring.__init__", "_build_tables", "_mul_many", "_add_many", "_sub_many",
+                     "_row_blocks", "_power_scan"}
