@@ -511,14 +511,15 @@ GIANT_STEPS = [
 ]
 
 
-# Table-path rings at the edges of the power table: Z(1); both sides of
-# the giant-step gate (Z(196) fills its table to x^204, Z(197) stops at
-# x^40 and takes giant steps); Z(205), whose periods 40 run past its table
+# Table-path rings at the edges of the power table (Z(1), the smallest,
+# is in the standard corpus above): both sides of the giant-step gate
+# (Z(196) fills its table to x^204, Z(197) stops at x^40 and takes giant
+# steps); Z(205), whose periods 40 run past its table
 # of 40 rows; Z(256), Z(509) and Z(1009), with periods up to 1008 found by
 # giant steps and inverses x^(t-1) beyond the table; and two products of
 # 2-power rings.
 TABLE_EDGES = [pytest.param(make_zmod(n), id=f"Z({n})")
-               for n in (1, 196, 197, 205, 256, 509, 1009)] + [
+               for n in (196, 197, 205, 256, 509, 1009)] + [
     pytest.param(direct_product(make_zmod(2), make_zmod(8)), id="Z(2) x Z(8)"),
     pytest.param(direct_product(trivial_extension(make_zmod(4)), make_zmod(2)),
                  id="Triv(Z(4)) x Z(2)"),
