@@ -521,10 +521,11 @@ def _powers(R: Ring, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 class _Scan(tuple):
     """The power indices (m, k) of `_power_scan`, which unpack as a pair,
-    and `powers`, the power table P they were read from (P[j-1] = x^j for
-    every element x and every j <= len(P)), or None where the ring has no
-    op tables."""
-    powers = None
+    `powers`, the power table P they were read from (P[j-1] = x^j for
+    every element x and every j <= len(P)), and `back`, x^(t-1) for every
+    x, t = k - m its period (the inverse of x where x is a unit); both are
+    None where the ring has no op tables."""
+    powers = back = None
 
 
 def _power_table(R: Ring, hold: int, last: int, period: np.ndarray) -> np.ndarray:
@@ -555,8 +556,9 @@ def _power_table(R: Ring, hold: int, last: int, period: np.ndarray) -> np.ndarra
 def _read_powers(R: Ring, P, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """base[i]^exponent[i] for elements base[i], as int64: read off the
     power table P of `_power_scan` where 1 <= exponent <= len(P), one
-    where the exponent is 0, by `_powers` wherever it runs past P (and
-    everywhere when P is None)."""
+    where the exponent is 0, and as (x^L)^q * x^r past P, L = len(P) and
+    exponent = q*L + r, by `_powers` of the row x^L (everywhere by
+    `_powers` when P is None)."""
     if P is None:
         return _powers(R, base, exponent)
     result = np.full(base.shape, R.one, dtype=np.int64)
@@ -564,7 +566,9 @@ def _read_powers(R: Ring, P, base: np.ndarray, exponent: np.ndarray) -> np.ndarr
     result[inside] = P[exponent[inside] - 1, base[inside]]
     far = exponent > len(P)
     if far.any():
-        result[far] = _powers(R, base[far], exponent[far])
+        y, (q, r) = base[far], np.divmod(exponent[far], len(P))
+        high = _powers(R, P[-1, y], q)
+        result[far] = np.where(r > 0, _mul_many(R, high, P[r - 1, y]), high)
     return result
 
 
@@ -607,19 +611,24 @@ def _power_scan(R: Ring) -> tuple:
     multiple of t: the first hit is J = ceil(t/s) <= ceil(n/s), at
     i = J*s - t, so t = J*s - i.  Below the gate Brent's tail, the binary
     powers of the m-search for x that it closes at x^j == x, outweighs
-    the steps it saves.  Finally m is the least j with x^j == x^(j+t),
-    read off P where x^(top+t) is in it, else from the binary power
-    x^(1+t) by one product per step.
+    the steps it saves.  Finally m is the least j with x^j == x^(j+t).
+    With op tables x^(j+t), j <= top, is read off P where it is in it, and
+    is x^(j+1) * x^(t-1) past it, all j in one lookup, with x^(t-1) from
+    `_read_powers`; x^(t-1) of every x is returned in `_Scan.back`.  Without them
+    it comes from the binary power x^(1+t), one product per step.
 
     A table that is not a ring's can break these bounds; the scan then
     raises RingAxiomError, also under ``python -O``: an x still open at
     x^last below the gate, a giant hit with t <= 2s, no giant hit by
-    J = ceil(n/s) + 1, or m above top.  Without op tables the baby table
-    is one n x s array of the narrowest dtype that holds n - 1.  A giant
-    step is looked up in the baby rows of the open x only, in blocks of at
-    most ROW_BLOCK // s and at most n // (itemsize + 1) rows, so that a
-    block's gathered rows and its boolean compare take at most n * s
-    bytes.
+    J = ceil(n/s) + 1, or m above top.  A giant step is looked up in the
+    baby steps of the open x only.  With op tables they are P's last s
+    rows at the open x, gathered once and cut down as x close, and each
+    giant step is one s x (open) compare, at most 3 * n * s bytes with
+    the gathered rows, about 100 KiB up to TABLE_LIMIT.  Without them the
+    baby table is one n x s array of the narrowest dtype that holds n - 1,
+    and the lookups take blocks of at most ROW_BLOCK // s and at most
+    n // (itemsize + 1) rows, so that a block's gathered rows and its
+    boolean compare take at most n * s bytes.
     """
     n = R.order
     top = max(1, n.bit_length() - 1)                # m <= top in a ring
@@ -634,7 +643,7 @@ def _power_scan(R: Ring) -> tuple:
         P = _power_table(R, hold, last, period)
         live = np.flatnonzero(period == 0)
         if live.size and tail:
-            power, stride, baby = _mul_many(R, P[-1, live], live), P[s - 1], P[hold + s:].T
+            power, stride, baby = _mul_many(R, P[-1, live], live), P[s - 1], P[hold + s:, live]
     else:
         live, saved, power = x, x, _mul_many(R, x, x)    # x^e and x^j, e = 1, j = 2
         e, j = 1, 2
@@ -663,21 +672,30 @@ def _power_scan(R: Ring) -> tuple:
         step = stride[live]
         rows = max(1, min(ROW_BLOCK // s, n // (baby.itemsize + 1)))
         for J in range(1, -(-n // s) + 2):           # power = G_J
-            giant, i = power.astype(baby.dtype), np.full(live.size, s)
-            for lo in range(0, live.size, rows):     # i = the baby step G_J meets, or s
-                meet = baby.take(live[lo:lo + rows], 0) == giant[lo:lo + rows, None]
-                hit = meet.any(1)
-                if hit.any():
-                    i[lo:lo + rows][hit] = meet[hit].argmax(1)
-            found = i < s
-            if found.any():
-                t = J * s - i[found]
+            giant = power.astype(baby.dtype)
+            if P is not None:                        # baby[i, c] = B_i of live[c]
+                meet = baby == giant
+                found = meet.any(0)
+                i = meet[:, found].argmax(0)         # the baby steps the found G_J meet
+            else:
+                i = np.full(live.size, s)
+                for lo in range(0, live.size, rows):     # i = the baby step G_J meets, or s
+                    meet = baby.take(live[lo:lo + rows], 0) == giant[lo:lo + rows, None]
+                    hit = meet.any(1)
+                    if hit.any():
+                        i[lo:lo + rows][hit] = meet[hit].argmax(1)
+                found = i < s
+                i = i[found]
+            if i.size:
+                t = J * s - i
                 if t.min() <= 2 * s:
                     y = int(live[found][t.argmin()])
                     raise RingAxiomError(f"{R.label}: the powers of {y} repeat within "
                                          f"{2 * s} steps of x^{hold + s + 1}")
                 period[live[found]] = t
                 live, power, step = live[~found], power[~found], step[~found]
+                if P is not None:
+                    baby = baby[:, ~found]
                 if not live.size:
                     break
             power = _mul_many(R, power, step)
@@ -685,44 +703,48 @@ def _power_scan(R: Ring) -> tuple:
             raise RingAxiomError(f"{R.label}: the giant steps of {int(live[0])} never meet "
                                  f"its baby steps")
         del baby
-    live = np.flatnonzero(m == 0)
-    wrong = live[:0]
-    if P is not None:               # x^j and x^(j+t), j <= top, are rows of P
-        near = period[live] + top <= len(P)
-        y, j = live[near], np.arange(top)[:, None]
-        hit = P[:top, y] == P[j + period[y], y]          # [j-1, i]: x^j == x^(j+t) at y[i]
-        m[y] = hit.argmax(0) + 1
-        live, wrong = live[~near], y[~hit.any(0)]
-    if live.size:
-        low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
-    j = 1
-    while live.size and j <= top:
-        hit = low == high
-        m[live[hit]] = j
-        live, low, high = live[~hit], low[~hit], high[~hit]
-        low, high = _mul_many(R, np.stack((low, high)), live)
-        j += 1
-    wrong = np.concatenate((wrong, live))
+    back_power = None
+    if P is not None:               # x^(j+t), j <= top: a row of P, or x^(j+1) * x^(t-1)
+        back_power = _read_powers(R, P, x, period - 1)
+        near = period + top <= len(P)
+        high = P[np.arange(top)[:, None] + period * near, x]
+        far = np.flatnonzero(~near)
+        if far.size:
+            high[:, far] = _mul_many(R, P[1:top + 1, far], back_power[far])
+        hit = P[:top] == high                               # [j-1, x]: x^j == x^(j+t)
+        m, wrong = hit.argmax(0) + 1, np.flatnonzero(~hit.any(0))
+    else:
+        live = np.flatnonzero(m == 0)
+        if live.size:
+            low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
+        j = 1
+        while live.size and j <= top:
+            hit = low == high
+            m[live[hit]] = j
+            live, low, high = live[~hit], low[~hit], high[~hit]
+            low, high = _mul_many(R, np.stack((low, high)), live)
+            j += 1
+        wrong = live
     if wrong.size:
         raise RingAxiomError(f"{R.label}: the power index of {int(wrong.min())} exceeds "
                              f"log2({n})")
     scan = _Scan((m, m + period))
-    scan.powers = P
+    scan.powers, scan.back = P, back_power
     return scan
 
 
 def _compute_units(R: Ring):
     """(unit -> inverse, power indices (m, k), power table) of `_power_scan`.
     x is a unit iff m = 1 and x^t = 1, t = k - 1 its period, and then
-    x^(t-1) is its inverse, read off the scan's power table where it is in
-    it (`_read_powers`); every pair is checked two-sided, u*v == v*u == 1.
-    The power table is None without op tables, and also wherever
-    `_power_scan` returns a plain pair."""
+    x^(t-1) is its inverse: the scan's `back` with op tables, else one
+    `_powers` call; every pair is checked two-sided, u*v == v*u == 1.
+    The power table and `back` are None without op tables, and also
+    wherever `_power_scan` returns a plain pair."""
     scan = _power_scan(R)
     m, k = scan
-    P = getattr(scan, "powers", None)
+    P, back = getattr(scan, "powers", None), getattr(scan, "back", None)
     u = np.flatnonzero(m == 1)
-    v = _read_powers(R, P, u, k[u] - 2)
+    v = _powers(R, u, k[u] - 2) if back is None else back[u]
     ok = (_mul_many(R, u, v) == R.one) & (_mul_many(R, v, u) == R.one)
     return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k), P
 
