@@ -27,7 +27,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .kernel import (
-    ARITH_CAP, Ring, _add_many, _additive_generators, _assoc_violation, _mul_many, _powers,
+    ARITH_CAP, Ring, _assoc_violation, _constants, _mul_many, _powers,
 )
 
 
@@ -44,8 +44,10 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
     The generators of the ring are e*b^t, base generator e in digit t, in
     that order (t outer).  The terms are evaluated once, on arrays: with
     P[a, c] = e_a*e_c from the base's `_mul_many`, term (i, j, l, c) adds
-    c*P to digit l of every product (i, e_a)*(j, e_c) through its
-    `_add_many`.
+    c*P to digit l of every product (i, e_a)*(j, e_c).  The base digits of
+    P and of each c*P are summed over all terms at once, by one
+    ``np.add.at`` over (i, j, l), and reduced once, modulo the base
+    radices: a base sum is digitwise.
     """
     b = base.order
     shown = f"{b}^{nd}"
@@ -71,17 +73,21 @@ def _positional(base: Ring, nd: int, label: str, kind: str, cap: int, meta: dict
             i = i * b + d
         return i
 
-    E = np.array(_additive_generators(base), dtype=np.int64)
-    P = _mul_many(base, E[:, None], E)                         # [a, c] -> e_a*e_c
-    out = np.zeros((nd, nd, nd) + P.shape, dtype=np.int64)    # [i, j, l, a, c]
-    for i, j, l, c in terms:
-        out[i, j, l] = _add_many(base, out[i, j, l], P if c is None else _mul_many(base, c, P))
+    _, r, w = _constants(base)                                 # e_a = w[a]
+    P = _mul_many(base, w[:, None], w)                         # [a, c] -> e_a*e_c
+    scales = list(dict.fromkeys(c for *_, c in terms))         # None or a central c
+    scaled = np.array([P if c is None else _mul_many(base, c, P) for c in scales],
+                      dtype=np.int64).reshape(len(scales), *P.shape, 1) // w % r
+    sums = np.zeros((nd, nd, nd) + scaled.shape[1:], dtype=np.int64)   # [i, j, l, a, c, d]
+    i, j, l = np.array([t[:3] for t in terms], dtype=np.intp).reshape(-1, 3).T
+    np.add.at(sums, (i, j, l), scaled[[scales.index(t[3]) for t in terms]])
+    out = sums % r @ w                                         # [i, j, l, a, c]
     products = np.einsum("l,ijlac->iajc", np.array(weights, dtype=np.int64), out)
 
     decode = decode or (lambda ds: tuple(base.decode(d) for d in ds))
     encode = encode or (lambda v: [base.encode(c) for c in v])
     return Ring(
-        order=n, products=products.reshape(nd * len(E), nd * len(E)),
+        order=n, products=products.reshape(nd * len(w), nd * len(w)),
         one=sum(base.one * weights[t] for t in one),
         label=label, kind=kind, decode=lambda x: decode(digits(x)),
         encode=lambda v: index(encode(v)), fmt=lambda x: fmt(digits(x)),

@@ -6,12 +6,13 @@ and a false flag's witness is the first False in its mask.  Products are read
 through ``kernel._mul_many`` (op-table lookups up to TABLE_LIMIT, structure
 constants above it): the clean masks in the row blocks of
 ``kernel._row_blocks``; the unit-multiple masks, unit-regularity and with it
-regularity, are closed under generators of the unit group; strong
-regularity and the power flags come from the power indices (m, k) of
-``freeze`` and its cycle start x^m; and NI is read from generating sets of
-the nilpotents.  No flag is found by a search over rows.  For a ring that
-``freeze`` split into its p-primary blocks, the masks that need products
-and NI are read on the blocks and ANDed; the checks stay on R itself.
+regularity, are read from left-orbit keys of the unit group with op tables
+and closed under its generators without them; strong regularity and the
+power flags come from the power indices (m, k) of ``freeze`` and its cycle
+start x^m; and NI is read from generating sets of the nilpotents.  No flag
+is found by a search over rows.  For a ring that ``freeze`` split into its
+p-primary blocks, the masks that need products and NI are read on the
+blocks and ANDed; the checks stay on R itself.
 ``_left_ideal_masks`` decides regularity, strong regularity and
 left-morphicity by their definitions, from keys of the principal left
 ideals, on the undivided ring, for the cross-checks of ``harness``; the
@@ -34,6 +35,7 @@ from .kernel import (
     _additive_generators,
     _indicator,
     _join,
+    _left_orbit_keys,
     _mul_many,
     _orbit_union,
     _powers,
@@ -223,17 +225,27 @@ def _closure(T: np.ndarray, generators: list) -> np.ndarray:
 
 
 def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
-    """The boolean stack T closed under left multiplication by the unit
-    group U, each row then the set U*S of its set S.
+    """The boolean stack T (rows of length n), each row then the set U*S of
+    its set S, for the unit group U.
 
-    U is generated greedily: the least unit outside the subgroup the earlier
-    generators generate, until U is covered.  That subgroup is the closure
-    of {1}, kept as a first row on the stack, which is closed anew after
-    each generator.  A generator g is its row g*R, with 2^steps at least its
-    order k - 1, from its power indices (m, k) = (1, k).  In a finite group
-    a set closed under a generating set is closed under the group.
+    Where R has op tables, U*S is read from the left-orbit keys of
+    ``kernel._left_orbit_keys``, key(x) = min(U*x): x lies in U*S exactly
+    when key(x) is in key(S).  Without them T is closed under left
+    multiplication by a greedy generating set of U: the least unit outside
+    the subgroup the earlier generators generate, until U is covered.  That
+    subgroup is the closure of {1}, kept as a first row on the stack, which
+    is closed anew after each generator.  A generator g is its row g*R,
+    with 2^steps at least its order k - 1, from its power indices
+    (m, k) = (1, k).  In a finite group a set closed under a generating set
+    is closed under the group.
     """
     n = R.order
+    key = _left_orbit_keys(R, R.caches.units)
+    if key is not None:
+        has = np.zeros(T.shape, dtype=bool)             # [i, key]: key is in key(S_i)
+        i, x = np.nonzero(T)
+        has[i, key[x]] = True
+        return has[:, key]
     k = R.caches.power_indices[1]
     every = np.arange(n)
     T = np.concatenate((_indicator(n, [R.one])[None], T))
@@ -289,8 +301,9 @@ def _element_masks(R: Ring) -> dict:
     The unit-multiple flags are unions of left orbits of the unit group U:
     unit_regular is U*E (x*u*x == x iff u*x is idempotent), unit_nil_clean
     U*NC and strongly_unit_nil_clean U*SNC, for the idempotent, nil-clean
-    and strongly nil-clean masks E, NC and SNC, read as one stack closed
-    under generators of U (`_unit_multiples`).  x - e for each idempotent e
+    and strongly nil-clean masks E, NC and SNC, read as one stack
+    (`_unit_multiples`: from left-orbit keys with op tables, by closure
+    under generators of U without them).  x - e for each idempotent e
     gives the clean and nil-clean flags.  These masks, and periodic, are
     read by ``_undivided_masks``: on R itself, or, for a ring that
     ``freeze`` split into its p-primary blocks (``R._blocks``), on every
@@ -361,9 +374,10 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     ``kernel._row_blocks`` for each idempotent e (up to ROW_BLOCK // n rows
     of the op table when the ring has one, and above TABLE_LIMIT one row at
     a time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
-    radices), one row g*R per generator g of the unit group, and one row for
-    each re-verified least False.  The flags are reported in
-    ``_ELEMENT_DECIDERS`` order, then NI and reduced.
+    radices), the rows u*R of the units in the same row blocks where the
+    ring has op tables (one row g*R per generator g of the unit group where
+    it has none), and one row for each re-verified least False.  The flags
+    are reported in ``_ELEMENT_DECIDERS`` order, then NI and reduced.
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")

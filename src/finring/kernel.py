@@ -9,17 +9,24 @@ Every ring has radices, the sizes of the cyclic factors of its additive
 group, and they are its one definition of addition: digit by digit, each
 digit modulo its radix.  Its one definition of the product is the |g|^2
 products g_i*g_j of its additive generators, extended bilinearly; their
-digits are the structure constants.  Up to TABLE_LIMIT the op tables are
+digits are the structure constants.  Up to TABLE_LIMIT the mul table is
 built from them; above it products are computed from them directly, and
 verify_ring_axioms checks them alone.  Products of many elements at once
-go through ``_mul_many`` (and sums and differences through ``_add_many`` and
-``_sub_many``): a lookup in the op tables when they exist, else the product
-of digit vectors through the structure constants, one term per nonzero
-constant, so a whole row x*R or column R*x costs O(n * |g|) memory.
-Besides these three, only ``_row_blocks`` and ``_power_scan`` ask whether
-the tables exist: whole-ring reads take blocks of ROW_BLOCK // n rows with
-them, one row at a time without them, and the power scan takes its powers
-from a power table with them, one product per step without them.
+go through ``_mul_many``: a lookup in the mul table when it exists, else
+the product of digit vectors through the structure constants, one term per
+nonzero constant, so a whole row x*R or column R*x costs O(n * |g|) memory.
+Sums and differences go through ``_add_many`` and ``_sub_many``.  A ring
+whose radices are all powers of 2 has no add or neg table at any order:
+an index's bits are its digits, and its sums are carry-free bit arithmetic
+(``_field_sum``).  Any other ring up to TABLE_LIMIT has an add and a neg
+table and looks its sums up; above the limit it sums digit by digit.
+Besides these three, only ``_row_blocks``, ``_power_scan`` and
+``_left_orbit_keys`` ask whether the tables exist: whole-ring reads take
+blocks of ROW_BLOCK // n rows with them, one row at a time without them;
+the power scan takes its powers from a power table with them, one product
+per step without them; and the unit-multiple masks of ``deciders`` are read
+from left-orbit keys with them, by closure under generators of the unit
+group without them.
 
 Every power that freeze reads comes from one power scan (`_power_scan`):
 for each x the least m < k with x^m == x^k, and x^m itself, the start of
@@ -63,11 +70,11 @@ ARITH_CAP = 65536
 # through their structure constants (`_mul_many`).
 TABLE_LIMIT = 1024
 # The one dtype of all three op tables: every entry is an index below
-# TABLE_LIMIT <= 2^15.  Lookups return it; arithmetic on a looked-up value
-# must widen it first (an int16 array times a Python int stays int16).  The
-# carry-free fill of `_build_tables` adds entries in it digit field by digit
-# field: every field sum is below 2*r_l, so every entry is below
-# 2n <= 2^11.
+# TABLE_LIMIT <= 2^15.  Lookups return it, and so do the carry-free sums of
+# `_field_sum` up to TABLE_LIMIT; arithmetic on a looked-up value must
+# widen it first (an int16 array times a Python int stays int16).  The
+# carry-free sums add entries in it digit field by digit field: every field
+# sum is below 2*r_l, so every entry is below 2n <= 2^11.
 TABLE_DTYPE = np.int16
 # Products per row block on the table path (512 KiB of int16): the whole
 # ring up to order 512, so a read never holds more than a few such arrays.
@@ -112,8 +119,9 @@ class Ring:
 
     `mul` is one such product, a one-element `_mul_many` call.  After
     freeze() the caches are populated, read-only op tables of dtype
-    TABLE_DTYPE are installed for orders up to TABLE_LIMIT, `add`, `mul`
-    and `neg` read those tables (no Python copy), and the ring must be
+    TABLE_DTYPE are installed for orders up to TABLE_LIMIT (the mul table
+    alone where every radix is a power of 2; see `_build_tables`), the
+    scalar ops with a table read it (no Python copy), and the ring must be
     treated as immutable.
     """
 
@@ -176,6 +184,7 @@ class Ring:
         self._add_np: Optional[np.ndarray] = None
         self._mul_np: Optional[np.ndarray] = None
         self._neg_np: Optional[np.ndarray] = None
+        self._fields = _bit_fields(places, order)    # see _field_sum
         self._structure: Optional[tuple] = None     # see _structure_constants
         self._digits: Optional[tuple] = None        # see _digits
         self._blocks: Optional[tuple] = None        # see blocks._primary_blocks
@@ -265,82 +274,101 @@ def _kronecker_sum(R: Ring) -> np.ndarray:
 
 
 def _build_tables(R: Ring) -> None:
-    """Install read-only numpy op tables (order <= TABLE_LIMIT), all three
-    of dtype TABLE_DTYPE (2 MiB per n x n table at order 1024), and rebind
-    R.add, R.mul and R.neg to their ``ndarray.item``, which returns a Python
-    int: the tables are the only copy, with no Python list behind the
-    scalar ops.
+    """Install read-only numpy op tables (order <= TABLE_LIMIT) of dtype
+    TABLE_DTYPE (2 MiB per n x n table at order 1024), and rebind R.mul,
+    and R.add and R.neg where there is an add table, to their
+    ``ndarray.item``, which returns a Python int: the tables are the only
+    copy, with no Python list behind the scalar ops.
 
-    The add table is the Kronecker sum of the cyclic factors
-    (`_kronecker_sum`), and the negatives are one of its columns read
-    upwards.  The mul table is a `_doubling_table` fill from the generator
-    rows g_i*z, and its one operation, a sum of rows, is chosen from
-    R.radices.  When every radix is a power of 2, an index's bits are its
-    digits and a sum is carry-free: with H the top bit of each digit
-    field, a + b = ((a & ~H) + (b & ~H)) ^ ((a ^ b) & H) (H. S. Warren,
-    *Hacker's Delight*, 2-18), plain XOR when every radix is 2; the
-    generator rows are then such a fill too, from R.products.  Otherwise
+    The mul table is a `_doubling_table` fill from the generator rows
+    g_i*z, and its one operation, a sum of rows, is chosen from R.radices.
+    When every radix is a power of 2, an index's bits are its digits and a
+    sum is carry-free bit arithmetic (`_field_sum`); the generator rows are
+    then such a fill too, from R.products, and the ring gets no add or neg
+    table: `_add_many` and `_sub_many` sum by the same bit arithmetic, and
+    the scalar R.add and R.neg stay the digit sums of `Ring`.  Otherwise
+    the add table is the Kronecker sum of the cyclic factors
+    (`_kronecker_sum`), the negatives are one of its columns read upwards,
     the generator rows come from the structure constants as one stack
-    D @ C[i] % r, and a sum is a flat ``take`` gather from the add table at
-    x*n + z.  Both sums work max(n // 8, 2^14 // n) rows at a time in one
-    temporary per sum: the intp flat index, at most 8 bytes per entry of
-    n^2 / 8 entries, or of 2^14 on small tables, or the int16 top bits.
-    Every index is below n^2, so the gathers clip nothing.  So the build
-    makes no scalar call, and the tables are the bilinear extension of
-    R.products, the same product `_mul_many` gives above TABLE_LIMIT.
+    D @ C[i] % r, and a sum of rows is a flat ``take`` gather from the add
+    table at x*n + z.  Both sums work max(n // 8, 2^14 // n) rows at a time
+    in one temporary per sum: the intp flat index, at most 8 bytes per
+    entry of n^2 / 8 entries, or of 2^14 on small tables, or the int16 top
+    bits (none for XOR).  Every index is below n^2, so the gathers clip
+    nothing.  So the build makes no scalar call, and the tables are the
+    bilinear extension of R.products, the same product `_mul_many` gives
+    above TABLE_LIMIT.
     """
     if R._mul_np is not None or R.order > TABLE_LIMIT:
         return
     n = R.order
-    places = _places(R.radices)
-    add_np = _kronecker_sum(R)
-    flat = add_np.ravel()                     # x + z at x*n + z
-    # -x is the digit complement n - 1 - x plus 1 in every digit.
-    neg_np = add_np[::-1, sum(w for w, _ in places)].copy()
     step = max(n // 8, 2**14 // n)
-    high = TABLE_DTYPE(sum(w * r // 2 for w, r in places))     # H
-    low = TABLE_DTYPE(n - 1) ^ high                             # ~H below n
+    if R._fields is not None:
+        add_np = neg_np = None
+        low, high, _ = R._fields
 
-    def field_sum(block, row, out):
-        if not low:
-            np.bitwise_xor(block, row, out=out)
-            return
-        row_low = row & low
-        top = np.empty((min(step, len(block)), block.shape[1]), dtype=TABLE_DTYPE)
-        for i in range(0, len(block), step):
-            a, o = block[i:i + step], out[i:i + step]
-            t = top[:len(a)]
-            np.bitwise_xor(a, row, out=t)
-            t &= high
-            np.bitwise_and(a, low, out=o)
-            o += row_low
-            o ^= t
+        def combine(block, row, out):
+            shape = (min(step, len(block)), block.shape[1])
+            top = np.empty(shape, dtype=TABLE_DTYPE) if low else None    # none for XOR
+            for i in range(0, len(block), step):
+                a, o = block[i:i + step], out[i:i + step]
+                _field_sum(a, row, low, high, o, None if top is None else top[:len(a)])
 
-    def gather(block, row, out):
-        index = np.empty((min(step, len(block)), block.shape[1]), dtype=np.intp)
-        for i in range(0, len(block), step):
-            a, o = block[i:i + step], out[i:i + step]
-            x = index[:len(a)]
-            np.multiply(a, n, out=x, dtype=np.intp)
-            x += row
-            flat.take(x, out=o, mode="clip")
-
-    if all(r & (r - 1) == 0 for _, r in places):
-        combine = field_sum
         rows = _doubling_table(R, R.products.T, combine).T    # [i, z] -> g_i*z
     else:
-        combine = gather
+        add_np = _kronecker_sum(R)
+        flat = add_np.ravel()                     # x + z at x*n + z
+        # -x is the digit complement n - 1 - x plus 1 in every digit.
+        neg_np = add_np[::-1, sum(_additive_generators(R))].copy()
+
+        def combine(block, row, out):
+            index = np.empty((min(step, len(block)), block.shape[1]), dtype=np.intp)
+            for i in range(0, len(block), step):
+                a, o = block[i:i + step], out[i:i + step]
+                x = index[:len(a)]
+                np.multiply(a, n, out=x, dtype=np.intp)
+                x += row
+                flat.take(x, out=o, mode="clip")
+
         C, r, w = _constants(R)
         rows = np.arange(n)[:, None] // w % r @ C % r @ w      # [i, z] -> g_i*z
+        for T in (add_np, neg_np):
+            T.flags.writeable = False
+        R.add, R.neg = add_np.item, neg_np.item
     mul_np = _doubling_table(R, rows, combine)                # [x, z] -> x*z
-    for T in (add_np, mul_np, neg_np):
-        T.flags.writeable = False
-    R._mul_np = mul_np
-    R._add_np = add_np
-    R._neg_np = neg_np
+    mul_np.flags.writeable = False
+    R._mul_np, R._add_np, R._neg_np = mul_np, add_np, neg_np
     R.mul = mul_np.item
-    R.add = add_np.item
-    R.neg = neg_np.item
+
+
+def _bit_fields(places, n: int) -> Optional[tuple]:
+    """(L, H, ones) for the places (w, r) of a ring of order n whose radices
+    are all powers of 2, else None: H the top bit of each digit field,
+    L = (n - 1) ^ H the bits below them, and ones the index whose every
+    digit is 1."""
+    if any(r & (r - 1) for _, r in places):
+        return None
+    high = sum(w * r // 2 for w, r in places)
+    return (n - 1) ^ high, high, sum(w for w, _ in places)
+
+
+def _field_sum(a, b, low: int, high: int, out=None, top=None):
+    """a + b for index arrays a, b (which broadcast) of a ring whose radices
+    are all powers of 2, with (low, high) = (L, H) of `_bit_fields`.  An
+    index's bits are then its digits, and with H the top bit of each digit
+    field a sum is carry-free: a + b = ((a & L) + (b & L)) ^ ((a ^ b) & H)
+    (H. S. Warren, *Hacker's Delight*, 2-18), plain XOR when every radix
+    is 2 (L = 0).  Each field's low bits sum below its radix, so no carry
+    leaves a field, and the result is below n in the dtype of the array a
+    (b may be a Python int).  `out` and `top` are written in place when
+    given: the result, and the top bits (a ^ b) & H."""
+    if not low:
+        return np.bitwise_xor(a, b, out=out)
+    top = np.bitwise_xor(a, b, out=top)
+    top &= high
+    total = np.add(np.bitwise_and(a, low, out=out), b & low, out=out)
+    total ^= top
+    return total
 
 
 def _indicator(n: int, members) -> np.ndarray:
@@ -420,15 +448,20 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     nnz(C) multiply-adds per product, with O(size) temporaries besides the
     digits of a and b.  The digits of a single element are read as
     x // w % r, so one product builds nothing of size n.
+
+    The operands are element indices, 0 <= x < n: every caller passes
+    table entries, aranges or the caches' elements, and the public entry
+    points check theirs (``constructions._require_element``).  A general
+    lookup is one flat ``take`` at a*n + b (`_take`), which would read a
+    wrong entry, not raise, for an index out of range.
     """
     a, b = np.asarray(a), np.asarray(b)
     if R._mul_np is not None:
-        every = (R.order,)
-        if a.shape[1:] == (1,) and b.shape == every and (b == np.arange(R.order)).all():
+        if a.shape[1:] == (1,) and _every(R, b):
             return R._mul_np[a[:, 0]]                  # the rows a*R
-        if b.shape[1:] == (1,) and a.shape == every and (a == np.arange(R.order)).all():
+        if b.shape[1:] == (1,) and _every(R, a):
             return R._mul_np[:, b[:, 0]].T             # the columns R*b
-        return R._mul_np[a, b]
+        return _take(R._mul_np, a, b)
     C, r, w, terms = _structure_constants(R)
     shape = np.broadcast(a, b).shape
     if a.size == 1 < b.size:     # [j, l] -> digit l of a*g_j
@@ -461,19 +494,56 @@ def _digit_columns(R: Ring, x: np.ndarray, radix: list, weight: list):
     return _digits(R)[1].take(x, 1)
 
 
+def _every(R: Ring, x: np.ndarray) -> bool:
+    """Whether the index array x is every element in order."""
+    return x.shape == (R.order,) and bool((x == np.arange(R.order)).all())
+
+
+def _take(T: np.ndarray, a, b) -> np.ndarray:
+    """T[a, b] for an n x n op table T and index arrays a, b, which
+    broadcast: one flat ``take`` at a*n + b, the product formed in intp."""
+    return T.ravel().take(np.multiply(a, T.shape[1], dtype=np.intp) + b)
+
+
 def _add_many(R: Ring, a, b) -> np.ndarray:
-    """The elementwise sums a + b of two index arrays, which broadcast;
-    digit by digit without op tables (`_digit_sum`)."""
+    """The elementwise sums a + b of two index arrays, which broadcast: with
+    an add table a lookup, the row z + b itself when a is every element
+    and b one element; on a ring whose radices are all powers of 2 carry-free
+    bit arithmetic (`_field_sum`); else digit by digit (`_digit_sum`)."""
     if R._add_np is not None:
-        return R._add_np[a, b]
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == 0 and _every(R, a):
+            return R._add_np[b]
+        return _take(R._add_np, a, b)
+    if R._fields is not None:
+        return _field_sum(*_bit_operands(R, a, b), *R._fields[:2])
     return _digit_sum(R, a, b, operator.add)
 
 
 def _sub_many(R: Ring, a, b) -> np.ndarray:
-    """The elementwise differences a - b, as `_add_many`."""
+    """The elementwise differences a - b, as `_add_many`: with an add table
+    a + (-b), the rows z - b_i themselves when a is every element and b a
+    column block (k, 1) or one element; on a ring whose radices are all
+    powers of 2, -b is the bit complement b ^ (n - 1) plus 1 in every digit
+    field, by `_field_sum`."""
     if R._add_np is not None:
-        return R._add_np[a, R._neg_np[b]]
+        a, b = np.asarray(a), R._neg_np[b]
+        if (b.ndim == 0 or b.shape[1:] == (1,)) and _every(R, a):
+            return R._add_np[b[:, 0] if b.ndim else b]
+        return _take(R._add_np, a, b)
+    if R._fields is not None:
+        (a, b), (low, high, ones) = _bit_operands(R, a, b), R._fields
+        b ^= R.order - 1
+        return _field_sum(a, _field_sum(b, ones, low, high), low, high)
     return _digit_sum(R, a, b, operator.sub)
+
+
+def _bit_operands(R: Ring, a, b) -> tuple:
+    """a and b as arrays for `_field_sum`, b a copy: of TABLE_DTYPE up to
+    TABLE_LIMIT, the dtype of a lookup, so that a sum is no wider than a
+    product, else int64."""
+    dtype = TABLE_DTYPE if R.order <= TABLE_LIMIT else np.int64
+    return np.asarray(a, dtype=dtype), np.array(b, dtype=dtype)
 
 
 def _digit_sum(R: Ring, a, b, op) -> np.ndarray:
@@ -717,13 +787,14 @@ def _power_scan(R: Ring) -> tuple:
         live = np.flatnonzero(m == 0)
         if live.size:
             low, high = live, _powers(R, live, period[live] + 1)    # x^j and x^(j+t), j = 1
-        j = 1
-        while live.size and j <= top:
+        for j in range(1, top + 1):
+            if not live.size:
+                break
             hit = low == high
             m[live[hit]] = j
             live, low, high = live[~hit], low[~hit], high[~hit]
-            low, high = _mul_many(R, np.stack((low, high)), live)
-            j += 1
+            if live.size and j < top:                   # no step past the last test
+                low, high = _mul_many(R, np.stack((low, high)), live)
         wrong = live
     if wrong.size:
         raise RingAxiomError(f"{R.label}: the power index of {int(wrong.min())} exceeds "
@@ -785,10 +856,13 @@ def _join(S: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def _compute_jacobson(R: Ring, units, nilpotents):
-    """J(R) = { x : 1 - y*x is a unit for all y }; one-sided quasi-regularity
-    suffices in a finite ring.  J is an additive subgroup inside the
-    nilpotents, so they are sieved in index order, one column R*x per x
-    tested, keeping a subgroup S of J: if x passes, S becomes <S, x>;
+    """J(R) = { x : 1 - x*y is a unit for all y }.  One-sided
+    quasi-regularity suffices in a finite ring, and either side gives the
+    same J: by Jacobson's lemma 1 - y*x is a unit iff 1 - x*y is (if u is
+    the inverse of 1 - x*y, then 1 + y*u*x is that of 1 - y*x).  J is an
+    additive subgroup inside the nilpotents, so they are sieved in index
+    order, one row x*R per x tested (one row of the mul table where there
+    is one), keeping a subgroup S of J: if x passes, S becomes <S, x>;
     otherwise x + S misses J, and the whole coset is struck."""
     n = R.order
     every = np.arange(n)
@@ -800,10 +874,28 @@ def _compute_jacobson(R: Ring, units, nilpotents):
         if not todo.any():
             return set(np.flatnonzero(S).tolist())
         x = int(todo.argmax())
-        if quasi[_mul_many(R, every, x)].all():
+        if quasi[_mul_many(R, x, every)].all():
             S = _join(S, _add_many(R, every, x))
         else:
             todo[_add_many(R, x, np.flatnonzero(S))] = False
+
+
+def _left_orbit_keys(R: Ring, units) -> Optional[np.ndarray]:
+    """key(x) = min over the units u of u*x, for every x, where R has op
+    tables; None where it has none, and there the unit-multiple masks of
+    ``deciders`` close under generators of the unit group instead.
+
+    The minimum of an orbit U*x names it, so x lies in U*S exactly when
+    key(x) is in key(S).  The key is a running minimum over the rows u*R
+    of the units, read in the blocks of `_row_blocks`, at most ROW_BLOCK
+    products at a time."""
+    if R._mul_np is None:
+        return None
+    every = np.arange(R.order)
+    key = every.astype(TABLE_DTYPE)                     # 1*x, 1 a unit
+    for block in _row_blocks(R, np.fromiter(units, np.int64, len(units))):
+        np.minimum(key, _mul_many(R, block, every).min(0), out=key)
+    return key
 
 
 def _freeze_undivided(R: Ring) -> Ring:
@@ -813,9 +905,10 @@ def _freeze_undivided(R: Ring) -> Ring:
     every element and from them the units and their inverses
     (`_compute_units`) and x^m, the cycle start, whose zeros are the
     nilpotents (`_compute_nilpotents`), both read off the scan's power
-    table where there is one, which is dropped once both have read it; the idempotents are the x with
-    x*x == x; the Jacobson radical is sieved from the nilpotents, one column
-    R*x per nilpotent x tested (`_compute_jacobson`)."""
+    table where there is one, which is dropped once both have read it; the
+    idempotents are the x with x*x == x; the Jacobson radical is sieved
+    from the nilpotents, one row x*R per nilpotent x tested
+    (`_compute_jacobson`)."""
     _build_tables(R)
     inverse, power_indices, powers = _compute_units(R)
     units = frozenset(inverse)

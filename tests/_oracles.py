@@ -5,14 +5,17 @@ one element at a time with scalar ops; the tests hold the whole-ring masks
 of ``deciders.classify`` to them.  Each takes a frozen ring.
 """
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from finring import Ring, make_zmod, matrix_ring
-from finring.kernel import _add_many, _indicator, _mul_many, _row_blocks, _sub_many
+from finring import Ring, deciders, make_zmod, matrix_ring
+from finring.kernel import (
+    _add_many, _indicator, _left_orbit_keys, _mul_many, _row_blocks, _sub_many,
+)
 
 
 def ring_pow(R, x: int, k: int) -> int:
@@ -102,15 +105,16 @@ def _check_assoc_np(T):
     return None
 
 
-def _closure(A, gens):
-    """The closure of {0} under + g, by plain lookups."""
+def _closure(R, gens):
+    """The closure of {0} under + g, by the digit sums of `digit_sum`."""
     reached, todo = {0}, [0]
     while todo:
         x = todo.pop()
         for g in gens:
-            if A[x, g] not in reached:
-                reached.add(int(A[x, g]))
-                todo.append(int(A[x, g]))
+            y = digit_sum(R, x, g)
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
     return reached
 
 
@@ -279,6 +283,35 @@ def unit_row_masks(R, nil_clean, snc):
     for us in _row_blocks(R, _units(R)):
         masks |= targets[:, _mul_many(R, us, every)].any(1)      # [t, j, x] -> u_j*x
     return masks
+
+
+def untabled(R):
+    """A copy of the frozen R, sharing its caches, with its op tables
+    removed: its products are read through the structure constants, and
+    its unit-multiple masks by the generator closure of deciders."""
+    S = copy.copy(R)
+    S._mul_np = S._add_np = S._neg_np = None
+    return S
+
+
+def orbit_key_pairs(R) -> list:
+    """For R, or for each of the p-primary blocks that freeze split it
+    into, that has op tables: the pair of stacks of its unit-multiple
+    masks, from `deciders._unit_multiples` of its idempotent, nil-clean and
+    strongly nil-clean masks, once read from the left-orbit keys and once
+    by the generator closure on the same ring with its tables removed
+    (`untabled`)."""
+    pairs = []
+    for B in [R] if R._blocks is None else [B for _, B, _ in R._blocks]:
+        if B._mul_np is None:
+            continue
+        masks = deciders._undivided_masks(B)
+        T = np.stack((_indicator(B.order, B.caches.idempotents), masks["nil_clean"],
+                      masks["strongly_nil_clean"]))
+        S = untabled(B)
+        assert _left_orbit_keys(S, S.caches.units) is None
+        pairs.append((deciders._unit_multiples(B, T), deciders._unit_multiples(S, T)))
+    return pairs
 
 
 def jacobson_rows(R):

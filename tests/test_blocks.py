@@ -9,6 +9,8 @@ import pytest
 from finring import blocks, classify, deciders, freeze, kernel
 from finring.cli import elaborate, parse
 
+import _oracles
+
 FIELDS = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson", "power_indices",
           "cycle_start")
 
@@ -63,6 +65,20 @@ def test_split_matches_undivided(expr, orders, by_default, cap):
             == json.dumps(classify(whole, cap).to_json()))
 
 
+@pytest.mark.parametrize("expr, orders, by_default, cap", SPLIT_RINGS,
+                         ids=[row[0] for row in SPLIT_RINGS])
+def test_block_orbit_keys_match_closure(expr, orders, by_default, cap):
+    # Every block has op tables, and its unit-multiple masks read from
+    # left-orbit keys equal the generator closure on the block with its
+    # tables removed.
+    R = elaborate(parse(expr), cap=cap)
+    blocks._freeze_split(R, blocks._primary_blocks(R), cap)
+    pairs = _oracles.orbit_key_pairs(R)
+    assert len(pairs) == len(orders)
+    for keyed, closed in pairs:
+        assert np.array_equal(keyed, closed)
+
+
 def test_blocks_are_the_primary_parts():
     # The 2-part of Z(12) x Z(10), on radices (10, 12), has the radices
     # (2, 4), so its generators are 1 and 2, and its one has the digits
@@ -76,8 +92,8 @@ def test_blocks_are_the_primary_parts():
 
 
 @pytest.mark.parametrize("expr, frozen, classified", [
-    ("Triv(Z(33))", {"3": 8, "11": 11, "R": 5}, {"3": 11, "11": 19, "R": 5}),
-    ("Z(5) x Triv(Z(15))", {"3": 8, "5": 9, "R": 5}, {"3": 11, "5": 16, "R": 5}),
+    ("Triv(Z(33))", {"3": 8, "11": 11, "R": 5}, {"3": 10, "11": 18, "R": 5}),
+    ("Z(5) x Triv(Z(15))", {"3": 8, "5": 9, "R": 5}, {"3": 10, "5": 14, "R": 5}),
 ], ids=["Triv(Z(33))", "Z(5) x Triv(Z(15))"])
 def test_split_rings_read_few_products(expr, frozen, classified, monkeypatch):
     # The _mul_many calls of freeze and classify, by ring: the blocks read
@@ -90,7 +106,11 @@ def test_split_rings_read_few_products(expr, frozen, classified, monkeypatch):
     # products to check the units' inverses and three for x^m (m <= 2:
     # two bits, one squaring between them), and in classify one for Diesl's
     # check and two for each least False re-verified.  In classify each
-    # block's periodic mask recomputes x^k by _powers.
+    # block's periodic mask recomputes x^k by _powers, and each block reads
+    # its units' rows u*R for the left-orbit keys of the unit-multiple
+    # masks in one row block, where the generator closure took one row per
+    # greedy generator of the unit group: two on the blocks of order 9 and
+    # 121, three on that of order 125.
     # The undivided ring takes 35 and 38 calls in classify alone
     # (test_ring_level_sets_read_few_products_above_limit).
     calls = Counter()

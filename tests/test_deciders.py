@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from finring import (
+    CapExceededError,
     RingAxiomError,
     classify,
     cyclic,
@@ -24,6 +25,7 @@ from finring import (
     standard_corpus,
     trivial_extension,
 )
+from finring.cli import elaborate, parse
 from finring.deciders import (
     _element_masks,
     _left_ideal_masks,
@@ -600,6 +602,55 @@ def test_generating_sets_match_row_oracles(ring):
     assert (np.stack(closed) == rows).all()
     assert R.caches.jacobson == jacobson_rows(R)
     assert _ni_witness(R) == ni_search(R)
+
+
+# Every alternative of every slot of the benchmark's classify pools
+# (perfbench/workloads.py), orders 256 to 1300.
+POOL_RINGS = [
+    "M(2, Z(4))", "M(2, Z(2) x Z(2))", "M(2, GR(Z(2), C(2)))",
+    "GR(Z(4), C(4))", "GR(Z(2), C(8))", "GR(Z(2), D(4))", "GR(Z(2), Q8)",
+    "Ks(Z(4), 2)", "Ks(Z(4), 0)", "Ks(Z(4), 1)", "Ks(Z(2) x Z(2), 0)",
+    "FM(3, Z(2), 0)", "U(2, Z(10))", "U(2, Z(2) x Z(5))", "U(2, Z(5) x Z(2))",
+    "Triv(Z(32))", "GR(Z(2), C(10))", "GR(Z(2), C(2) x C(5))",
+    "GR(Z(3), S(3))", "GR(Z(2), C(9))", "GR(Z(3), C(2) x C(3))",
+    "Ks(Z(5), 1)", "Ks(Z(5), 2)", "Ks(Z(5), 3)", "Ks(Z(5), 4)",
+    "Triv(Z(33))", "Triv(Z(34))", "Z(5) x Triv(Z(15))",
+]
+
+
+def _assert_orbit_keys_match_closure(rings):
+    # The unit-multiple masks read from left-orbit keys, on every ring (or
+    # p-primary block) with op tables, against the generator closure on the
+    # same ring with its tables removed; rings without tables run the
+    # closure on both sides and are not counted.
+    checked = 0
+    for R in rings:
+        for keyed, closed in _oracles.orbit_key_pairs(freeze(R)):
+            assert np.array_equal(keyed, closed), R.label
+            checked += 1
+    return checked
+
+
+def test_orbit_keys_match_closure_on_the_corpus():
+    assert _assert_orbit_keys_match_closure(standard_corpus()) == len(standard_corpus())
+
+
+def test_orbit_keys_match_closure_on_the_classify_pools():
+    rings = [elaborate(parse(expr)) for expr in POOL_RINGS]
+    assert _assert_orbit_keys_match_closure(rings) == len(rings) + 3    # three split in two
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbit_keys_match_closure_on_falsifier_instances(seed):
+    rng, rings = random.Random(seed), []
+    for _ in range(100):
+        try:
+            R = harness._random_instance(rng, 256)
+        except CapExceededError:
+            continue
+        if R.order <= 256:
+            rings.append(R)
+    assert _assert_orbit_keys_match_closure(rings) == len(rings) > 80
 
 
 def test_unit_closure_of_gl_2_3_takes_more_than_one_pass():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import os
 import random
 import re
@@ -499,24 +500,34 @@ def test_law_check_matches_reference_on_mutants(expr):
 
 
 def _table_mismatch(R, pairs=None):
-    """First (op, a, b) where R's op tables differ from its scalar ops, or None.
+    """First (op, a, b) where R's ops, once its op tables are built, differ
+    from their scalar definitions, or None.
 
-    The scalar add and neg are taken before the tables are built, because
-    building them rebinds R.add, R.mul and R.neg to table lookups.  The
-    scalar mul reads the mul table once it exists, so products are held to
-    `bilinear_product` instead.  All pairs unless `pairs` is given; neg on
-    every element.
+    Products are read off the mul table and held to `bilinear_product`.
+    Sums, differences and negatives (0 - a) are read through _add_many and
+    _sub_many, which look them up in the add and neg tables, or on a ring
+    whose radices are all powers of 2, which has neither table, sum by bit
+    arithmetic; they are held to the scalar add and neg, the digit sums of
+    `Ring`, taken before the tables are built, because building an add
+    table rebinds R.add and R.neg to its lookups.  All pairs unless `pairs`
+    is given; neg on every element.
     """
     add, neg = R.add, R.neg
     mul = functools.partial(bilinear_product, R)
     kernel._build_tables(R)
     n = R.order
-    for a in range(n):
-        if R._neg_np[a] != neg(a):
+    assert (R._add_np is None) == (R._neg_np is None) == _carry_free(R)
+    for a, got in enumerate(kernel._sub_many(R, 0, np.arange(n)).tolist()):
+        if got != neg(a):
             return ("neg", a, None)
-    for a, b in itertools.product(range(n), repeat=2) if pairs is None else pairs:
-        if R._add_np[a, b] != add(a, b):
+    pairs = list(itertools.product(range(n), repeat=2) if pairs is None else pairs)
+    a, b = (np.array(t, dtype=np.int64) for t in zip(*pairs))
+    sums, differences = kernel._add_many(R, a, b).tolist(), kernel._sub_many(R, a, b).tolist()
+    for (a, b), total, difference in zip(pairs, sums, differences):
+        if total != add(a, b):
             return ("add", a, b)
+        if difference != add(a, neg(b)):
+            return ("sub", a, b)
         if R._mul_np[a, b] != mul(a, b):
             return ("mul", a, b)
     return None
@@ -624,8 +635,8 @@ def test_ring_level_sets_read_few_products_above_limit(ring, nilpotents, jacobso
 
 
 @pytest.mark.parametrize("ring, calls", [
-    (trivial_extension(make_zmod(33)), 112),
-    (trivial_extension(make_zmod(34)), 112),
+    (trivial_extension(make_zmod(33)), 111),
+    (trivial_extension(make_zmod(34)), 111),
     (make_zmod(17), 17),
 ], ids=["Triv(Z(33))", "Triv(Z(34))", "Z(17)"])
 def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
@@ -635,9 +646,10 @@ def test_power_scan_takes_order_sqrt_n_products(ring, calls, monkeypatch):
     # (max k = 331 and 274).  Held at x^16, it stops at x^(16 + 2s),
     # s = ceil(sqrt(n)) + 1 = 34 and 35, and the long periods take a few
     # giant steps x^s, then the m-search, whose binary powers x^(1+t),
-    # 1 + t <= 332, take 9 products and 8 squarings.  Z(17) is below the
-    # giant-step gate and takes one step per power, as before: every unit
-    # closes at x^j == x, by j = 17.
+    # 1 + t <= 332, take 9 products and 8 squarings, and whose steps stop
+    # at the last element's hit (112 calls while one more step followed it,
+    # on an empty set).  Z(17) is below the giant-step gate and takes one
+    # step per power, as before: every unit closes at x^j == x, by j = 17.
     count = []
     mul_many = kernel._mul_many
 
@@ -750,16 +762,21 @@ def test_axioms_read_only_the_structure_constants(expr):
 
 
 def _assert_installed_ops_read_tables(R, pairs):
-    """R.add, R.mul and R.neg, as _build_tables installs them, give the
-    table entries as Python ints, at `pairs` and at every element."""
+    """R.add, R.mul and R.neg, once _build_tables has run, give Python ints
+    equal to the table lookups, at `pairs` and at every element: R.mul the
+    mul table's entries, and R.add and R.neg those of _add_many and
+    _sub_many (the add and neg tables where R has them; on a ring whose
+    radices are all powers of 2, which has none, R.add and R.neg stay the
+    digit sums of `Ring`)."""
     kernel._build_tables(R)
     for a in range(R.order):
         got = R.neg(a)
-        assert type(got) is int and got == R._neg_np[a], ("neg", a)
+        assert type(got) is int and got == kernel._sub_many(R, 0, a), ("neg", a)
     for a, b in pairs:
-        for name, op, table in [("add", R.add, R._add_np), ("mul", R.mul, R._mul_np)]:
+        for name, op, want in [("add", R.add, kernel._add_many(R, a, b)),
+                               ("mul", R.mul, R._mul_np[a, b])]:
             got = op(a, b)
-            assert type(got) is int and got == table[a, b], (name, a, b)
+            assert type(got) is int and got == want, (name, a, b)
 
 
 @pytest.mark.parametrize("expr", _EXHAUSTIVE)
@@ -787,10 +804,17 @@ def test_installed_tables_are_read_only(table):
     assert R.mul(2, 3) == 1 and R.add(2, 3) == 0 and R.neg(2) == 3
 
 
+def _table_bytes(R):
+    """The bytes of R's op tables: the mul table, and the add and neg tables
+    where R has them."""
+    return sum(T.nbytes for T in (R._add_np, R._mul_np, R._neg_np) if T is not None)
+
+
 def test_table_build_keeps_one_copy_of_each_table():
-    # The memory _build_tables retains is the three tables themselves, not
-    # a second per-ring copy behind the scalar ops, and no digits or
-    # structure constants: once the tables exist every product is a lookup.
+    # The memory _build_tables retains is the tables themselves (the mul
+    # table alone here, where every radix is 2), not a second per-ring copy
+    # behind the scalar ops, and no digits or structure constants: once the
+    # tables exist every product is a lookup.
     R = elaborate(parse("GR(Z(2), C(10))"))
     tracemalloc.start()
     try:
@@ -798,8 +822,7 @@ def test_table_build_keeps_one_copy_of_each_table():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
-    assert retained <= 1.25 * tables, (retained, tables)
+    assert retained <= 1.25 * _table_bytes(R), (retained, _table_bytes(R))
     assert R._digits is None and R._structure is None
 
 
@@ -810,8 +833,10 @@ def test_table_build_peaks_near_its_tables(expr):
     # holds one smaller table besides it; the field sum works n // 8 rows
     # at a time on one int16 temporary, XOR in place, and the gather forms
     # its intp flat index n // 8 rows at a time.  So at order 1000-1024 a
-    # build peaks below 1.6 times the three tables; forming the index for
-    # a whole doubling step peaked at 2.8 times.
+    # build peaks below 1.6 times its tables, the mul table alone on the
+    # two rings whose radices are all powers of 2, the three tables on
+    # U(2, Z(10)); forming the index for a whole doubling step peaked at
+    # 2.8 times.
     R = elaborate(parse(expr))
     tracemalloc.start()
     try:
@@ -819,23 +844,31 @@ def test_table_build_peaks_near_its_tables(expr):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
-    assert peak < 1.6 * tables, (peak, tables)
+    assert peak < 1.6 * _table_bytes(R), (peak, _table_bytes(R))
 
 
 # With `frozen`, the tables as freeze installs them rather than _build_tables.
 @pytest.mark.parametrize("expr,frozen",
                          [(e, False) for e in _EXHAUSTIVE] + [("Z(2) x Z(4)", True)])
 def test_tables_share_one_narrow_dtype(expr, frozen):
+    # A ring whose radices are all powers of 2 has the mul table alone; its
+    # sums are bit arithmetic in the same dtype.
     R = elaborate(parse(expr))
     if frozen:
         freeze(R)
     else:
         kernel._build_tables(R)
-    for name in ("_add_np", "_mul_np", "_neg_np"):
+    names = ("_mul_np",) if _carry_free(R) else ("_add_np", "_mul_np", "_neg_np")
+    assert [name for name in ("_add_np", "_mul_np", "_neg_np")
+            if getattr(R, name) is not None] == list(names)
+    for name in names:
         T = getattr(R, name)
         assert T.dtype == kernel.TABLE_DTYPE and not T.flags.writeable, name
         assert 0 <= T.min() and T.max() < R.order, name
+    every = np.arange(R.order)
+    for got in (kernel._add_many(R, every[:, None], every),
+                kernel._sub_many(R, every, every[:, None])):
+        assert got.dtype == kernel.TABLE_DTYPE
 
 
 def test_table_dtype_holds_every_index_below_the_limit():
@@ -843,25 +876,29 @@ def test_table_dtype_holds_every_index_below_the_limit():
 
 
 def test_order_1024_tables_take_two_bytes_per_entry():
-    R = elaborate(parse("Triv(Z(32))"))
-    kernel._build_tables(R)
-    assert R.order == 1024
-    tables = R._add_np.nbytes + R._mul_np.nbytes + R._neg_np.nbytes
-    assert tables == (2 * 1024**2 + 1024) * 2
+    # Every ring of order 1024 has radices that are powers of 2, so it
+    # keeps the mul table alone; U(2, Z(10)), of order 1000, keeps the mul,
+    # add and neg tables.
+    for expr, entries in [("Triv(Z(32))", 1024**2), ("U(2, Z(10))", 2 * 1000**2 + 1000)]:
+        R = elaborate(parse(expr))
+        kernel._build_tables(R)
+        assert _table_bytes(R) == entries * 2, expr
 
 
 @pytest.mark.parametrize("expr", ["GR(Z(2), C(10))", "Triv(Z(32))"])
 def test_tables_at_order_1024_match_structure_constants(expr):
     # Both rings take the carry-free fill, whose int16 field sums are
-    # widest at order 1024, the top of the table range; there the tables
-    # are held on all n^2 pairs to the products a fresh ring without tables
-    # reads through its structure constants, row by row.
+    # widest at order 1024, the top of the table range; there the mul table
+    # is held on all n^2 pairs to the products a fresh ring without tables
+    # reads through its structure constants, row by row, and the bit sums
+    # of _add_many to the digit sums.
     R, S = elaborate(parse(expr)), elaborate(parse(expr))
     kernel._build_tables(R)
-    assert R.order == 1024 and S._mul_np is None
+    assert R.order == 1024 and S._mul_np is None and R._add_np is None
     every = np.arange(S.order)
     for x in range(S.order):
-        assert np.array_equal(R._add_np[x], kernel._add_many(S, x, every)), ("add", x)
+        assert np.array_equal(kernel._add_many(R, x, every),
+                              kernel._digit_sum(S, x, every, operator.add)), ("add", x)
         assert np.array_equal(R._mul_np[x], kernel._mul_many(S, x, every)), ("mul", x)
     assert S._mul_np is None
 
@@ -869,12 +906,14 @@ def test_tables_at_order_1024_match_structure_constants(expr):
 def _gather_fill(R):
     """R's mul table by the fill of rings whose radices are not all powers
     of 2: the generator rows from the digits and the structure constants,
-    then `_doubling_table` with every sum of rows read from R's add table."""
+    then `_doubling_table` with every sum of rows read from the add table
+    that such a ring builds, its Kronecker sum."""
     C, r, w = kernel._constants(R)
     rows = np.arange(R.order)[:, None] // w % r @ C % r @ w
+    add = kernel._kronecker_sum(R)
 
     def gather(block, row, out):
-        out[...] = R._add_np[block, row]
+        out[...] = add[block, row]
 
     return kernel._doubling_table(R, rows, gather)
 
@@ -899,6 +938,54 @@ def test_carry_free_fill_matches_gather_fill(source):
     assert _carry_free(R)
     kernel._build_tables(R)
     assert np.array_equal(R._mul_np, _gather_fill(R))
+
+
+@pytest.mark.parametrize(
+    "source", _CARRY_FREE_CORPUS + ["GR(Z(2), C(10))", "Triv(Z(32))"],
+    ids=[standard_corpus()[i].label for i in _CARRY_FREE_CORPUS] + ["GR(Z(2), C(10))", "Triv(Z(32))"])
+def test_bit_sums_match_digit_sums(source):
+    # A ring whose radices are all powers of 2 builds no add or neg table:
+    # its sums, differences and negatives (0 - x) are carry-free bit
+    # arithmetic, held here to the digit sums of kernel._digit_sum on all
+    # pairs up to order 256 and on 10^4 sampled pairs of the two rings of
+    # order 1024, in the elementwise forms and the whole rows z + h and
+    # z - e_i.
+    R = standard_corpus()[source] if isinstance(source, int) else elaborate(parse(source))
+    kernel._build_tables(R)
+    assert R._add_np is None and R._neg_np is None and R._fields is not None
+    n, every = R.order, np.arange(R.order)
+    if n <= 256:
+        a, b = np.divmod(np.arange(n * n), n)
+    else:
+        a, b = np.random.default_rng(0).integers(0, n, (2, 10_000))
+    for op, many in [(operator.add, kernel._add_many), (operator.sub, kernel._sub_many)]:
+        assert np.array_equal(many(R, a, b), kernel._digit_sum(R, a, b, op)), op
+    assert np.array_equal(kernel._sub_many(R, 0, every), kernel._digit_sum(R, 0, every, operator.sub))
+    block = b[:7, None]
+    assert np.array_equal(kernel._add_many(R, every, b[0]),
+                          kernel._digit_sum(R, every, b[0], operator.add))
+    assert np.array_equal(kernel._sub_many(R, every, block),
+                          kernel._digit_sum(R, every, block, operator.sub))
+
+
+@pytest.mark.parametrize("expr", ["Z(12)", "U(2, Z(10))", "GR(Z(3), S(3))", "Z(64)"])
+def test_whole_row_reads_match_elementwise_lookups(expr):
+    # With op tables, the rows x*R, z + h and z - e_i are whole rows of the
+    # tables (a slice or one row gather), every other form a flat take; the
+    # two agree, also on Z(64), which has no add table.
+    R = elaborate(parse(expr))
+    kernel._build_tables(R)
+    n, every = R.order, np.arange(R.order)
+    xs = np.random.default_rng(1).integers(0, n, 5)
+    grid = every[None, :]                       # every element, but not as the rows' operand
+    for x in xs.tolist():
+        assert np.array_equal(kernel._mul_many(R, x, every), kernel._mul_many(R, x, grid)[0])
+        assert np.array_equal(kernel._add_many(R, every, x), kernel._add_many(R, grid, x)[0])
+        assert np.array_equal(kernel._sub_many(R, every, x), kernel._sub_many(R, grid, x)[0])
+    block = xs[:, None]
+    assert np.array_equal(kernel._sub_many(R, every, block), kernel._sub_many(R, grid, block))
+    assert np.array_equal(kernel._mul_many(R, block, every), kernel._mul_many(R, block, grid))
+    assert np.array_equal(kernel._mul_many(R, every, block), kernel._mul_many(R, grid, block))
 
 
 # -- the vectorised product against the scalar ops -------------------------

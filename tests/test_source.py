@@ -69,23 +69,32 @@ def test_harness_skips_and_records_through_one_place():
 
 
 def test_ring_level_sets_read_no_row_per_element_or_unit():
-    # The Jacobson radical is sieved from the nilpotents, the unit-multiple
-    # masks are closed under generators of the unit group, and regular and
-    # strongly regular are read from those masks and the power scan.
-    # deciders.py reads row blocks only for the left-ideal keys of every
-    # element (the cross-checks' definitions), for the ordered NI search
-    # over the nilpotents and for x - e over the idempotents (of R, or of
-    # each of its p-primary blocks), and harness.py reads none.  So that no
-    # row per element or per unit comes back into freeze or classify.
+    # The Jacobson radical is sieved from the nilpotents, and regular and
+    # strongly regular are read from the unit-regular mask and the power
+    # scan.  deciders.py reads row blocks only for the left-ideal keys of
+    # every element (the cross-checks' definitions), for the ordered NI
+    # search over the nilpotents and for x - e over the idempotents (of R,
+    # or of each of its p-primary blocks), and harness.py reads none.  The
+    # unit rows u*R of the left-orbit keys are read only where R has op
+    # tables (lookups, at most ROW_BLOCK products at a time): the first
+    # statement of kernel._left_orbit_keys returns None without them, and
+    # the unit-multiple masks are then closed under generators of the unit
+    # group.  So that no row per element, and no row per unit without op
+    # tables, comes back into freeze or classify.
     found = []
-    for module, names in [("kernel.py", ["_compute_jacobson"]), ("deciders.py", None)]:
+    for module, names in [("kernel.py", ["_compute_jacobson", "_left_orbit_keys"]),
+                          ("deciders.py", None)]:
         tree = ast.parse((PACKAGE / module).read_text())
         for top in tree.body:
             if isinstance(top, ast.FunctionDef) and (names is None or top.name in names):
                 found += [(top.name, ast.unparse(node.args[1])) for node in ast.walk(top)
                           if isinstance(node, ast.Call)
                           and getattr(node.func, "id", None) == "_row_blocks"]
-    assert found == [("_left_ideal_masks", "every"), ("_ni_witness", "N"), ("_ni_witness", "N"),
+            if isinstance(top, ast.FunctionDef) and top.name == "_left_orbit_keys":
+                guard = top.body[1]                     # after the docstring
+                assert ast.unparse(guard) == "if R._mul_np is None:\n    return None"
+    assert found == [("_left_orbit_keys", "np.fromiter(units, np.int64, len(units))"),
+                     ("_left_ideal_masks", "every"), ("_ni_witness", "N"), ("_ni_witness", "N"),
                      ("_undivided_masks", "sorted(caches.idempotents)")]
     assert "_row_blocks" not in ast.unparse(ast.parse((PACKAGE / "harness.py").read_text()))
 
@@ -147,9 +156,11 @@ def test_classify_is_the_one_element_decider():
 def test_only_the_lookups_name_the_op_tables():
     # The op tables are named only where they are built (_build_tables),
     # looked up (_mul_many, _add_many, _sub_many), asked for whether they
-    # exist (_row_blocks and _power_scan, which picks the power table) and
-    # declared (Ring.__init__), so that the power table's products go
-    # through _mul_many and no more code reads the tables directly.
+    # exist (_row_blocks; _power_scan, which picks the power table; and
+    # _left_orbit_keys, which picks orbit keys over the generator closure
+    # of deciders) and declared (Ring.__init__), so that the power table's
+    # products go through _mul_many, deciders never names a table, and no
+    # more code reads the tables directly.
     tables = {"_mul_np", "_add_np", "_neg_np"}
     found = set()
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -162,4 +173,4 @@ def test_only_the_lookups_name_the_op_tables():
                        for node in ast.walk(unit)):
                     found.add(name)
     assert found == {"Ring.__init__", "_build_tables", "_mul_many", "_add_many", "_sub_many",
-                     "_row_blocks", "_power_scan"}
+                     "_row_blocks", "_power_scan", "_left_orbit_keys"}
