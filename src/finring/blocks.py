@@ -21,7 +21,6 @@ from .kernel import (
     RingCaches,
     _constants,
     _digits,
-    _indicator,
     _mul_many,
     _powers,
     freeze,
@@ -89,37 +88,35 @@ def _freeze_split(R: Ring, blocks: tuple, cap: int = CLASSIFY_CAP) -> Ring:
     n = R.order
     _, _, r, w = _digits(R)
     place = [l for l, q in enumerate(R.radices) if q > 1]
-    masks = {name: np.ones(n, dtype=bool)
-             for name in ("units", "idempotents", "nilpotents", "jacobson")}
+    is_unit, is_idempotent, is_nilpotent, is_jacobson = (np.ones(n, dtype=bool) for _ in range(4))
     m, period = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
     parts = []
     for p, B, phi in blocks:
         caches = freeze(B, cap).caches
-        for name, mask in masks.items():
-            mask &= _indicator(B.order, getattr(caches, name))[phi]
+        is_unit &= caches.is_unit[phi]
+        is_idempotent &= caches.is_idempotent[phi]
+        is_nilpotent &= caches.is_nilpotent[phi]
+        is_jacobson &= caches.is_jacobson[phi]
         mp, kp = caches.power_indices
         m, period = np.maximum(m, mp[phi]), np.lcm(period, (kp - mp)[phi])
-        inverse = np.zeros(B.order, dtype=np.int64)
-        inverse[list(caches.unit_inverse)] = list(caches.unit_inverse.values())
         rp = np.array(B.radices, dtype=np.int64)[place]
         rest = r // rp
         e = rest * [pow(a, -1, b) for a, b in zip(rest.tolist(), rp.tolist())]   # 1 mod rp, 0 mod rest
-        parts.append((inverse[phi], _place_weights(B.radices)[place], rp, e))
-    u = np.flatnonzero(masks["units"])
+        parts.append((caches.inverse[phi], _place_weights(B.radices)[place], rp, e))
+    u = np.flatnonzero(is_unit)
     v = sum(inv[u, None] // wp % rp * e for inv, wp, rp, e in parts) % r @ w
     bad = (_mul_many(R, u, v) != R.one) | (_mul_many(R, v, u) != R.one)
     if bad.any():
         raise RingAxiomError(f"{R.label}: the unit {int(u[bad.argmax()])} of its blocks has no "
                              f"two-sided inverse in it")
     cycle_start = _powers(R, np.arange(n), m)
-    bad = (cycle_start == 0) != masks["nilpotents"]
+    bad = (cycle_start == 0) != is_nilpotent
     if bad.any():
         raise RingAxiomError(f"{R.label}: the nilpotents of its blocks and the zeros of x^m "
                              f"disagree at {int(bad.argmax())}")
-    inverse = dict(zip(u.tolist(), v.tolist()))
-    idempotents, nilpotents, jacobson = (np.flatnonzero(masks[name]).tolist()
-                                         for name in ("idempotents", "nilpotents", "jacobson"))
-    R.caches = RingCaches(frozenset(inverse), inverse, idempotents, nilpotents, jacobson,
+    inverse = np.full(n, -1, dtype=np.int64)
+    inverse[u] = v
+    R.caches = RingCaches(is_unit, inverse, is_idempotent, is_nilpotent, is_jacobson,
                           (m, m + period), cycle_start)
     R._blocks = blocks
     return R

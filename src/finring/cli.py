@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, make_dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import deciders, fastpath, harness
 from .constructions import (
     formal_matrix,
@@ -33,7 +35,7 @@ from .constructions import (
 )
 from .errors import CapExceededError, ParseError
 from .groups import cyclic, dihedral, group_product, quaternion8, symmetric
-from .kernel import ARITH_CAP, CLASSIFY_CAP, Ring, direct_product, freeze, make_zmod
+from .kernel import ARITH_CAP, CLASSIFY_CAP, Ring, _places, direct_product, freeze, make_zmod
 
 
 # -- the constructor tables ------------------------------------------------
@@ -68,18 +70,9 @@ class Constructor:
 
 
 def _int_in_ring(R: Ring, s: int) -> int:
-    """The image of the integer s in R (s copies of one).
-
-    The additive order of one divides |R| (Lagrange), so |R| copies of one
-    are 0 and s counts modulo |R|, negative s included.
-    """
-    acc, base, k = 0, R.one, s % R.order
-    while k:
-        if k & 1:
-            acc = R.add(acc, base)
-        base = R.add(base, base)
-        k >>= 1
-    return acc
+    """The image of the integer s in R (s copies of one), negative s
+    included: digit by digit, s times each digit of one modulo its radix."""
+    return sum(s * (R.one // w % r) % r * w for w, r in _places(R.radices))
 
 
 def _matrix_size(k, inner) -> Optional[str]:
@@ -364,8 +357,8 @@ def cmd_search(args) -> int:
 def cmd_radicals(args) -> int:
     R = elaborate(parse(args.expr), cap=args.cap)
     freeze(R, cap=args.cap)
-    jac = sorted(R.caches.jacobson)
-    nil = sorted(R.caches.nilpotents)
+    jac = np.flatnonzero(R.caches.is_jacobson).tolist()
+    nil = np.flatnonzero(R.caches.is_nilpotent).tolist()
     if args.json:
         _emit({
             "label": R.label,
@@ -385,10 +378,10 @@ def cmd_info(args) -> int:
     census = {
         "label": R.label,
         "order": R.order,
-        "units": len(R.caches.units),
-        "idempotents": len(R.caches.idempotents),
-        "nilpotents": len(R.caches.nilpotents),
-        "jacobson": len(R.caches.jacobson),
+        "units": int(R.caches.is_unit.sum()),
+        "idempotents": int(R.caches.is_idempotent.sum()),
+        "nilpotents": int(R.caches.is_nilpotent.sum()),
+        "jacobson": int(R.caches.is_jacobson.sum()),
     }
     if args.json:
         _emit(census)

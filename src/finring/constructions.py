@@ -6,10 +6,10 @@ digitwise and multiplication is bilinear in the digits, so a construction
 is one call of `_positional` with its terms (i, j, l, c), each meaning
 "digit l of x*y gains c*(x_i*y_j)", c a central base element or None for
 1.  The base radices, once per digit, are the radices of the construction,
-so ``kernel.Ring`` derives its addition from them.  The terms are the one
-definition of a construction's product: `_positional` evaluates them once,
-on the products of the base's additive generators, into the products of
-the construction's generators, which ``kernel.Ring`` extends bilinearly.
+so they define its addition.  The terms are the one definition of a
+construction's product: `_positional` evaluates them once, on the products
+of the base's additive generators, into the products of the construction's
+generators, which ``kernel.Ring`` extends bilinearly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .groups import FiniteGroup
 from .kernel import (
-    ARITH_CAP, Ring, _assoc_violation, _constants, _mul_many, _powers,
+    ARITH_CAP, Ring, _assoc_violation, _constants, _mul_many, _places, _powers,
 )
 
 
@@ -186,11 +186,8 @@ def augmentation(RG: Ring, x: int) -> int:
     _require_element(RG, x, "x")
     base = RG.meta["base"]
     b = base.order
-    acc = 0
-    for _ in range(RG.meta["group"].order):
-        x, d = divmod(x, b)
-        acc = base.add(acc, d)
-    return acc
+    coefficients = [x // b**t % b for t in range(RG.meta["group"].order)]
+    return sum(sum(c // w % r for c in coefficients) % r * w for w, r in _places(base.radices))
 
 
 # -- trivial extension -----------------------------------------------------

@@ -33,7 +33,6 @@ from .kernel import (
     Ring,
     _add_many,
     _additive_generators,
-    _indicator,
     _join,
     _left_orbit_keys,
     _mul_many,
@@ -88,7 +87,8 @@ def _left_ideal_masks(R: Ring) -> dict:
     def among(keys, found):                             # mask[x]: keys[x] is in found
         return np.fromiter((bytes(key) in found for key in keys), dtype=bool, count=n)
 
-    return {"regular": among(ideal, {bytes(ideal[e]) for e in R.caches.idempotents}),
+    idempotents = np.flatnonzero(R.caches.is_idempotent)
+    return {"regular": among(ideal, {bytes(ideal[e]) for e in idempotents}),
             "left_group": (ideal == ideal[_mul_many(R, every, every)]).all(1),
             "left_morphic": among(np.concatenate((ann, ideal), axis=1),
                                   set(map(bytes, np.concatenate((ideal, ann), axis=1))))}
@@ -124,7 +124,7 @@ def _nil_is_ideal(R: Ring, is_nil: np.ndarray) -> bool:
     n = R.order
     every = np.arange(n)
     N = np.flatnonzero(is_nil)
-    span = _indicator(n, [0])                           # a subgroup inside N
+    span = every == 0                                   # a subgroup inside N
     while True:
         rest = is_nil & ~span
         if not rest.any():
@@ -150,9 +150,9 @@ def _ni_witness(R: Ring) -> Optional[int]:
     nilpotent a in index order and each r, the product r*a and then a*r; a
     block of a (``kernel._row_blocks``) at a time.
     """
-    is_nil = _indicator(R.order, R.caches.nilpotents)
+    is_nil = R.caches.is_nilpotent
     rings = [(R, is_nil)] if R._blocks is None else [
-        (B, _indicator(B.order, B.caches.nilpotents)) for _, B, _ in R._blocks]
+        (B, B.caches.is_nilpotent) for _, B, _ in R._blocks]
     if all(_nil_is_ideal(*ring) for ring in rings):
         return None
     N = np.flatnonzero(is_nil)
@@ -239,20 +239,19 @@ def _unit_multiples(R: Ring, T: np.ndarray) -> np.ndarray:
     (m, k) = (1, k).  In a finite group a set closed under a generating set
     is closed under the group.
     """
-    n = R.order
-    key = _left_orbit_keys(R, R.caches.units)
+    is_unit = R.caches.is_unit
+    key = _left_orbit_keys(R, is_unit)
     if key is not None:
         has = np.zeros(T.shape, dtype=bool)             # [i, key]: key is in key(S_i)
         i, x = np.nonzero(T)
         has[i, key[x]] = True
         return has[:, key]
     k = R.caches.power_indices[1]
-    every = np.arange(n)
-    T = np.concatenate((_indicator(n, [R.one])[None], T))
-    missing = _indicator(n, R.caches.units)
+    every = np.arange(R.order)
+    T = np.concatenate(((every == R.one)[None], T))
     generators = []
     while True:
-        missing &= ~T[0]
+        missing = is_unit & ~T[0]
         if not missing.any():
             return T[1:]
         g = int(missing.argmax())
@@ -268,11 +267,9 @@ def _undivided_masks(R: Ring) -> dict:
     n = R.order
     caches = R.caches
     x = np.arange(n)
-    is_unit = _indicator(n, caches.units)
-    is_nil = _indicator(n, caches.nilpotents)
-    is_idempotent = _indicator(n, caches.idempotents)
+    is_unit, is_nil, is_idempotent = caches.is_unit, caches.is_nilpotent, caches.is_idempotent
     clean, nil_clean, snc = (np.zeros(n, dtype=bool) for _ in range(3))
-    for es in _row_blocks(R, sorted(caches.idempotents)):
+    for es in _row_blocks(R, np.flatnonzero(is_idempotent)):
         diff = _sub_many(R, x, es)                      # [i, x] -> x - e_i
         nil_diff = is_nil[diff]
         clean |= is_unit[diff].any(0)
@@ -342,7 +339,7 @@ def _element_masks(R: Ring) -> dict:
                  for name in parts[0][0]}
     x = np.arange(R.order)
     group = caches.power_indices[0] == 1
-    diesl = _indicator(R.order, caches.nilpotents)[_sub_many(R, x, _mul_many(R, x, x))]
+    diesl = caches.is_nilpotent[_sub_many(R, x, _mul_many(R, x, x))]
     if not np.array_equal(masks["strongly_nil_clean"], diesl):
         bad = int((masks["strongly_nil_clean"] != diesl).argmax())
         raise RingAxiomError(
@@ -383,8 +380,9 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")
     freeze(R)
     report = PropertyReport(label=R.label, order=R.order)
-    report.jacobson_size = len(R.caches.jacobson)
-    report.nil_size = len(R.caches.nilpotents)
+    nilpotents = np.flatnonzero(R.caches.is_nilpotent)
+    report.jacobson_size = int(R.caches.is_jacobson.sum())
+    report.nil_size = len(nilpotents)
     report.masks = _element_masks(R)
     for name in _ELEMENT_DECIDERS:
         mask = report.masks[name]
@@ -399,8 +397,8 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     report.flags["NI"] = w is None
     if w is not None:
         report.witnesses["NI"] = {"index": w, "element": R.format_element(w)}
-    report.flags["reduced"] = R.caches.nilpotents == frozenset({0})
+    report.flags["reduced"] = nilpotents.tolist() == [0]
     if not report.flags["reduced"]:
-        w = min(x for x in R.caches.nilpotents if x != 0)
+        w = int(nilpotents[nilpotents != 0][0])
         report.witnesses["reduced"] = {"index": w, "element": R.format_element(w)}
     return report

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import deciders, fastpath
 from .constructions import (
     generalized_matrix,
@@ -390,7 +392,8 @@ def _random_instance(rng: random.Random, cap: int, weights: Optional[dict] = Non
     # kind == "ks"
     m = rng.choice([m for m in (2, 3, 4) if m**4 <= cap] or [2])
     base = freeze(make_zmod(m))
-    s = rng.choice(sorted(base.caches.nilpotents | {base.one}))
+    nil_or_one = base.caches.is_nilpotent | (np.arange(base.order) == base.one)
+    s = rng.choice(np.flatnonzero(nil_or_one).tolist())
     return generalized_matrix(base, s)
 
 
@@ -405,9 +408,9 @@ def _check_instance(R: Ring, failures: list):
         return
     freeze(R)
     # The Jacobson radical of a finite ring is nil.
-    loose = R.caches.jacobson - R.caches.nilpotents
-    if loose:
-        x = min(loose)
+    loose = R.caches.is_jacobson & ~R.caches.is_nilpotent
+    if loose.any():
+        x = int(loose.argmax())
         fail("J ⊆ Nil", "violated", {"index": x, "element": R.format_element(x)})
     try:
         report = deciders.classify(R)
@@ -441,14 +444,14 @@ def _check_instance(R: Ring, failures: list):
         if not flags[name]:
             fail(f"{name} universal", False, report.witnesses.get(name))
     ni = flags["NI"]
-    collapse = R.caches.nilpotents == R.caches.jacobson
+    collapse = np.array_equal(R.caches.is_nilpotent, R.caches.is_jacobson)
     if ni != collapse:
         fail("NI <=> Nil == J", {"NI": ni, "Nil==J": collapse})
     # A finite ring with J = 0 is semisimple, by Wedderburn-Artin a product
     # of matrix rings over finite fields, so it is unit-regular; and a
     # regular ring has J = 0.
     regular = bool(masks["regular"].all())
-    semisimple = R.caches.jacobson == frozenset({0})
+    semisimple = np.flatnonzero(R.caches.is_jacobson).tolist() == [0]
     if not regular == semisimple == flags["unit_regular"]:
         fail("regular <=> J = 0 <=> unit_regular",
              {"regular": regular, "J = 0": semisimple, "unit_regular": flags["unit_regular"]})

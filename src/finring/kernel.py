@@ -38,8 +38,12 @@ power indices, the units' inverses and the cycle starts off it.  Without
 them Brent's saved power is held at x^h, in O(sqrt(n)) products.  Either
 way, periods too long for the table or the scan are found by baby and
 giant steps.  The units, the nilpotents (x^m == 0) and the power flags of
-``deciders`` are read from them; no module of the package calls the
-scalar ``Ring.mul``.
+``deciders`` are read from them.  The caches (`RingCaches`) are read-only
+arrays over the elements: boolean masks of the units, idempotents,
+nilpotents and J, the units' inverses (-1 off the units), the power
+indices and the cycle starts.  A Ring has no scalar ops: one element or
+many, every sum, difference and product goes through the three functions
+above.
 
 A ring above TABLE_LIMIT whose order has two or more prime factors is
 frozen as its p-primary blocks R_p = e_p*R instead (``blocks``): R is their
@@ -84,23 +88,27 @@ ROW_BLOCK = 2**18
 
 
 class RingCaches:
-    """Structural sets populated by freeze(); the power indices (m, k): for
-    every element x the least m < k with x^m == x^k (`_power_scan`); and
-    cycle_start, x^m for every x, the first power of x on the cycle of its
-    powers, from which the nilpotents (x^m == 0) are read."""
+    """The structure freeze() reads off a ring of order n, as read-only
+    n-length numpy arrays indexed by element: the boolean masks is_unit,
+    is_idempotent, is_nilpotent and is_jacobson (J(R)); inverse, the int64
+    inverse of each unit and -1 off the units; the power indices
+    power_indices = (m, k), for every x the least m < k with x^m == x^k
+    (`_power_scan`); and cycle_start, x^m for every x, the first power of x
+    on the cycle of its powers, whose zeros are the nilpotents.  Element
+    lists are ``np.flatnonzero`` of a mask."""
 
-    __slots__ = ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson",
+    __slots__ = ("is_unit", "inverse", "is_idempotent", "is_nilpotent", "is_jacobson",
                  "power_indices", "cycle_start")
 
-    def __init__(self, units, unit_inverse, idempotents, nilpotents, jacobson, power_indices,
-                 cycle_start):
-        self.units = frozenset(units)
-        self.unit_inverse = dict(unit_inverse)
-        self.idempotents = frozenset(idempotents)
-        self.nilpotents = frozenset(nilpotents)
-        self.jacobson = frozenset(jacobson)
-        self.power_indices = power_indices
-        self.cycle_start = cycle_start
+    def __init__(self, is_unit, inverse, is_idempotent, is_nilpotent, is_jacobson,
+                 power_indices, cycle_start):
+        for array in (is_unit, inverse, is_idempotent, is_nilpotent, is_jacobson,
+                      *power_indices, cycle_start):
+            array.flags.writeable = False
+        self.is_unit, self.inverse = is_unit, inverse
+        self.is_idempotent, self.is_nilpotent, self.is_jacobson = (is_idempotent, is_nilpotent,
+                                                                   is_jacobson)
+        self.power_indices, self.cycle_start = tuple(power_indices), cycle_start
 
 
 class Ring:
@@ -110,19 +118,19 @@ class Ring:
     additive group, little-endian: index sum(d_i * w_i),
     w_i = r_0 * ... * r_{i-1}, is sum(d_i * g_i) with generator g_i at
     index w_i (`_additive_generators`, the w_i with r_i > 1).  They define
-    addition: `add` and `neg` work digit by digit modulo r_i, and `sub` is
-    a + (-b).  `products` is the |g| x |g| table of the indices g_i*g_j, in
-    that generator order, and it defines multiplication: the product is its
-    bilinear extension, a*b = sum over i, j of a_i * b_j * (g_i*g_j), read
-    through the structure constants (`_mul_many`).  verify_ring_axioms
-    checks that this extension is well defined, unital and associative.
+    addition, digit by digit modulo r_i.  `products` is the |g| x |g| table
+    of the indices g_i*g_j, in that generator order, and it defines
+    multiplication: the product is its bilinear extension,
+    a*b = sum over i, j of a_i * b_j * (g_i*g_j), read through the structure
+    constants.  verify_ring_axioms checks that this extension is well
+    defined, unital and associative.
 
-    `mul` is one such product, a one-element `_mul_many` call.  After
-    freeze() the caches are populated, read-only op tables of dtype
-    TABLE_DTYPE are installed for orders up to TABLE_LIMIT (the mul table
-    alone where every radix is a power of 2; see `_build_tables`), the
-    scalar ops with a table read it (no Python copy), and the ring must be
-    treated as immutable.
+    A Ring is its structure alone: it has no scalar ops.  Sums, differences
+    and products of elements, one or many, are ``_add_many``, ``_sub_many``
+    and ``_mul_many``.  After freeze() the caches are populated, read-only
+    op tables of dtype TABLE_DTYPE are installed for orders up to
+    TABLE_LIMIT (the mul table alone where every radix is a power of 2; see
+    `_build_tables`), and the ring must be treated as immutable.
     """
 
     def __init__(
@@ -155,23 +163,9 @@ class Ring:
         products = products.reshape(g, g)
         products.flags.writeable = False
 
-        def add(a, b):
-            s = 0
-            for w, r in places:
-                s += (a // w + b // w) % r * w
-            return s
-
-        def neg(a):
-            s = 0
-            for w, r in places:
-                s += -(a // w) % r * w
-            return s
-
         self.order = order
         self.zero = 0
         self.one = one
-        self.add = add
-        self.neg = neg
         self.label = label
         self.kind = kind
         self._decode = decode or (lambda i: i)
@@ -188,15 +182,6 @@ class Ring:
         self._structure: Optional[tuple] = None     # see _structure_constants
         self._digits: Optional[tuple] = None        # see _digits
         self._blocks: Optional[tuple] = None        # see blocks._primary_blocks
-
-    # -- basic derived ops -------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        # _build_tables shadows this with the mul table's ndarray.item.
-        return int(_mul_many(self, a, b))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def elements(self) -> range:
         return range(self.order)
@@ -275,18 +260,15 @@ def _kronecker_sum(R: Ring) -> np.ndarray:
 
 def _build_tables(R: Ring) -> None:
     """Install read-only numpy op tables (order <= TABLE_LIMIT) of dtype
-    TABLE_DTYPE (2 MiB per n x n table at order 1024), and rebind R.mul,
-    and R.add and R.neg where there is an add table, to their
-    ``ndarray.item``, which returns a Python int: the tables are the only
-    copy, with no Python list behind the scalar ops.
+    TABLE_DTYPE (2 MiB per n x n table at order 1024), read only through
+    ``_mul_many``, ``_add_many`` and ``_sub_many``.
 
     The mul table is a `_doubling_table` fill from the generator rows
     g_i*z, and its one operation, a sum of rows, is chosen from R.radices.
     When every radix is a power of 2, an index's bits are its digits and a
     sum is carry-free bit arithmetic (`_field_sum`); the generator rows are
     then such a fill too, from R.products, and the ring gets no add or neg
-    table: `_add_many` and `_sub_many` sum by the same bit arithmetic, and
-    the scalar R.add and R.neg stay the digit sums of `Ring`.  Otherwise
+    table: `_add_many` and `_sub_many` sum by the same bit arithmetic.  Otherwise
     the add table is the Kronecker sum of the cyclic factors
     (`_kronecker_sum`), the negatives are one of its columns read upwards,
     the generator rows come from the structure constants as one stack
@@ -295,7 +277,7 @@ def _build_tables(R: Ring) -> None:
     in one temporary per sum: the intp flat index, at most 8 bytes per
     entry of n^2 / 8 entries, or of 2^14 on small tables, or the int16 top
     bits (none for XOR).  Every index is below n^2, so the gathers clip
-    nothing.  So the build makes no scalar call, and the tables are the
+    nothing.  So the build reads R.products alone, and the tables are the
     bilinear extension of R.products, the same product `_mul_many` gives
     above TABLE_LIMIT.
     """
@@ -334,11 +316,9 @@ def _build_tables(R: Ring) -> None:
         rows = np.arange(n)[:, None] // w % r @ C % r @ w      # [i, z] -> g_i*z
         for T in (add_np, neg_np):
             T.flags.writeable = False
-        R.add, R.neg = add_np.item, neg_np.item
     mul_np = _doubling_table(R, rows, combine)                # [x, z] -> x*z
     mul_np.flags.writeable = False
     R._mul_np, R._add_np, R._neg_np = mul_np, add_np, neg_np
-    R.mul = mul_np.item
 
 
 def _bit_fields(places, n: int) -> Optional[tuple]:
@@ -369,13 +349,6 @@ def _field_sum(a, b, low: int, high: int, out=None, top=None):
     total = np.add(np.bitwise_and(a, low, out=out), b & low, out=out)
     total ^= top
     return total
-
-
-def _indicator(n: int, members) -> np.ndarray:
-    """Boolean mask of length n that is True exactly on `members`."""
-    mask = np.zeros(n, dtype=bool)
-    mask[list(members)] = True
-    return mask
 
 
 def _constants(R: Ring) -> tuple:
@@ -804,32 +777,33 @@ def _power_scan(R: Ring) -> tuple:
     return scan
 
 
-def _compute_units(R: Ring):
-    """(unit -> inverse, power indices (m, k), power table) of `_power_scan`.
-    x is a unit iff m = 1 and x^t = 1, t = k - 1 its period, and then
-    x^(t-1) is its inverse: the scan's `back` with op tables, else one
-    `_powers` call; every pair is checked two-sided, u*v == v*u == 1.
-    The power table and `back` are None without op tables, and also
-    wherever `_power_scan` returns a plain pair."""
+def _compute_units(R: Ring) -> tuple:
+    """(the units mask, the inverse array, power indices (m, k), power
+    table) of `_power_scan`.  x is a unit iff m = 1 and x^t = 1, t = k - 1
+    its period, and then x^(t-1) is its inverse: the scan's `back` with op
+    tables, else one `_powers` call; every pair is checked two-sided,
+    u*v == v*u == 1.  The inverse array is -1 off the units; the power
+    table and `back` are None without op tables."""
     scan = _power_scan(R)
     m, k = scan
-    P, back = getattr(scan, "powers", None), getattr(scan, "back", None)
     u = np.flatnonzero(m == 1)
-    v = _powers(R, u, k[u] - 2) if back is None else back[u]
+    v = _powers(R, u, k[u] - 2) if scan.back is None else scan.back[u]
     ok = (_mul_many(R, u, v) == R.one) & (_mul_many(R, v, u) == R.one)
-    return dict(zip(u[ok].tolist(), v[ok].tolist())), (m, k), P
+    inverse = np.full(R.order, -1, dtype=np.int64)
+    inverse[u[ok]] = v[ok]
+    return inverse >= 0, inverse, (m, k), scan.powers
 
 
 def _compute_nilpotents(R: Ring, m: np.ndarray, powers=None) -> tuple:
-    """(the nilpotents, x^m for every x), m the power index of `_power_scan`:
-    read off its power table `powers` (m <= top lies in it), or one
-    `_powers` call without it.  x is nilpotent iff x^m == 0: if t is the
-    least exponent with x^t = 0, the powers x, ..., x^t are distinct
+    """(the nilpotents mask, x^m for every x), m the power index of
+    `_power_scan`: read off its power table `powers` (m <= top lies in it),
+    or one `_powers` call without it.  x is nilpotent iff x^m == 0: if t is
+    the least exponent with x^t = 0, the powers x, ..., x^t are distinct
     (x^i = x^j, i < j <= t, would make x^i recur beyond t, where every power
     is 0, while x^i != 0 for i < t), and x^(t+1) = 0 = x^t is the first
     repeat, so m = t.  Conversely x^m == 0 says x is nilpotent."""
     start = _read_powers(R, powers, np.arange(R.order), m)
-    return set(np.flatnonzero(start == 0).tolist()), start
+    return start == 0, start
 
 
 def _orbit_union(T: np.ndarray, row: np.ndarray, steps: int) -> np.ndarray:
@@ -855,8 +829,8 @@ def _join(S: np.ndarray, row: np.ndarray) -> np.ndarray:
     return _orbit_union(S, row, (len(S) // int(S.sum()) - 1).bit_length())
 
 
-def _compute_jacobson(R: Ring, units, nilpotents):
-    """J(R) = { x : 1 - x*y is a unit for all y }.  One-sided
+def _compute_jacobson(R: Ring, is_unit: np.ndarray, is_nilpotent: np.ndarray) -> np.ndarray:
+    """The mask of J(R) = { x : 1 - x*y is a unit for all y }.  One-sided
     quasi-regularity suffices in a finite ring, and either side gives the
     same J: by Jacobson's lemma 1 - y*x is a unit iff 1 - x*y is (if u is
     the inverse of 1 - x*y, then 1 + y*u*x is that of 1 - y*x).  J is an
@@ -864,15 +838,13 @@ def _compute_jacobson(R: Ring, units, nilpotents):
     order, one row x*R per x tested (one row of the mul table where there
     is one), keeping a subgroup S of J: if x passes, S becomes <S, x>;
     otherwise x + S misses J, and the whole coset is struck."""
-    n = R.order
-    every = np.arange(n)
-    quasi = _indicator(n, units)[_sub_many(R, R.one, every)]     # 1 - z is a unit
-    todo = _indicator(n, nilpotents)
-    S = _indicator(n, [0])
+    every = np.arange(R.order)
+    quasi = is_unit[_sub_many(R, R.one, every)]        # 1 - z is a unit
+    todo, S = is_nilpotent.copy(), every == 0
     while True:
         todo &= ~S
         if not todo.any():
-            return set(np.flatnonzero(S).tolist())
+            return S
         x = int(todo.argmax())
         if quasi[_mul_many(R, x, every)].all():
             S = _join(S, _add_many(R, every, x))
@@ -880,7 +852,7 @@ def _compute_jacobson(R: Ring, units, nilpotents):
             todo[_add_many(R, x, np.flatnonzero(S))] = False
 
 
-def _left_orbit_keys(R: Ring, units) -> Optional[np.ndarray]:
+def _left_orbit_keys(R: Ring, is_unit: np.ndarray) -> Optional[np.ndarray]:
     """key(x) = min over the units u of u*x, for every x, where R has op
     tables; None where it has none, and there the unit-multiple masks of
     ``deciders`` close under generators of the unit group instead.
@@ -893,14 +865,14 @@ def _left_orbit_keys(R: Ring, units) -> Optional[np.ndarray]:
         return None
     every = np.arange(R.order)
     key = every.astype(TABLE_DTYPE)                     # 1*x, 1 a unit
-    for block in _row_blocks(R, np.fromiter(units, np.int64, len(units))):
+    for block in _row_blocks(R, np.flatnonzero(is_unit)):
         np.minimum(key, _mul_many(R, block, every).min(0), out=key)
     return key
 
 
 def _freeze_undivided(R: Ring) -> Ring:
     """Populate R's caches on R itself, with op tables up to TABLE_LIMIT:
-    every set is read through `_mul_many`, in O(n * |g|) memory per read
+    every mask is read through `_mul_many`, in O(n * |g|) memory per read
     above the limit.  One power scan gives the power indices (m, k) of
     every element and from them the units and their inverses
     (`_compute_units`) and x^m, the cycle start, whose zeros are the
@@ -910,15 +882,14 @@ def _freeze_undivided(R: Ring) -> Ring:
     from the nilpotents, one row x*R per nilpotent x tested
     (`_compute_jacobson`)."""
     _build_tables(R)
-    inverse, power_indices, powers = _compute_units(R)
-    units = frozenset(inverse)
+    is_unit, inverse, power_indices, powers = _compute_units(R)
     x = np.arange(R.order)
-    idempotents = frozenset(np.flatnonzero(_mul_many(R, x, x) == x).tolist())
-    nilpotents, cycle_start = _compute_nilpotents(R, power_indices[0], powers)
+    is_idempotent = _mul_many(R, x, x) == x
+    is_nilpotent, cycle_start = _compute_nilpotents(R, power_indices[0], powers)
     del powers
-    jacobson = frozenset(_compute_jacobson(R, units, nilpotents))
-    R.caches = RingCaches(units, inverse, idempotents, nilpotents, jacobson, power_indices,
-                          cycle_start)
+    is_jacobson = _compute_jacobson(R, is_unit, is_nilpotent)
+    R.caches = RingCaches(is_unit, inverse, is_idempotent, is_nilpotent, is_jacobson,
+                          power_indices, cycle_start)
     return R
 
 

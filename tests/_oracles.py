@@ -3,31 +3,111 @@
 The per-element deciders below are the definitions of the element flags,
 one element at a time with scalar ops; the tests hold the whole-ring masks
 of ``deciders.classify`` to them.  Each takes a frozen ring.
+
+A Ring has no scalar ops, so they live here: `scalar_ops` gives a ring's
+ops on Python ints, for loops, and `ring_add`, `ring_neg`, `ring_sub` and
+`ring_mul` are one op each; `members` and
+`inverse_map` read the caches' masks and inverse array as a set and a dict.
+`digit_sum` and `bilinear_product` are the definitions of the sum and the
+product, which the kernel's are held to.
 """
 
 import copy
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from finring import Ring, deciders, make_zmod, matrix_ring
-from finring.kernel import (
-    _add_many, _indicator, _left_orbit_keys, _mul_many, _row_blocks, _sub_many,
-)
+from finring.kernel import _add_many, _left_orbit_keys, _mul_many, _row_blocks, _sub_many
+
+
+class ScalarOps(NamedTuple):
+    """R's sum, negative, difference and product on Python ints."""
+    add: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    sub: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+
+
+def scalar_ops(R) -> ScalarOps:
+    """R's ops on Python ints, chosen once from what R has; bind them
+    outside a loop, so that each op is one call.
+
+    A product is a mul-table entry (``ndarray.item``), else a one-element
+    ``_mul_many``.  A sum or a negative is an add- or neg-table entry; on a
+    ring whose radices are all powers of 2 the carry-free bit sum
+    ((a & L) + (b & L)) ^ ((a ^ b) & H) of ``kernel._field_sum`` on Python
+    ints from R._fields, with no numpy call, -a the bit complement
+    a ^ (n - 1) plus 1 in every digit field; else `digit_sum`.  a - b is
+    a + (-b)."""
+    if R._mul_np is not None:
+        mul = R._mul_np.item
+    else:
+        def mul(a, b):
+            return int(_mul_many(R, a, b))
+    if R._add_np is not None:
+        add, neg = R._add_np.item, R._neg_np.item
+    elif R._fields is not None:
+        low, high, ones = R._fields
+        top = R.order - 1
+
+        def add(a, b):
+            return ((a & low) + (b & low)) ^ ((a ^ b) & high)
+
+        def neg(a):
+            return add(a ^ top, ones)
+    else:
+        def add(a, b):
+            return digit_sum(R, a, b)
+
+        def neg(a):
+            return digit_sum(R, 0, a, -1)
+
+    def sub(a, b):
+        return add(a, neg(b))
+    return ScalarOps(add, neg, sub, mul)
+
+
+def ring_add(R, a: int, b: int) -> int:
+    return scalar_ops(R).add(a, b)
+
+
+def ring_neg(R, a: int) -> int:
+    return scalar_ops(R).neg(a)
+
+
+def ring_sub(R, a: int, b: int) -> int:
+    return scalar_ops(R).sub(a, b)
+
+
+def ring_mul(R, a: int, b: int) -> int:
+    return scalar_ops(R).mul(a, b)
+
+
+def members(mask) -> set:
+    """The elements where a cache mask is True, as a set of Python ints."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def inverse_map(R) -> dict:
+    """unit -> inverse of a frozen R, read off R.caches.inverse."""
+    units = np.flatnonzero(R.caches.is_unit)
+    return dict(zip(units.tolist(), R.caches.inverse[units].tolist()))
 
 
 def ring_pow(R, x: int, k: int) -> int:
     """k-fold product by scalar binary exponentiation, x^0 = one."""
     if k < 0:
         raise ValueError("exponent must be >= 0")
+    mul = scalar_ops(R).mul
     result = R.one
     base = x
     while k:
         if k & 1:
-            result = R.mul(result, base)
-        base = R.mul(base, base)
+            result = mul(result, base)
+        base = mul(base, base)
         k >>= 1
     return result
 
@@ -58,7 +138,7 @@ def bilinear_product(R, a: int, b: int) -> int:
     digits of a, b and g_i*g_j read off R.radices and added digit by digit
     modulo the radices.  It reads R.radices and R.products alone, through
     no kernel helper, so it does not share the structure constants that
-    ``_mul_many`` and the scalar R.mul compute with."""
+    ``_mul_many`` computes with."""
     places, terms = _generator_products(R)
     da = [a // w % r for w, r in places]
     db = [b // w % r for w, r in places]
@@ -80,19 +160,20 @@ def digit_sum(R, a: int, b: int, sign: int = 1) -> int:
 
 def is_nilpotent(R, x: int) -> bool:
     """Iterate the powers of x until zero or a repeat; independent of the cache."""
+    mul = scalar_ops(R).mul
     seen = set()
     y = x
     while y not in seen:
         if y == 0:
             return True
         seen.add(y)
-        y = R.mul(y, x)
+        y = mul(y, x)
     return False
 
 
 def _units(R) -> np.ndarray:
     """The units of a frozen R, in index order."""
-    return np.array(sorted(R.caches.units), dtype=np.int64)
+    return np.flatnonzero(R.caches.is_unit)
 
 
 def _check_assoc_np(T):
@@ -128,20 +209,21 @@ class Decomposition:
     unit: Optional[int] = None     # u such that u*x = idempotent + other
 
     def verify(self, R, x) -> bool:
-        caches = R.caches
-        if self.unit is not None and self.unit not in caches.units:
+        caches, ops = R.caches, scalar_ops(R)
+        if self.unit is not None and not caches.is_unit[self.unit]:
             return False
-        target = x if self.unit is None else R.mul(self.unit, x)
-        if R.add(self.idempotent, self.other) != target:
+        target = x if self.unit is None else ops.mul(self.unit, x)
+        if ops.add(self.idempotent, self.other) != target:
             return False
-        if self.idempotent not in caches.idempotents:
+        if not caches.is_idempotent[self.idempotent]:
             return False
         if self.kind == "clean":
-            return self.other in caches.units
-        if self.other not in caches.nilpotents:
+            return bool(caches.is_unit[self.other])
+        if not caches.is_nilpotent[self.other]:
             return False
         if self.kind == "strongly-nil-clean":
-            return R.mul(self.idempotent, self.other) == R.mul(self.other, self.idempotent)
+            e, b = self.idempotent, self.other
+            return ops.mul(e, b) == ops.mul(b, e)
         return True
 
 
@@ -164,35 +246,36 @@ def is_strongly_regular(R, x) -> bool:
 
 def is_nil_clean(R, x) -> Optional[Decomposition]:
     """x = idempotent + nilpotent, least idempotent index first."""
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        b = R.sub(x, e)
-        if b in caches.nilpotents:
+    caches, sub = R.caches, scalar_ops(R).sub
+    for e in np.flatnonzero(caches.is_idempotent).tolist():
+        b = sub(x, e)
+        if caches.is_nilpotent[b]:
             return Decomposition("nil-clean", e, b)
     return None
 
 
 def is_strongly_nil_clean(R, x) -> Optional[Decomposition]:
     """As is_nil_clean, with the two parts required to commute."""
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        b = R.sub(x, e)
-        if b in caches.nilpotents and R.mul(e, b) == R.mul(b, e):
+    caches, ops = R.caches, scalar_ops(R)
+    for e in np.flatnonzero(caches.is_idempotent).tolist():
+        b = ops.sub(x, e)
+        if caches.is_nilpotent[b] and ops.mul(e, b) == ops.mul(b, e):
             return Decomposition("strongly-nil-clean", e, b)
     return None
 
 
 def snc_poly_criterion(R, x) -> bool:
     """x - x^2 nilpotent; Diesl's route to strong nil-cleanness."""
-    return R.sub(x, R.mul(x, x)) in R.caches.nilpotents
+    ops = scalar_ops(R)
+    return bool(R.caches.is_nilpotent[ops.sub(x, ops.mul(x, x))])
 
 
 def is_clean(R, x) -> Optional[Decomposition]:
     """x = idempotent + unit."""
-    caches = R.caches
-    for e in sorted(caches.idempotents):
-        u = R.sub(x, e)
-        if u in caches.units:
+    caches, sub = R.caches, scalar_ops(R).sub
+    for e in np.flatnonzero(caches.is_idempotent).tolist():
+        u = sub(x, e)
+        if caches.is_unit[u]:
             return Decomposition("clean", e, u)
     return None
 
@@ -221,12 +304,13 @@ def is_strongly_unit_nil_clean(R, x) -> Optional[Decomposition]:
 
 def _power_orbit(R, x) -> tuple:
     """The distinct powers x^1, ..., x^(k-1), and the m < k with x^k = x^m."""
+    mul = scalar_ops(R).mul
     seen = {}
     power = x
     k = 1
     while power not in seen:
         seen[power] = k
-        power = R.mul(power, x)
+        power = mul(power, x)
         k += 1
     return list(seen), seen[power]
 
@@ -268,7 +352,8 @@ def transposed_product():
     """X o Y = (XY)^T on 2 x 2 matrices over Z(2): bilinear, not associative."""
     M2 = matrix_ring(make_zmod(2), 2)
     gens = [1, 2, 4, 8]
-    products = [[M2.encode(tuple(zip(*M2.decode(M2.mul(g, h))))) for h in gens] for g in gens]
+    products = [[M2.encode(tuple(zip(*M2.decode(ring_mul(M2, g, h))))) for h in gens]
+                for g in gens]
     return Ring(16, products, one=M2.one, label="(XY)^T", radices=M2.radices)
 
 
@@ -278,7 +363,7 @@ def unit_row_masks(R, nil_clean, snc):
     idempotent, in the mask nil_clean, or in the mask snc."""
     n = R.order
     every = np.arange(n)
-    targets = np.stack((_indicator(n, R.caches.idempotents), nil_clean, snc))
+    targets = np.stack((R.caches.is_idempotent, nil_clean, snc))
     masks = np.zeros((3, n), dtype=bool)
     for us in _row_blocks(R, _units(R)):
         masks |= targets[:, _mul_many(R, us, every)].any(1)      # [t, j, x] -> u_j*x
@@ -306,10 +391,9 @@ def orbit_key_pairs(R) -> list:
         if B._mul_np is None:
             continue
         masks = deciders._undivided_masks(B)
-        T = np.stack((_indicator(B.order, B.caches.idempotents), masks["nil_clean"],
-                      masks["strongly_nil_clean"]))
+        T = np.stack((B.caches.is_idempotent, masks["nil_clean"], masks["strongly_nil_clean"]))
         S = untabled(B)
-        assert _left_orbit_keys(S, S.caches.units) is None
+        assert _left_orbit_keys(S, S.caches.is_unit) is None
         pairs.append((deciders._unit_multiples(B, T), deciders._unit_multiples(S, T)))
     return pairs
 
@@ -318,7 +402,7 @@ def jacobson_rows(R):
     """J(R) of a frozen R by its definition, the x with 1 - y*x a unit for
     every y: one row y*R per y, over the x that passed every earlier y."""
     every = np.arange(R.order)
-    quasi = _indicator(R.order, R.caches.units)[_sub_many(R, R.one, every)]
+    quasi = R.caches.is_unit[_sub_many(R, R.one, every)]
     x = every
     for ys in _row_blocks(R, every):
         x = x[quasi[_mul_many(R, ys, x)].all(0)]
@@ -329,7 +413,7 @@ def ni_search(R):
     """The first sum or product of nilpotents of a frozen R that is not
     nilpotent, or None: a + b over nilpotents a, b in index order; then, for
     each nilpotent a in index order and each r, r*a and then a*r."""
-    is_nil = _indicator(R.order, R.caches.nilpotents)
+    is_nil = R.caches.is_nilpotent
     N = np.flatnonzero(is_nil)
     every = np.arange(R.order)
     for a in _row_blocks(R, N):
@@ -393,7 +477,7 @@ def textbook_table(R):
         def weight(i, t, j):
             w = base.one
             for _ in range((i > t) + (t > j) - (i > j) if s is not None else 0):
-                w = base.mul(s, w)
+                w = mul[s, w]
             return w
 
         P = [total(mul[weight(i, t, j), mul[X[..., i * k + t], Y[..., t * k + j]]]

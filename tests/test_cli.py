@@ -28,6 +28,8 @@ from finring.cli import (
     unparse,
 )
 
+from _oracles import ring_add, ring_neg
+
 
 class TestParse:
     def test_group_ring(self):
@@ -133,9 +135,9 @@ class TestElaborate:
         R = elaborate(parse(expr))
         copies = [0]
         for _ in range(40):
-            copies.append(R.add(copies[-1], R.one))
+            copies.append(ring_add(R, copies[-1], R.one))
         for s in range(-40, 41):
-            assert _int_in_ring(R, s) == (copies[s] if s >= 0 else R.neg(copies[-s])), s
+            assert _int_in_ring(R, s) == (copies[s] if s >= 0 else ring_neg(R, copies[-s])), s
 
 
 class TestCommands:

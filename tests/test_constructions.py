@@ -32,16 +32,18 @@ from finring.cli import elaborate, parse
 from finring.constructions import _verify_associativity
 from finring.kernel import _additive_generators, _build_tables, _mul_many
 
-from _oracles import _check_assoc_np, _closure, textbook_table, transposed_product
+from _oracles import (
+    _check_assoc_np, _closure, members, ring_add, ring_mul, textbook_table, transposed_product,
+)
 
 
 def census(R):
     freeze(R)
     return (
         R.order,
-        len(R.caches.units),
-        len(R.caches.idempotents),
-        len(R.caches.nilpotents),
+        int(R.caches.is_unit.sum()),
+        int(R.caches.is_idempotent.sum()),
+        int(R.caches.is_nilpotent.sum()),
     )
 
 
@@ -67,12 +69,12 @@ class TestMatrixRing:
     def test_m2_z2(self):
         M = freeze(matrix_ring(make_zmod(2), 2))
         assert M.order == 16
-        assert len(M.caches.units) == 6  # |GL2(F2)|
+        assert M.caches.is_unit.sum() == 6  # |GL2(F2)|
 
     def test_m2_z4(self):
         M = freeze(matrix_ring(make_zmod(4), 2))
         assert M.order == 256
-        assert len(M.caches.units) == 96
+        assert M.caches.is_unit.sum() == 96
 
     def test_trivial_base(self):
         assert matrix_ring(make_zmod(1), 3).order == 1
@@ -116,7 +118,7 @@ class TestUpperTriangular:
         U = freeze(upper_triangular(make_zmod(2), 2))
         assert U.order == 8
         e12 = U.encode(((0, 1), (0, 0)))
-        assert U.caches.nilpotents == {0, e12}
+        assert members(U.caches.is_nilpotent) == {0, e12}
 
     def test_size_one_matches_base(self):
         assert census(upper_triangular(make_zmod(6), 1)) == census(make_zmod(6))
@@ -135,7 +137,7 @@ class TestGroupRing:
         RG = group_ring(make_zmod(2), cyclic(2))
         assert RG.order == 4
         x = RG.encode((1, 1))
-        assert RG.mul(x, x) == RG.zero
+        assert ring_mul(RG, x, x) == RG.zero
 
     def test_trivial_group_matches_base(self):
         assert census(group_ring(make_zmod(6), cyclic(1))) == census(make_zmod(6))
@@ -152,7 +154,7 @@ class TestGroupRing:
         RG = group_ring(make_zmod(2), cyclic(3))
         x = RG.encode((1, 1, 0))
         y = RG.encode((1, 0, 1))
-        assert RG.decode(RG.mul(x, y)) == (0, 1, 1)
+        assert RG.decode(ring_mul(RG, x, y)) == (0, 1, 1)
 
 
 class TestAugmentation:
@@ -180,11 +182,11 @@ class TestAugmentation:
         base = RG.meta["base"]
         for x in RG.elements():
             for y in RG.elements():
-                assert augmentation(RG, RG.add(x, y)) == base.add(
-                    augmentation(RG, x), augmentation(RG, y)
+                assert augmentation(RG, ring_add(RG, x, y)) == ring_add(
+                    base, augmentation(RG, x), augmentation(RG, y)
                 )
-                assert augmentation(RG, RG.mul(x, y)) == base.mul(
-                    augmentation(RG, x), augmentation(RG, y)
+                assert augmentation(RG, ring_mul(RG, x, y)) == ring_mul(
+                    base, augmentation(RG, x), augmentation(RG, y)
                 )
 
     def test_p_group_kernel_is_nil(self):
@@ -192,19 +194,19 @@ class TestAugmentation:
         RG = freeze(group_ring(make_zmod(4), cyclic(2)))
         for x in RG.elements():
             if augmentation(RG, x) == 0:
-                assert x in RG.caches.nilpotents
+                assert RG.caches.is_nilpotent[x]
 
 
 class TestTrivialExtension:
     def test_z2(self):
         T = freeze(trivial_extension(make_zmod(2)))
         assert T.order == 4
-        assert T.encode((0, 1)) in T.caches.nilpotents
+        assert T.caches.is_nilpotent[T.encode((0, 1))]
 
     def test_z3_units(self):
         T = freeze(trivial_extension(make_zmod(3)))
         expected = {T.encode((a, m)) for a in (1, 2) for m in range(3)}
-        assert T.caches.units == expected
+        assert members(T.caches.is_unit) == expected
 
     def test_axioms(self):
         verify_ring_axioms(trivial_extension(make_zmod(6)))
@@ -224,7 +226,7 @@ class TestGeneralizedMatrix:
                     for y2 in range(2):
                         p = K.encode((0, x1, y1, 0))
                         q = K.encode((0, x2, y2, 0))
-                        a, _, _, b = K.decode(K.mul(p, q))
+                        a, _, _, b = K.decode(ring_mul(K, p, q))
                         assert a == 0 and b == 0
 
     def test_not_central(self):
@@ -293,7 +295,7 @@ class TestFormalMatrix:
     def test_gate_matches_full_table(self, k, m):
         # The gate passed on generator triples; the op table agrees on all n^3.
         base = freeze(make_zmod(m))
-        for s in sorted(base.caches.nilpotents):
+        for s in np.flatnonzero(base.caches.is_nilpotent).tolist():
             F = formal_matrix(base, k, s)
             _build_tables(F)
             assert _check_assoc_np(F._mul_np) is None, F.label
@@ -359,6 +361,6 @@ class TestFormalMatrix:
         with pytest.raises(AssociativityError) as err:
             _verify_associativity(R)
         a, b, c = map(int, re.search(r"at \((\d+), (\d+), (\d+)\)$", str(err.value)).groups())
-        assert R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c))
+        assert ring_mul(R, ring_mul(R, a, b), c) != ring_mul(R, a, ring_mul(R, b, c))
         _build_tables(R)
         assert _check_assoc_np(R._mul_np) is not None

@@ -50,10 +50,16 @@ from _oracles import (
     is_unit_nil_clean,
     is_unit_regular,
     jacobson_rows,
+    inverse_map,
     left_morphic_reference,
+    members,
     ni_search,
     periodic_indices,
+    ring_add,
+    ring_mul,
     ring_pow,
+    ring_sub,
+    scalar_ops,
     snc_poly_criterion,
     unit_row_masks,
 )
@@ -107,7 +113,7 @@ class TestStronglyRegular:
         assert not is_strongly_regular(m2z2, e12)
 
     def test_idempotents(self, m2z2):
-        for e in m2z2.caches.idempotents:
+        for e in members(m2z2.caches.is_idempotent):
             assert is_strongly_regular(m2z2, e)
 
 
@@ -119,7 +125,7 @@ class TestLeftMorphic:
     def test_zero_and_units(self, m2z2):
         morphic = left_morphic_reference(m2z2)
         assert morphic[0]
-        for u in m2z2.caches.units:
+        for u in members(m2z2.caches.is_unit):
             assert morphic[u]
 
 
@@ -134,7 +140,7 @@ class TestNilClean:
         assert dec.verify(z4, 3)
 
     def test_idempotent_self(self, z6):
-        for e in z6.caches.idempotents:
+        for e in members(z6.caches.is_idempotent):
             dec = is_nil_clean(z6, e)
             assert dec is not None and dec.verify(z6, e)
 
@@ -145,15 +151,15 @@ class TestStronglyNilClean:
         assert is_strongly_nil_clean(m2z2, x) is None
         assert not snc_poly_criterion(m2z2, x)
         # x - x^2 is the identity
-        assert m2z2.sub(x, m2z2.mul(x, x)) == m2z2.one
+        assert ring_sub(m2z2, x, ring_mul(m2z2, x, x)) == m2z2.one
 
     def test_z4_three(self, z4):
         dec = is_strongly_nil_clean(z4, 3)
         assert (dec.idempotent, dec.other) == (1, 2)
-        assert z4.mul(1, 2) == z4.mul(2, 1)
+        assert ring_mul(z4, 1, 2) == ring_mul(z4, 2, 1)
 
     def test_nilpotent_self(self, z4):
-        for b in z4.caches.nilpotents:
+        for b in members(z4.caches.is_nilpotent):
             dec = is_strongly_nil_clean(z4, b)
             assert dec is not None and dec.verify(z4, b)
 
@@ -163,7 +169,7 @@ class TestPolyCriterion:
         assert snc_poly_criterion(z4, 3)
 
     def test_idempotents(self, m2z2):
-        for e in m2z2.caches.idempotents:
+        for e in members(m2z2.caches.is_idempotent):
             assert snc_poly_criterion(m2z2, e)
 
     @pytest.mark.parametrize(
@@ -232,7 +238,7 @@ class TestPeriodic:
         assert periodic_indices(z4, 3) == (1, 3)
 
     def test_idempotent(self, z6):
-        for e in z6.caches.idempotents:
+        for e in members(z6.caches.is_idempotent):
             if e not in (z6.zero,):
                 assert periodic_indices(z6, e) == (1, 2)
 
@@ -258,8 +264,8 @@ class TestPeriodic:
     def test_mask_engine_catches_wrong_pair(self, monkeypatch):
         # A power scan that gives (m, k) = (1, 2) for every element: x = x^2
         # fails at 2 and 3, the elements of Z(4) that are not idempotent.
-        monkeypatch.setattr(kernel, "_power_scan", lambda R: (
-            np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64)))
+        monkeypatch.setattr(kernel, "_power_scan", lambda R: kernel._Scan((
+            np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64))))
         mask = _periodic_mask(freeze(make_zmod(4)))
         assert mask.tolist() == [True, True, False, False]
 
@@ -270,7 +276,7 @@ class TestStronglyPiRegular:
         assert is_strongly_pi_regular(R, 2)
 
     def test_units(self, z4):
-        for u in z4.caches.units:
+        for u in members(z4.caches.is_unit):
             assert is_strongly_pi_regular(z4, u)
 
     @pytest.mark.parametrize(
@@ -285,14 +291,14 @@ class TestStronglyPiRegular:
 class TestNilSetPredicates:
     def test_z6(self, z6):
         assert classify(z6).flags["reduced"] and is_NI(z6)
-        assert z6.caches.nilpotents == {0}
+        assert members(z6.caches.is_nilpotent) == {0}
 
     def test_m2z2_not_ni(self, m2z2):
         assert not is_NI(m2z2)
 
     def test_z4(self, z4):
         assert is_NI(z4)
-        assert z4.caches.nilpotents == {0, 2} == z4.caches.jacobson
+        assert members(z4.caches.is_nilpotent) == {0, 2} == members(z4.caches.is_jacobson)
 
 
 class TestClassify:
@@ -358,6 +364,11 @@ ORACLE_RINGS = (
 )
 
 
+# The fields of RingCaches that freeze reads off the power scan and the
+# sieves; power_indices and cycle_start are compared where the scan is.
+CACHE_FIELDS = ("is_unit", "inverse", "is_idempotent", "is_nilpotent", "is_jacobson")
+
+
 def _witness(R, x):
     return {"index": x, "element": R.format_element(x)}
 
@@ -371,12 +382,13 @@ def _oracle_report(R):
         flags[name] = failure is None
         if failure is not None:
             witnesses[name] = _witness(R, failure)
-    nils = sorted(R.caches.nilpotents)
+    is_nil, (add, _, _, mul) = R.caches.is_nilpotent, scalar_ops(R)
+    nils = np.flatnonzero(is_nil).tolist()
     escapes = itertools.chain(
-        (R.add(a, b) for a in nils for b in nils),
-        (p for a in nils for r in R.elements() for p in (R.mul(r, a), R.mul(a, r))),
+        (add(a, b) for a in nils for b in nils),
+        (p for a in nils for r in R.elements() for p in (mul(r, a), mul(a, r))),
     )
-    escape = next((s for s in escapes if s not in R.caches.nilpotents), None)
+    escape = next((s for s in escapes if not is_nil[s]), None)
     flags["NI"] = escape is None
     if escape is not None:
         witnesses["NI"] = _witness(R, escape)
@@ -388,13 +400,14 @@ def _oracle_report(R):
         "order": R.order,
         "flags": flags,
         "witnesses": witnesses,
-        "radicals": {"jacobson": len(R.caches.jacobson), "nil": len(nils)},
+        "radicals": {"jacobson": int(R.caches.is_jacobson.sum()), "nil": len(nils)},
     }
 
 
 def _brute_force_sets(R):
-    """(inverse map, idempotents, nilpotents, Jacobson radical) from R.mul."""
-    n, one, mul = R.order, R.one, R.mul
+    """(inverse map, idempotents, nilpotents, Jacobson radical) from the
+    scalar ops."""
+    n, one, (_, _, sub, mul) = R.order, R.one, scalar_ops(R)
     inverse = {}
     for u in range(n):
         v = next((v for v in range(n) if mul(u, v) == one and mul(v, u) == one), None)
@@ -403,7 +416,7 @@ def _brute_force_sets(R):
     idempotents = {e for e in range(n) if mul(e, e) == e}
     nilpotents = {x for x in range(n) if is_nilpotent(R, x)}
     jacobson = {
-        x for x in range(n) if all(R.sub(one, mul(y, x)) in inverse for y in range(n))
+        x for x in range(n) if all(sub(one, mul(y, x)) in inverse for y in range(n))
     }
     return inverse, idempotents, nilpotents, jacobson
 
@@ -413,11 +426,11 @@ def test_mask_engine_matches_scalar_deciders(ring):
     R = freeze(ring)
     assert R._mul_np is not None
     inverse, idempotents, nilpotents, jacobson = _brute_force_sets(R)
-    assert R.caches.unit_inverse == inverse
-    assert R.caches.units == set(inverse)
-    assert R.caches.idempotents == idempotents
-    assert R.caches.nilpotents == nilpotents
-    assert R.caches.jacobson == jacobson
+    assert inverse_map(R) == inverse
+    assert members(R.caches.is_unit) == set(inverse)
+    assert members(R.caches.is_idempotent) == idempotents
+    assert members(R.caches.is_nilpotent) == nilpotents
+    assert members(R.caches.is_jacobson) == jacobson
     # byte-identical JSON, key order included
     assert json.dumps(classify(R).to_json()) == json.dumps(_oracle_report(R))
     assert _left_ideal_masks(R)["left_morphic"].tolist() == left_morphic_reference(R)
@@ -430,8 +443,8 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
     monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
     S = freeze(standard_corpus()[index])
     assert R._mul_np is not None and S._mul_np is None
-    for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
-        assert getattr(S.caches, name) == getattr(R.caches, name), name
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(S.caches, name), getattr(R.caches, name)), name
     assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())
     assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
 
@@ -443,8 +456,8 @@ def test_row_path_matches_table_path_above_limit(monkeypatch):
     monkeypatch.setattr(kernel, "TABLE_LIMIT", 2048)
     R = freeze(trivial_extension(make_zmod(33)))
     assert R._mul_np is not None
-    for name in ("units", "unit_inverse", "idempotents", "nilpotents", "jacobson"):
-        assert getattr(S.caches, name) == getattr(R.caches, name), name
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(S.caches, name), getattr(R.caches, name)), name
     assert row_path == json.dumps(classify(R).to_json())
     assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
 
@@ -488,7 +501,7 @@ def test_idempotent_row_blocks_are_held_one_at_a_time():
     # the whole block, and the arrays of every block held at once would add
     # 768 KiB per block.
     R = freeze(functools.reduce(direct_product, [make_zmod(2)] * 10))
-    assert len(kernel._row_blocks(R, sorted(R.caches.idempotents))) == 4
+    assert len(kernel._row_blocks(R, np.flatnonzero(R.caches.is_idempotent))) == 4
     tracemalloc.start()
     try:
         _element_masks(R)
@@ -539,22 +552,23 @@ def test_power_scan_matches_scalar_deciders(ring):
     R = freeze(ring)
     if R._mul_np is not None:
         S = kernel.Ring(R.order, R.products, R.one, R.label, R.radices)
-        inverse, (m, k), powers = kernel._compute_units(S)
+        is_unit, inverse, (m, k), powers = kernel._compute_units(S)
         _, start = kernel._compute_nilpotents(S, m, powers)
         assert S._mul_np is None and powers is None
         assert np.array_equal(m, R.caches.power_indices[0])
         assert np.array_equal(k, R.caches.power_indices[1])
         assert np.array_equal(start, R.caches.cycle_start)
-        assert inverse == R.caches.unit_inverse
+        assert np.array_equal(is_unit, R.caches.is_unit)
+        assert np.array_equal(inverse, R.caches.inverse)
     m, k = R.caches.power_indices
     assert list(zip(m.tolist(), k.tolist())) == [periodic_indices(R, x) for x in R.elements()]
     assert (m == 1).tolist() == [is_strongly_regular(R, x) for x in R.elements()]
     start = R.caches.cycle_start.tolist()
     assert start == [ring_pow(R, x, int(m[x])) for x in R.elements()]
     assert [y == 0 for y in start] == [is_nilpotent(R, x) for x in R.elements()]
-    assert R.caches.units == set(R.caches.unit_inverse)
-    for u, v in R.caches.unit_inverse.items():
-        assert R.mul(u, v) == R.one == R.mul(v, u)
+    assert np.array_equal(R.caches.is_unit, R.caches.inverse >= 0)
+    for u, v in inverse_map(R).items():
+        assert ring_mul(R, u, v) == R.one == ring_mul(R, v, u)
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS + ABOVE_LIMIT)
@@ -576,7 +590,10 @@ def test_regularity_masks_match_scalar_deciders(ring):
                          ids=lambda R: R.label)
 def test_classify_rejects_a_wrong_power_scan(ring):
     R = freeze(ring)
-    R.caches.power_indices[0][0] = 2        # 0 = 0^2 loses its group inverse
+    m, k = R.caches.power_indices
+    m = m.copy()
+    m[0] = 2                                # 0 = 0^2 loses its group inverse
+    R.caches.power_indices = (m, k)
     with pytest.raises(RingAxiomError, match="strong regularity .* disagree at 0"):
         classify(R)
 
@@ -600,7 +617,7 @@ def test_generating_sets_match_row_oracles(ring):
                                        "strongly_unit_nil_clean")]
     rows = unit_row_masks(R, masks["nil_clean"], masks["strongly_nil_clean"])
     assert (np.stack(closed) == rows).all()
-    assert R.caches.jacobson == jacobson_rows(R)
+    assert members(R.caches.is_jacobson) == jacobson_rows(R)
     assert _ni_witness(R) == ni_search(R)
 
 
@@ -658,11 +675,11 @@ def test_unit_closure_of_gl_2_3_takes_more_than_one_pass():
     # greedy generators g, h (each of order at most 8) generate it, but one
     # pass along g and then h from {1} reaches only the 16 products h^j g^i.
     R = freeze(matrix_ring(make_zmod(3), 2))
-    units = R.caches.units
+    units = members(R.caches.is_unit)
     g = min(units - {R.one})
     h = min(units - {ring_pow(R, g, j) for j in range(8)})
     generators = [(kernel._mul_many(R, x, np.arange(R.order)), 3) for x in (g, h)]
-    one = kernel._indicator(R.order, [R.one])
+    one = np.arange(R.order) == R.one
     once = kernel._orbit_union(kernel._orbit_union(one, *generators[0]), *generators[1])
     assert once.sum() == 16
     assert set(np.flatnonzero(deciders._closure(one, generators)).tolist()) == units
@@ -678,13 +695,13 @@ def test_jacobson_sieve_cases(ring, jacobson, nil):
     # The cases the sieve must get right; test_generating_sets_match_row_oracles
     # holds each of these rings to the row-per-element J.
     R = freeze(ring)
-    assert (len(R.caches.jacobson), len(R.caches.nilpotents)) == (jacobson, nil)
+    assert (R.caches.is_jacobson.sum(), R.caches.is_nilpotent.sum()) == (jacobson, nil)
 
 
 def test_ni_fails_at_a_sum():
     # e12 + e21 in M(2, Z(2)) is not nilpotent: test (a) fails.
     R = freeze(matrix_ring(make_zmod(2), 2))
-    assert not deciders._nil_is_ideal(R, kernel._indicator(R.order, R.caches.nilpotents))
+    assert not deciders._nil_is_ideal(R, R.caches.is_nilpotent)
     witness = _ni_witness(R)
     assert witness is not None and witness == ni_search(R)
     assert not is_nilpotent(R, witness)
@@ -697,8 +714,8 @@ def test_ni_fails_at_a_product():
     # leaves it.
     R = freeze(matrix_ring(make_zmod(2), 2))
     e12 = R.encode(((0, 1), (0, 0)))
-    R.caches.nilpotents = frozenset({0, e12})
-    assert R.add(e12, e12) == 0
-    assert not deciders._nil_is_ideal(R, kernel._indicator(R.order, R.caches.nilpotents))
+    R.caches.is_nilpotent = np.isin(np.arange(R.order), [0, e12])
+    assert ring_add(R, e12, e12) == 0
+    assert not deciders._nil_is_ideal(R, R.caches.is_nilpotent)
     witness = _ni_witness(R)
     assert witness not in (None, 0, e12) and witness == ni_search(R)

@@ -124,8 +124,8 @@ def test_periodic_subset():
 def test_periodic_catches_wrong_pair(monkeypatch):
     # A power scan that gives (m, k) = (1, 2) for every element: x = x^2
     # fails at 2, the least element of Z(4)[C2] that is not idempotent.
-    monkeypatch.setattr(kernel, "_power_scan", lambda R: (
-        np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64)))
+    monkeypatch.setattr(kernel, "_power_scan", lambda R: kernel._Scan((
+        np.ones(R.order, dtype=np.int64), np.full(R.order, 2, dtype=np.int64))))
     report = suite_periodic([(make_zmod(4), cyclic(2))])
     assert not report.ok and report.failures[0]["got"] == "aperiodic"
     assert report.failures[0]["witness"] == "2*g0"
@@ -190,10 +190,11 @@ def test_falsify_records_classify_cross_check_failure(monkeypatch, capsys):
     scan = kernel._power_scan
 
     def wrong_scan(R):       # at instance 3 only, 0 = 0^2 loses its group inverse
-        m, k = scan(R)
+        found = scan(R)
+        m, _ = found
         if R.label == labels[3]:
             m[0] = 2
-        return m, k
+        return found
 
     monkeypatch.setattr(kernel, "_power_scan", wrong_scan)
     report = falsify(SearchConfig(seed=0, count=8))
@@ -217,7 +218,7 @@ def _flip_last_unit(monkeypatch, label):
     def wrong_masks(R):
         masks = left_ideal_masks(R)
         if R.label == label:
-            flipped.append(max(R.caches.units))
+            flipped.append(int(np.flatnonzero(R.caches.is_unit)[-1]))
             masks["left_morphic"][flipped[-1]] = False
         return masks
 
@@ -298,15 +299,17 @@ def test_falsifier_checks_strong_regularity_by_definition(monkeypatch):
     scan = kernel._power_scan
 
     def wrong_scan(R):
-        m, k = scan(R)
+        found = scan(R)
+        m, _ = found
         if R.label == "Z(8)":
             m[4] = 1
-        return m, k
+        return found
 
     monkeypatch.setattr(kernel, "_power_scan", wrong_scan)
     R, failures = make_zmod(8), []
     harness._check_instance(R, failures)
-    assert (R.caches.nilpotents, R.caches.jacobson) == ({0, 2, 6}, {0, 2, 4, 6})
+    assert np.flatnonzero(R.caches.is_nilpotent).tolist() == [0, 2, 6]
+    assert np.flatnonzero(R.caches.is_jacobson).tolist() == [0, 2, 4, 6]
     witness = {"index": 4, "element": "4"}
     assert failures == [
         {"case": "Z(8)", "expected": "J ⊆ Nil", "got": "violated", "witness": witness},

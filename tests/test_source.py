@@ -4,7 +4,7 @@ import ast
 import re
 from pathlib import Path
 
-from finring import deciders
+from finring import deciders, freeze, make_zmod
 from finring.cli import GROUPS, RINGS, parse, unparse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,15 +22,20 @@ def test_no_assert_statements():
 
 
 def test_package_makes_no_scalar_product():
-    # No module calls a scalar .mul(: every product goes through _mul_many,
-    # whole arrays at a time, so that no scalar product loop comes back into
-    # the package (above TABLE_LIMIT each scalar product is a Python loop
-    # over the nonzero structure constants of its own).
+    # No module calls a scalar .add(, .neg(, .mul( or .sub( (numpy's ufuncs
+    # aside), and a frozen ring has no such op: every sum, difference and
+    # product goes through _add_many, _sub_many and _mul_many, whole arrays
+    # at a time, so that the ring ops keep one definition and no scalar loop
+    # comes back into the package (above TABLE_LIMIT each scalar product is
+    # a Python loop over the nonzero structure constants of its own).
+    ops = ("add", "neg", "mul", "sub")
     found = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "mul"]
+             and node.func.attr in ops and ast.unparse(node.func.value) != "np"]
     assert found == []
+    for R in (freeze(make_zmod(6)), freeze(make_zmod(1031))):
+        assert not [op for op in ops if hasattr(R, op)], R.label
 
 
 def test_constructions_have_one_scalar_product():
@@ -93,9 +98,9 @@ def test_ring_level_sets_read_no_row_per_element_or_unit():
             if isinstance(top, ast.FunctionDef) and top.name == "_left_orbit_keys":
                 guard = top.body[1]                     # after the docstring
                 assert ast.unparse(guard) == "if R._mul_np is None:\n    return None"
-    assert found == [("_left_orbit_keys", "np.fromiter(units, np.int64, len(units))"),
+    assert found == [("_left_orbit_keys", "np.flatnonzero(is_unit)"),
                      ("_left_ideal_masks", "every"), ("_ni_witness", "N"), ("_ni_witness", "N"),
-                     ("_undivided_masks", "sorted(caches.idempotents)")]
+                     ("_undivided_masks", "np.flatnonzero(is_idempotent)")]
     assert "_row_blocks" not in ast.unparse(ast.parse((PACKAGE / "harness.py").read_text()))
 
 
