@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import RingAxiomError
+from .fastpath import factorize
 from .kernel import (
     CLASSIFY_CAP,
     Ring,
@@ -25,18 +26,6 @@ from .kernel import (
     _powers,
     freeze,
 )
-
-
-def _prime_factors(n: int) -> list:
-    """The distinct primes dividing n, in increasing order."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
 
 
 def _place_weights(radices) -> np.ndarray:
@@ -54,13 +43,15 @@ def _primary_blocks(R: Ring) -> tuple:
     does not divide r_l), and it is a ring whose product is the bilinear
     extension of the reduced generator products: g_i*g_j has the digits
     C[i, j, l] mod p^v_p(r_l), and its one is R.one reduced the same way.
-    phi_p, an int64 array of length n read off the cached digits of R, is
-    the block index of e_p*x for every x.  Nothing here multiplies."""
-    D, _, r, w = _digits(R)
+    phi_p, an int64 array of length n, is the block index of e_p*x for
+    every x: wp @ (DT % rp), the digits DT of R (`kernel._digits`) reduced
+    to R_p's radices rp and weighed by R_p's weights wp.  Nothing here
+    multiplies."""
+    DT, r, w = _digits(R)
     C = _constants(R)[0]
     place = [l for l, q in enumerate(R.radices) if q > 1]
     blocks = []
-    for p in _prime_factors(R.order):
+    for p, _ in factorize(R.order).factors:
         radices = tuple(math.gcd(q, p ** q.bit_length()) for q in R.radices)   # p^v_p(q)
         rp = np.array(radices, dtype=np.int64)[place]
         wp = _place_weights(radices)[place]
@@ -68,7 +59,7 @@ def _primary_blocks(R: Ring) -> tuple:
         B = Ring(order=math.prod(radices), products=C[own][:, own] % rp @ wp,
                  one=int(R.one // w % r % rp @ wp), label=f"{p}-part of {R.label}",
                  radices=radices, kind="block", meta={"prime": p})
-        blocks.append((p, B, D % rp @ wp))
+        blocks.append((p, B, wp @ (DT % rp[:, None])))
     return tuple(blocks)
 
 
@@ -86,7 +77,7 @@ def _freeze_split(R: Ring, blocks: tuple, cap: int = CLASSIFY_CAP) -> Ring:
     under ``python -O``, as does a block, whose label names R and p.
     """
     n = R.order
-    _, _, r, w = _digits(R)
+    _, r, w = _digits(R)
     place = [l for l, q in enumerate(R.radices) if q > 1]
     is_unit, is_idempotent, is_nilpotent, is_jacobson = (np.ones(n, dtype=bool) for _ in range(4))
     m, period = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)

@@ -378,7 +378,7 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     """
     if R.order > cap:
         raise CapExceededError(f"classification of {R.label} exceeds cap {cap}")
-    freeze(R)
+    freeze(R, cap)
     report = PropertyReport(label=R.label, order=R.order)
     nilpotents = np.flatnonzero(R.caches.is_nilpotent)
     report.jacobson_size = int(R.caches.is_jacobson.sum())

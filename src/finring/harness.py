@@ -182,18 +182,18 @@ def suite_connell(cases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
 
 
 @_timed
-def suite_matrix_sunc(bases=None, k: int = 2, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
-    """Strong unit nil-cleanness transfers between an NI base and M_k(base)."""
+def suite_matrix_sunc(bases=None, cap: int = DEFAULT_RING_CAP) -> SuiteReport:
+    """Strong unit nil-cleanness transfers between an NI base and M_2(base)."""
     report = SuiteReport("matrix-sunc", "consistency")
     if bases is None:
         bases = [make_zmod(1), make_zmod(2), make_zmod(4)]
     for base in bases:
-        case = f"M({k}, {base.label})"
+        case = f"M(2, {base.label})"
         freeze(base)
         if not deciders.is_NI(base):
             report.skipped.append(f"{case}: base not NI")
             continue
-        M = _frozen(report, case, lambda: matrix_ring(base, k, cap=cap), cap)
+        M = _frozen(report, case, lambda: matrix_ring(base, 2, cap=cap), cap)
         if M is None:
             continue
         base_flag = deciders.classify(base).flags["strongly_unit_nil_clean"]
@@ -338,7 +338,6 @@ class SearchConfig:
     seed: int = 0
     count: int = 100
     order_cap: int = 256
-    weights: Optional[dict] = None
     only: Optional[int] = None      # check only the instance of this index
 
     DEFAULT_WEIGHTS = {
@@ -360,8 +359,8 @@ _IMPLICATIONS = [
 ]
 
 
-def _random_instance(rng: random.Random, cap: int, weights: Optional[dict] = None):
-    weights = weights or SearchConfig.DEFAULT_WEIGHTS
+def _random_instance(rng: random.Random, cap: int):
+    weights = SearchConfig.DEFAULT_WEIGHTS
     kinds = sorted(weights)
     kind = rng.choices(kinds, weights=[weights[k] for k in kinds])[0]
     if kind == "zmod":
@@ -486,7 +485,7 @@ def falsify(config: SearchConfig) -> SuiteReport:
     for index in range(count):
         replayed = config.only is None or index == config.only
         try:
-            R = _random_instance(rng, cap, config.weights)
+            R = _random_instance(rng, cap)
         except CapExceededError as exc:
             if replayed:
                 report.skipped.append(str(exc))

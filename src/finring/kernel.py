@@ -13,8 +13,10 @@ digits are the structure constants.  Up to TABLE_LIMIT the mul table is
 built from them; above it products are computed from them directly, and
 verify_ring_axioms checks them alone.  Products of many elements at once
 go through ``_mul_many``: a lookup in the mul table when it exists, else
-the product of digit vectors through the structure constants, one term per
-nonzero constant, so a whole row x*R or column R*x costs O(n * |g|) memory.
+one sum of one term per nonzero structure constant over the digits, for
+rows, columns and elementwise products alike, read from the one cached
+digit-major digit matrix (``_digits``), so a whole row x*R or column R*x
+costs O(n * |g|) memory.
 Sums and differences go through ``_add_many`` and ``_sub_many``.  A ring
 whose radices are all powers of 2 has no add or neg table at any order:
 an index's bits are its digits, and its sums are carry-free bit arithmetic
@@ -62,6 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, RingAxiomError
+from .fastpath import factorize
 
 # Order caps.  Exhaustive classification reads every element: O(sqrt(order))
 # whole-ring products for the power scan, and one whole-ring pass per
@@ -361,10 +364,11 @@ def _constants(R: Ring) -> tuple:
 
 
 def _structure_constants(R: Ring) -> tuple:
-    """(C, r, w, terms) of R, built by its first product without op tables
-    and cached: (C, r, w) of `_constants`, and terms[l], the triples
-    (i, j, c) with C[i, j, l] = c != 0, that is, c != 0 mod r_l.  Nothing
-    of size n.
+    """(r, w, terms) of R, built by its first product without op tables
+    and cached: the radices r and weights w of `_constants`, and terms[l],
+    the triples (i, j, c) with C[i, j, l] = c != 0, that is, c != 0 mod r_l,
+    for the structure constants C of `_constants`, which are not kept.
+    Nothing of size n.
 
     The general product of `_mul_many` sums c * a_i * b_j over terms[l]
     before it reduces mod r_l.  Each term is at most
@@ -387,20 +391,19 @@ def _structure_constants(R: Ring) -> tuple:
             if bound >= 2**63:
                 raise CapExceededError(f"{R.label}: a product digit sums to {bound} before "
                                        f"it is reduced, past the int64 range")
-        R._structure = (C, r, w, terms)
+        R._structure = (r, w, terms)
     return R._structure
 
 
 def _digits(R: Ring) -> tuple:
-    """(D, DT, r, w): the radices r and weights w of `_constants`,
-    D[x, l] = x // w_l % r_l, digit l of x, an n x |g| matrix, and DT, the
-    same digits digit-major (|g| x n, each digit's row contiguous for the
-    general product of `_mul_many`); built on first use and cached.  An
-    index is the reduced digits times w."""
+    """(DT, r, w): the radices r and weights w of `_constants`, and
+    DT[l, x] = x // w_l % r_l, digit l of x, a digit-major |g| x n matrix
+    (each digit's row contiguous for the term sum of `_mul_many` and the
+    sums of `_digit_sum`); built on first use and cached, the one copy of
+    the digits.  An index is the reduced digits times w."""
     if R._digits is None:
         _, r, w = _constants(R)
-        DT = np.arange(R.order) // w[:, None] % r[:, None]
-        R._digits = (np.ascontiguousarray(DT.T), DT, r, w)
+        R._digits = (np.arange(R.order) // w[:, None] % r[:, None], r, w)
     return R._digits
 
 
@@ -412,15 +415,16 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     tables' dtype TABLE_DTYPE (widen it before any arithmetic).  Without
     tables (above TABLE_LIMIT, or before `_build_tables`), it multiplies
     digit vectors: the product is the bilinear extension of R.products, so
-    a*b = sum over i, j of a_i * b_j * (g_i*g_j).  A single a against many b
-    gives the row a*b as one |g| x |g| matrix (the digits of a*g_j) applied
-    to the digits of b, a single b likewise the column.  Otherwise digit l
-    of a*b is the sum of c * a_i * b_j over the nonzero structure constants
-    c = C[i, j, l] (`_structure_constants`, which bounds the sum below
-    2^63), reduced mod r_l and added times w_l straight into the index:
-    nnz(C) multiply-adds per product, with O(size) temporaries besides the
-    digits of a and b.  The digits of a single element are read as
-    x // w % r, so one product builds nothing of size n.
+    a*b = sum over i, j of a_i * b_j * (g_i*g_j): digit l of a*b is the sum
+    of c * a_i * b_j over the nonzero structure constants c = C[i, j, l]
+    (`_structure_constants`, which bounds the sum below 2^63), reduced mod
+    r_l and added times w_l straight into the index: nnz(C) multiply-adds
+    per product, with O(size) temporaries besides the digits of a and b.
+    The digits of a single element are Python ints x // w % r, so one
+    product builds nothing of size n, and each joins the coefficient c of
+    its terms: a row a*R or a column R*b sums, over the columns of DT
+    (`_digits`), only the terms of a's or b's nonzero digits, and
+    multiplies none whose c times that digit is 1.
 
     The operands are element indices, 0 <= x < n: every caller passes
     table entries, aranges or the caches' elements, and the public entry
@@ -435,24 +439,20 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
         if b.shape[1:] == (1,) and _every(R, a):
             return R._mul_np[:, b[:, 0]].T             # the columns R*b
         return _take(R._mul_np, a, b)
-    C, r, w, terms = _structure_constants(R)
-    shape = np.broadcast(a, b).shape
-    if a.size == 1 < b.size:     # [j, l] -> digit l of a*g_j
-        D, L = _digits(R)[0], len(r)
-        digits = D.take(b, 0) @ ((D[a.item()] @ C.reshape(L, L * L)).reshape(L, L) % r)
-        return (digits % r @ w).reshape(shape)
-    if b.size == 1 < a.size:     # [i, l] -> digit l of g_i*b
-        D = _digits(R)[0]
-        digits = D.take(a, 0) @ (C.transpose(0, 2, 1) @ D[b.item()] % r)
-        return (digits % r @ w).reshape(shape)
+    r, w, terms = _structure_constants(R)
     radix, weight = r.tolist(), w.tolist()
     da, db = (_digit_columns(R, x, radix, weight) for x in (a, b))
-    index = np.zeros(shape, dtype=np.int64)
+    one_a, one_b = a.size == 1, b.size == 1
+    index = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
     for triples, q, v in zip(terms, radix, weight):
         digit = 0
         for i, j, c in triples:
-            term = da[i] * db[j]
-            digit = digit + (term if c == 1 else c * term)
+            if one_a or one_b:      # a single element's digit joins c
+                c, term = (c * da[i], db[j]) if one_a else (c * db[j], da[i])
+            else:
+                term = da[i] * db[j]
+            if c:
+                digit = digit + (term if c == 1 else c * term)
         index += digit % q * v
     return index
 
@@ -464,7 +464,7 @@ def _digit_columns(R: Ring, x: np.ndarray, radix: list, weight: list):
     if x.size == 1:
         x = x.item()
         return [x // v % q for q, v in zip(radix, weight)]
-    return _digits(R)[1].take(x, 1)
+    return _digits(R)[0].take(x, 1)
 
 
 def _every(R: Ring, x: np.ndarray) -> bool:
@@ -525,11 +525,9 @@ def _digit_sum(R: Ring, a, b, op) -> np.ndarray:
     element, its digits are Python ints (`_digit_columns`) added to or
     subtracted from the digit-major rows of the other's digits: |g| vector
     ops of its size, and one gather of its digits.  Otherwise both sides'
-    digits are gathered from D."""
+    digits are gathered from DT (`_digits`) and summed row by row."""
     a, b = np.asarray(a), np.asarray(b)
-    D, _, r, w = _digits(R)
-    if a.size > 1 and b.size > 1:
-        return op(D.take(a, 0), D.take(b, 0)) % r @ w
+    _, r, w = _digits(R)
     radix, weight = r.tolist(), w.tolist()
     da, db = (_digit_columns(R, x, radix, weight) for x in (a, b))
     index = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -910,8 +908,8 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
             f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
         )
     if R.order > TABLE_LIMIT:
-        from .blocks import _freeze_split, _prime_factors, _primary_blocks   # blocks imports kernel
-        if len(_prime_factors(R.order)) > 1:
+        from .blocks import _freeze_split, _primary_blocks   # blocks imports kernel
+        if len(factorize(R.order).factors) > 1:
             return _freeze_split(R, _primary_blocks(R), cap)
     return _freeze_undivided(R)
 

@@ -477,6 +477,17 @@ def test_row_path_memory_is_linear_in_order():
         assert peak < 2 * 2**20, (R.label, peak)
 
 
+def test_classify_freezes_at_its_own_cap():
+    # classify hands its cap to freeze: the prime field Z(5003) is above the
+    # default cap of 4096 and below 8192, and is classified as every odd
+    # prime field is, with the same flags and witnesses as Z(5).
+    R = make_zmod(5003)
+    assert kernel.CLASSIFY_CAP < R.order
+    report, small = classify(R, cap=8192), classify(make_zmod(5))
+    assert R.frozen and report.order == 5003
+    assert report.flags == small.flags and report.witnesses == small.witnesses
+
+
 def test_ni_witness_peak_is_below_the_mask_engine():
     # _ni_witness keeps boolean escape masks, not a stack of the products,
     # and the mask engine holds a few row blocks of the 1024 x 1024 table

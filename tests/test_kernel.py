@@ -1145,7 +1145,8 @@ def test_product_terms_are_the_nonzero_structure_constants(expr, nonzero):
     # list holds each of them once, with its coefficient, and nothing else,
     # and building it builds nothing of size n.
     R = elaborate(parse(expr))
-    C, r, w, terms = kernel._structure_constants(R)
+    r, w, terms = kernel._structure_constants(R)
+    C = kernel._constants(R)[0]
     assert len(terms) == len(r)
     assert sum(map(len, terms)) == np.count_nonzero(C) == nonzero
     rebuilt = np.zeros_like(C)
@@ -1211,6 +1212,20 @@ def test_one_product_builds_nothing_of_the_ring_order():
         tracemalloc.stop()
     assert got == bilinear_product(F, 5, 7)
     assert F._digits is None and peak < 2**20, peak
+
+
+@pytest.mark.parametrize("expr", ["M(2, Z(8))", "GR(Z(2), C(12))"])
+def test_one_digit_matrix_is_cached(expr):
+    # Above TABLE_LIMIT an undivided ring multiplies by the term sum over
+    # the digit-major digits DT alone: after freeze and classify, R._digits
+    # holds one |g| x n digit matrix, and no element-major copy of it.
+    R = elaborate(parse(expr))
+    assert R.order > kernel.TABLE_LIMIT
+    classify(freeze(R))
+    assert R._blocks is None and R._mul_np is None
+    g, n = len(kernel._additive_generators(R)), R.order
+    matrices = [x for x in R._digits if isinstance(x, np.ndarray) and x.size >= n]
+    assert [m.shape for m in matrices] == [(g, n)]
 
 
 def test_product_radices():
