@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .errors import CapExceededError, RingAxiomError
 from .kernel import (
     CLASSIFY_CAP,
@@ -71,8 +72,13 @@ def _left_ideal_masks(R: Ring) -> dict:
     The column R*b gives both l(b) and the principal left ideal R*b, each
     keyed as one ``np.packbits`` row; x is left-morphic iff its key pair
     (l(x), R*x) is among the pairs (R*b, l(b)).  Columns are read in the
-    row blocks of ``kernel._row_blocks``: O(n^2) products.
+    row blocks of ``kernel._row_blocks``: O(n^2) products.  So R gets its
+    own op tables first (``kernel._build_tables``, a no-op above
+    TABLE_LIMIT or where they exist): a ring that ``freeze`` split into its
+    p-primary blocks has none, and the tables are built from R.products,
+    not from the blocks, so the keys stay independent of the split.
     """
+    kernel._build_tables(R)
     n = R.order
     every = np.arange(n)
     ann, ideal = [], []
@@ -97,11 +103,12 @@ def _left_ideal_masks(R: Ring) -> dict:
 # -- NI ----------------------------------------------------------------------
 
 
-def is_NI(R: Ring) -> bool:
+def is_NI(R: Ring, cap: int = CLASSIFY_CAP) -> bool:
     """The nilpotents form a two-sided ideal: every sum of two nilpotents and
     every product of a nilpotent with an element is nilpotent (`_ni_witness`).
+    R is frozen at `cap`, as in ``classify``.
     """
-    freeze(R)
+    freeze(R, cap)
     return _ni_witness(R) is None
 
 
@@ -275,7 +282,8 @@ def _undivided_masks(R: Ring) -> dict:
         clean |= is_unit[diff].any(0)
         nil_clean |= nil_diff.any(0)
         i, j = np.nonzero(nil_diff)                     # x_j - e_i nilpotent
-        e, d = es[i, 0], diff[i, j]
+        e = int(es[0, 0]) if len(es) == 1 else es[i, 0]     # one e: single-element products
+        d = diff[i, j]
         snc[j[_mul_many(R, e, d) == _mul_many(R, d, e)]] = True
         del diff, nil_diff, i, j, e, d                  # before the next block's
     unit_regular, unc, sunc = _unit_multiples(R, np.stack((is_idempotent, nil_clean, snc)))
@@ -369,8 +377,8 @@ def classify(R: Ring, cap: int = CLASSIFY_CAP) -> PropertyReport:
     the whole-ring masks of ``_element_masks``, and the witness is the first
     False in the mask.  Those masks read x - e in the row blocks of
     ``kernel._row_blocks`` for each idempotent e (up to ROW_BLOCK // n rows
-    of the op table when the ring has one, and above TABLE_LIMIT one row at
-    a time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
+    of the op table when the ring has one, and without it one row at a
+    time from ``kernel._mul_many``, in O(n * |g|) memory for a ring with
     radices), the rows u*R of the units in the same row blocks where the
     ring has op tables (one row g*R per generator g of the unit group where
     it has none), and one row for each re-verified least False.  The flags

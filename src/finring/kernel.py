@@ -47,12 +47,14 @@ indices and the cycle starts.  A Ring has no scalar ops: one element or
 many, every sum, difference and product goes through the three functions
 above.
 
-A ring above TABLE_LIMIT whose order has two or more prime factors is
-frozen as its p-primary blocks R_p = e_p*R instead (``blocks``): R is their
-direct product, each block small enough gets op tables, and R's caches,
-and the element masks of ``deciders``, are read back from the blocks'
-through x -> e_p*x.  Every other ring, and every block, is frozen on
-itself.
+A ring of order n > 512 (n*n > ROW_BLOCK) whose order has two or more
+prime factors is frozen as its p-primary blocks R_p = e_p*R instead
+(``blocks``): R is their direct product, each block small enough gets op
+tables, and R's caches, and the element masks of ``deciders``, are read
+back from the blocks' through x -> e_p*x.  R itself then has no op
+tables, even up to TABLE_LIMIT: its own checks read the term sum, and the
+blocks' tables hold sum_p n_p^2 entries where R's would hold n^2.  Every
+other ring, and every block, is frozen on itself.
 """
 
 from __future__ import annotations
@@ -413,8 +415,9 @@ def _mul_many(R: Ring, a, b) -> np.ndarray:
     With op tables this is a lookup, of whole rows or columns when one side
     is a column block (k, 1) and the other every element in order, in the
     tables' dtype TABLE_DTYPE (widen it before any arithmetic).  Without
-    tables (above TABLE_LIMIT, or before `_build_tables`), it multiplies
-    digit vectors: the product is the bilinear extension of R.products, so
+    tables (above TABLE_LIMIT, on a ring split into its blocks, or before
+    `_build_tables`), it multiplies digit vectors: the product is the
+    bilinear extension of R.products, so
     a*b = sum over i, j of a_i * b_j * (g_i*g_j): digit l of a*b is the sum
     of c * a_i * b_j over the nonzero structure constants c = C[i, j, l]
     (`_structure_constants`, which bounds the sum below 2^63), reduced mod
@@ -894,12 +897,18 @@ def _freeze_undivided(R: Ring) -> Ring:
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     """Populate the structural caches; idempotent; returns the same ring.
 
-    A ring above TABLE_LIMIT whose order has two or more prime factors is
-    frozen as its p-primary blocks (``blocks._primary_blocks`` and
-    ``blocks._freeze_split``), each block with op tables when it is small
-    enough, and R keeps the blocks in R._blocks for ``deciders``; any other
-    ring is frozen on itself (`_freeze_undivided`).  The caches are the
-    same either way.
+    A ring of order n > 512 (n*n > ROW_BLOCK) whose order has two or more
+    prime factors is frozen as its p-primary blocks
+    (``blocks._primary_blocks`` and ``blocks._freeze_split``), each block
+    with op tables when it is small enough, and R keeps the blocks in
+    R._blocks for ``deciders``; any other ring is frozen on itself
+    (`_freeze_undivided`).  The caches are the same either way.  The gate
+    is where the split measured faster (freeze and classify, best of 9, on
+    a 2-CPU Xeon): split took 1.05 to 2.95 times as long as undivided on
+    orders 210 to 288, 0.95 to 1.28 times on Triv(Z(21)) (order 441), and
+    0.32 to 0.96 times on orders 576 to 1000 (U(2, Z(10)), 5.8 -> 1.9 ms),
+    since an undivided ring of composite order fills its n^2 op-table
+    entries by a gather from its add table.
     """
     if R.caches is not None:
         return R
@@ -907,7 +916,7 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
         raise CapExceededError(
             f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
         )
-    if R.order > TABLE_LIMIT:
+    if R.order * R.order > ROW_BLOCK:
         from .blocks import _freeze_split, _primary_blocks   # blocks imports kernel
         if len(factorize(R.order).factors) > 1:
             return _freeze_split(R, _primary_blocks(R), cap)

@@ -16,8 +16,9 @@ FIELDS = ("is_unit", "inverse", "is_idempotent", "is_nilpotent", "is_jacobson", 
 
 
 # (expression, the orders of its blocks, whether freeze splits it, cap).
-# freeze splits every ring above TABLE_LIMIT whose order has two prime
-# factors or more; the others are split here through blocks._freeze_split.
+# freeze splits every ring of order above 512 (order * order > ROW_BLOCK)
+# whose order has two prime factors or more; the others are split here
+# through blocks._freeze_split.
 # M(2, Z(6)) is not NI, so the ordered NI search runs on R; Z(12) x Z(10)
 # has radices that are not prime powers, so its blocks have places of
 # radix 1; M(2, Z(12)) is past the cap.
@@ -28,7 +29,7 @@ SPLIT_RINGS = [
     ("M(2, Z(6))", [16, 81], True, kernel.CLASSIFY_CAP),
     ("GR(Z(6), C(4))", [16, 81], True, kernel.CLASSIFY_CAP),
     ("Z(2) x Z(3) x Z(5) x Z(7)", [2, 3, 5, 7], False, kernel.CLASSIFY_CAP),
-    ("U(2, Z(10))", [8, 125], False, kernel.CLASSIFY_CAP),
+    ("U(2, Z(10))", [8, 125], True, kernel.CLASSIFY_CAP),
     ("Z(12) x Z(10)", [8, 3, 5], False, kernel.CLASSIFY_CAP),
     ("M(2, Z(12))", [256, 81], True, 20736),
 ]
@@ -119,3 +120,54 @@ def test_split_rings_read_few_products(expr, frozen, classified, monkeypatch):
     calls.clear()
     classify(R)
     assert calls == classified
+
+
+# Orders on both sides of the split's gate, order * order > ROW_BLOCK, that
+# is order > 512: (expression, whether freeze splits it).
+GATE_RINGS = [
+    ("Z(210)", False),
+    ("Triv(Z(21))", False),                   # order 441
+    ("GR(Z(3), S(3))", False),                # order 729 = 3^6, a prime power
+    ("Z(3) x GR(Z(2), C(8))", True),          # order 768
+    ("U(2, Z(10))", True),                    # order 1000
+]
+
+
+@pytest.mark.parametrize("expr, split", GATE_RINGS, ids=[row[0] for row in GATE_RINGS])
+def test_split_gate_is_order_512(expr, split):
+    # freeze splits a ring of order above 512 whose order has two prime
+    # factors or more, and has it read no op tables of its own; any other
+    # ring up to TABLE_LIMIT gets them.  Either way the caches and the
+    # classify report equal those of the ring frozen undivided, which has
+    # op tables.
+    R, whole = (elaborate(parse(expr)) for _ in range(2))
+    freeze(R)
+    kernel._freeze_undivided(whole)
+    assert (R.order * R.order > kernel.ROW_BLOCK) == (R.order > 512)
+    assert (R._blocks is not None, R._mul_np is None) == (split, split)
+    assert whole._blocks is None and whole._mul_np is not None
+    for name in FIELDS:
+        assert np.array_equal(getattr(R.caches, name), getattr(whole.caches, name)), name
+    assert json.dumps(classify(R).to_json()) == json.dumps(classify(whole).to_json())
+
+
+@pytest.mark.parametrize("expr", ["Triv(Z(24))", "U(2, Z(10))"])
+def test_left_ideal_masks_build_the_split_rings_own_tables(expr):
+    # A ring split at order <= TABLE_LIMIT has no op tables after freeze.
+    # _left_ideal_masks reads n^2 products, so it builds R's own tables from
+    # R.products, the tables of the ring frozen undivided, and reads none of
+    # its blocks'.  Its left-morphic mask equals the column-pass oracle,
+    # read first, on the term sum, and all three masks equal those of the
+    # undivided ring.
+    R, whole = (elaborate(parse(expr)) for _ in range(2))
+    freeze(R)
+    kernel._freeze_undivided(whole)
+    assert R._blocks is not None and R._mul_np is None
+    reference = _oracles.left_morphic_reference(R)
+    masks = deciders._left_ideal_masks(R)
+    assert np.array_equal(R._mul_np, whole._mul_np)
+    assert masks["left_morphic"].tolist() == reference
+    undivided = deciders._left_ideal_masks(whole)
+    assert list(masks) == list(undivided)
+    for name, mask in masks.items():
+        assert np.array_equal(mask, undivided[name]), name

@@ -226,12 +226,16 @@ class TestCommands:
         assert payload["units"] == 6 and payload["order"] == 16
 
     def test_info_names_the_blocks(self, capsys):
-        # A ring above TABLE_LIMIT whose order has two prime factors is
-        # frozen as its p-primary blocks; the text census names them, and
-        # the JSON census stays the same keys.
+        # A ring of order above 512 whose order has two prime factors is
+        # frozen as its p-primary blocks, above TABLE_LIMIT (Triv(Z(33)),
+        # order 1089) and below it (U(2, Z(10)), order 1000); the text
+        # census names them, and the JSON census stays the same keys.
         assert main(["info", "Triv(Z(33))"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "  blocks: 3-part (order 9), 11-part (order 121)"
+        assert main(["info", "U(2, Z(10))"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "  blocks: 2-part (order 8), 5-part (order 125)"
         assert main(["info", "Triv(Z(33))", "--json"]) == 0
         assert set(json.loads(capsys.readouterr().out)) == {
             "label", "order", "units", "idempotents", "nilpotents", "jacobson"}

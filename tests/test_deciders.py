@@ -450,16 +450,26 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
 
 
 def test_row_path_matches_table_path_above_limit(monkeypatch):
+    # Triv(Z(33)) (order 1089) split by freeze, undivided on the row path,
+    # and undivided on the table path: freeze splits it at every
+    # TABLE_LIMIT, so the undivided rings are frozen by _freeze_undivided,
+    # the last one with the limit raised.
     S = freeze(trivial_extension(make_zmod(33)))
-    assert S.order > kernel.TABLE_LIMIT and S._mul_np is None
-    row_path = json.dumps(classify(S).to_json())
+    W = kernel._freeze_undivided(trivial_extension(make_zmod(33)))
+    assert S.order > kernel.TABLE_LIMIT and S._mul_np is None and S._blocks is not None
+    assert W._mul_np is None and W._blocks is None
+    rows = [(json.dumps(classify(R).to_json()), _left_ideal_masks(R)["left_morphic"])
+            for R in (S, W)]
     monkeypatch.setattr(kernel, "TABLE_LIMIT", 2048)
-    R = freeze(trivial_extension(make_zmod(33)))
-    assert R._mul_np is not None
-    for name in CACHE_FIELDS:
-        assert np.array_equal(getattr(S.caches, name), getattr(R.caches, name)), name
-    assert row_path == json.dumps(classify(R).to_json())
-    assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
+    T = kernel._freeze_undivided(trivial_extension(make_zmod(33)))
+    assert T._mul_np is not None and T._blocks is None
+    for R in (S, W):
+        for name in CACHE_FIELDS:
+            assert np.array_equal(getattr(R.caches, name), getattr(T.caches, name)), name
+    table_path = json.dumps(classify(T).to_json())
+    for report, left_morphic in rows:
+        assert report == table_path
+        assert (left_morphic == _left_ideal_masks(T)["left_morphic"]).all()
 
 
 def test_row_path_memory_is_linear_in_order():
@@ -486,6 +496,14 @@ def test_classify_freezes_at_its_own_cap():
     report, small = classify(R, cap=8192), classify(make_zmod(5))
     assert R.frozen and report.order == 5003
     assert report.flags == small.flags and report.witnesses == small.witnesses
+
+
+def test_is_ni_freezes_at_its_own_cap():
+    # is_NI hands its cap to freeze, as classify does: Z(5003), above the
+    # default cap, is NI at cap 8192, and its default cap still refuses it.
+    assert is_NI(make_zmod(5003), cap=8192)
+    with pytest.raises(CapExceededError, match="exceeds cap 4096"):
+        is_NI(make_zmod(5003))
 
 
 def test_ni_witness_peak_is_below_the_mask_engine():
@@ -664,8 +682,15 @@ def test_orbit_keys_match_closure_on_the_corpus():
 
 
 def test_orbit_keys_match_closure_on_the_classify_pools():
+    # Six rings split in two: Triv(Z(33)), Triv(Z(34)) and
+    # Z(5) x Triv(Z(15)) above TABLE_LIMIT, and the three U(2, .) of order
+    # 1000 above the split's gate (order 512).  Those three are checked
+    # undivided too, with the op tables of _freeze_undivided.
     rings = [elaborate(parse(expr)) for expr in POOL_RINGS]
-    assert _assert_orbit_keys_match_closure(rings) == len(rings) + 3    # three split in two
+    assert _assert_orbit_keys_match_closure(rings) == len(rings) + 6
+    undivided = [kernel._freeze_undivided(elaborate(parse(expr))) for expr in POOL_RINGS
+                 if expr.startswith("U(2, ")]
+    assert _assert_orbit_keys_match_closure(undivided) == len(undivided) == 3
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -246,21 +246,30 @@ def test_falsify_records_ehrlich_mismatch(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n, table_limit", [(24, None), (6, 0)])
 def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
-    # Triv(Z(24)) has op tables and order 576 > 512, Triv(Z(6)) has none.
-    # In both the first non-regular element comes before the flipped unit,
-    # and the regular mask of _element_masks is whole all the same.
+    # Triv(Z(24)), order 576 > 512, is split by freeze into its blocks of
+    # orders 64 and 9 and has no op tables of its own until
+    # _left_ideal_masks builds them, and it reads its columns in two row
+    # blocks; frozen undivided, it has them from the start.  Triv(Z(6))
+    # has none.  In each the first non-regular element comes before the
+    # flipped unit, and the regular mask of _element_masks is whole all the
+    # same.
     if table_limit is not None:
         monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
-    R = freeze(trivial_extension(make_zmod(n)))
-    assert (R._mul_np is None) == (table_limit is not None)
-    flipped = _flip_last_unit(monkeypatch, R.label)
-    failures = []
-    harness._check_instance(R, failures)
-    assert failures == [{"case": R.label, "expected": "Ehrlich equivalence",
-                         "got": {"unit_regular": True, "regular&morphic": False},
-                         "witness": R.format_element(flipped[0])}]
-    regular = deciders._element_masks(R)["regular"]
-    assert len(regular) == R.order and regular.argmin() < flipped[0]
+    rings = [freeze(trivial_extension(make_zmod(n)))]
+    if table_limit is None:
+        rings.append(kernel._freeze_undivided(trivial_extension(make_zmod(n))))
+    assert [(R._blocks is not None, R._mul_np is not None) for R in rings] == (
+        [(True, False), (False, True)] if table_limit is None else [(False, False)])
+    flipped = _flip_last_unit(monkeypatch, rings[0].label)
+    for R in rings:
+        failures = []
+        harness._check_instance(R, failures)
+        assert (R._mul_np is None) == (table_limit is not None)
+        assert failures == [{"case": R.label, "expected": "Ehrlich equivalence",
+                             "got": {"unit_regular": True, "regular&morphic": False},
+                             "witness": R.format_element(flipped[-1])}]
+        regular = deciders._element_masks(R)["regular"]
+        assert len(regular) == R.order and regular.argmin() < flipped[-1]
 
 
 def test_classify_rejects_a_wrong_unit_regular_mask(monkeypatch):

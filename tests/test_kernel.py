@@ -291,7 +291,7 @@ def test_axioms_reject_non_ring_under_optimize():
 
 
 # Z(n) frozen as its p-primary blocks (which freeze would do only above
-# TABLE_LIMIT), one block's op table tampered with: each is rejected, also
+# order 512), one block's op table tampered with: each is rejected, also
 # under python -O, by the block itself, by the check of the blocks' units on
 # Z(n), or by Diesl's check on Z(n) in classify.
 _TAMPERED_BLOCKS = """
@@ -341,6 +341,53 @@ def test_tampered_blocks_are_rejected_under_optimize():
                                     "in it"],
         ["False", "RingAxiomError", "Z(6): Diesl's criterion and the idempotent search disagree "
                                     "at 2"],
+    ]
+
+
+# U(2, Z(10)), order 1000, which freeze splits into blocks of orders 8 and
+# 125, with one op table of its 5-part tampered with, frozen by classify on
+# the default path: each is rejected, also under python -O, by a check that
+# reads U(2, Z(10))'s own product, not its blocks' tables.  2 = 2*e11 is
+# idempotent by the tampered 2*2 = 2, so it is strongly nil-clean by the
+# blocks, while 2 - 2^2 = 8*e11 is not nilpotent; 27*27 = 26, the one of
+# the 5-part, makes the unit 27 its own inverse in the block, so the unit
+# 107 of U(2, Z(10)), whose 5-part is 27, gets a wrong inverse.
+_TAMPERED_AT_THE_GATE = """
+from finring import blocks, classify, kernel
+from finring.cli import elaborate, parse
+
+primary_blocks = blocks._primary_blocks
+for entries in [{(2, 2): 2}, {(27, 27): 26}]:
+    R = elaborate(parse("U(2, Z(10))"))
+    parts = primary_blocks(R)
+    B = parts[1][1]
+    kernel._build_tables(B)
+    M = B._mul_np.copy()
+    for at, product in entries.items():
+        M[at] = product
+    B._mul_np = M
+    blocks._primary_blocks = lambda R: parts
+    try:
+        classify(R)
+        print("accepted", R.label)
+    except AssertionError as exc:
+        print(__debug__, type(exc).__name__, exc, R._mul_np is None, sep="|")
+"""
+
+
+def test_tampered_blocks_at_the_gate_are_rejected_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_AT_THE_GATE],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split("|") for line in done.stdout.splitlines()] == [
+        ["False", "RingAxiomError", "U(2, Z(10)): Diesl's criterion and the idempotent search "
+                                    "disagree at 2", "True"],
+        ["False", "RingAxiomError", "U(2, Z(10)): the unit 107 of its blocks has no two-sided "
+                                    "inverse in it", "True"],
     ]
 
 

@@ -4,8 +4,8 @@ import ast
 import re
 from pathlib import Path
 
-from finring import deciders, freeze, make_zmod
-from finring.cli import GROUPS, RINGS, parse, unparse
+from finring import deciders, freeze, kernel, make_zmod
+from finring.cli import GROUPS, RINGS, elaborate, parse, unparse
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "finring"
@@ -179,3 +179,31 @@ def test_only_the_lookups_name_the_op_tables():
                     found.add(name)
     assert found == {"Ring.__init__", "_build_tables", "_mul_many", "_add_many", "_sub_many",
                      "_row_blocks", "_power_scan", "_left_orbit_keys"}
+
+
+def test_late_table_build_is_called_through_kernel(monkeypatch):
+    # _left_ideal_masks builds R's op tables first, as kernel._build_tables(R),
+    # and no module but kernel names _build_tables unqualified, so that a
+    # wrapper bound to kernel._build_tables (the benchmark's tracer rebinds
+    # it there) sees every build, the late one on a split ring included.
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
+             if path.name != "kernel.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "id", None) == "_build_tables"
+             or any(alias.name == "_build_tables" for alias in getattr(node, "names", ()))]
+    assert found == []
+    top = next(node for node in ast.parse((PACKAGE / "deciders.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_left_ideal_masks")
+    assert ast.unparse(top.body[1]) == "kernel._build_tables(R)"     # after the docstring
+    built = []
+    build = kernel._build_tables
+
+    def counted(R):
+        built.append(R.label)
+        return build(R)
+
+    R = freeze(elaborate(parse("U(2, Z(10))")))
+    assert R._blocks is not None and R._mul_np is None
+    monkeypatch.setattr(kernel, "_build_tables", counted)
+    deciders._left_ideal_masks(R)
+    assert built == ["U(2, Z(10))"] and R._mul_np is not None
