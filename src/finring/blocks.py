@@ -3,13 +3,12 @@
 A ring R of order n is the direct product of its p-primary ideals
 R_p = e_p*R, one per prime p dividing n, with e_p the central idempotents
 of the CRT (R_p*R_q = 0 for p != q).  ``kernel.freeze`` freezes a ring
-of order n > 512 (n*n > ROW_BLOCK) whose order has two or more prime
-factors as these blocks, so each block small enough gets op tables, and
-every cache of R is read back from theirs through x -> e_p*x.  R gets no
-op tables of its own there, even at or below TABLE_LIMIT, so its checks
-read its own product, not the blocks' tables; only
-``deciders._left_ideal_masks``, which reads n^2 products of R anyway,
-builds them, from R.products.
+of order n > 512 whose order has two or more prime factors as these
+blocks, so each block small enough gets op tables, and every cache of R
+is read back from theirs through x -> e_p*x.  R gets no op tables of its
+own there, even at or below TABLE_LIMIT, so its checks read its own
+product, not the blocks' tables; only ``deciders._left_ideal_masks``,
+which reads n^2 products of R anyway, builds them, from R.products.
 """
 
 from __future__ import annotations

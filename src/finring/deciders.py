@@ -103,12 +103,13 @@ def _left_ideal_masks(R: Ring) -> dict:
 # -- NI ----------------------------------------------------------------------
 
 
-def is_NI(R: Ring, cap: int = CLASSIFY_CAP) -> bool:
+def is_NI(R: Ring) -> bool:
     """The nilpotents form a two-sided ideal: every sum of two nilpotents and
     every product of a nilpotent with an element is nilpotent (`_ni_witness`).
-    R is frozen at `cap`, as in ``classify``.
+    A ring above CLASSIFY_CAP must be frozen at its own cap first
+    (``freeze(R, cap)``); ``freeze`` returns a frozen ring as it is.
     """
-    freeze(R, cap)
+    freeze(R)
     return _ni_witness(R) is None
 
 

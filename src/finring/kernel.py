@@ -47,10 +47,10 @@ indices and the cycle starts.  A Ring has no scalar ops: one element or
 many, every sum, difference and product goes through the three functions
 above.
 
-A ring of order n > 512 (n*n > ROW_BLOCK) whose order has two or more
-prime factors is frozen as its p-primary blocks R_p = e_p*R instead
-(``blocks``): R is their direct product, each block small enough gets op
-tables, and R's caches, and the element masks of ``deciders``, are read
+A ring of order n > 512 whose order has two or more prime factors is
+frozen as its p-primary blocks R_p = e_p*R instead (``blocks``): R is
+their direct product, each block small enough gets op tables, and R's
+caches, and the element masks of ``deciders``, are read
 back from the blocks' through x -> e_p*x.  R itself then has no op
 tables, even up to TABLE_LIMIT: its own checks read the term sum, and the
 blocks' tables hold sum_p n_p^2 entries where R's would hold n^2.  Every
@@ -897,14 +897,13 @@ def _freeze_undivided(R: Ring) -> Ring:
 def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
     """Populate the structural caches; idempotent; returns the same ring.
 
-    A ring of order n > 512 (n*n > ROW_BLOCK) whose order has two or more
-    prime factors is frozen as its p-primary blocks
-    (``blocks._primary_blocks`` and ``blocks._freeze_split``), each block
-    with op tables when it is small enough, and R keeps the blocks in
-    R._blocks for ``deciders``; any other ring is frozen on itself
-    (`_freeze_undivided`).  The caches are the same either way.  The gate
-    is where the split measured faster (freeze and classify, best of 9, on
-    a 2-CPU Xeon): split took 1.05 to 2.95 times as long as undivided on
+    A ring of order n > 512 whose order has two or more prime factors is
+    frozen as its p-primary blocks (``blocks._primary_blocks`` and
+    ``blocks._freeze_split``), each block with op tables when it is small
+    enough, and R keeps the blocks in R._blocks for ``deciders``; any other
+    ring is frozen on itself (`_freeze_undivided`).  The caches are the
+    same either way.  The gate, order 512, is where the split measured
+    faster (freeze and classify, best of 9, on a 2-CPU Xeon): split took 1.05 to 2.95 times as long as undivided on
     orders 210 to 288, 0.95 to 1.28 times on Triv(Z(21)) (order 441), and
     0.32 to 0.96 times on orders 576 to 1000 (U(2, Z(10)), 5.8 -> 1.9 ms),
     since an undivided ring of composite order fills its n^2 op-table
@@ -916,7 +915,7 @@ def freeze(R: Ring, cap: int = CLASSIFY_CAP) -> Ring:
         raise CapExceededError(
             f"freezing {R.label} (order {R.order}) exceeds cap {cap}"
         )
-    if R.order * R.order > ROW_BLOCK:
+    if R.order > 512:
         from .blocks import _freeze_split, _primary_blocks   # blocks imports kernel
         if len(factorize(R.order).factors) > 1:
             return _freeze_split(R, _primary_blocks(R), cap)

@@ -16,8 +16,8 @@ FIELDS = ("is_unit", "inverse", "is_idempotent", "is_nilpotent", "is_jacobson", 
 
 
 # (expression, the orders of its blocks, whether freeze splits it, cap).
-# freeze splits every ring of order above 512 (order * order > ROW_BLOCK)
-# whose order has two prime factors or more; the others are split here
+# freeze splits every ring of order above 512 whose order has two prime
+# factors or more; the others are split here
 # through blocks._freeze_split.
 # M(2, Z(6)) is not NI, so the ordered NI search runs on R; Z(12) x Z(10)
 # has radices that are not prime powers, so its blocks have places of
@@ -122,8 +122,8 @@ def test_split_rings_read_few_products(expr, frozen, classified, monkeypatch):
     assert calls == classified
 
 
-# Orders on both sides of the split's gate, order * order > ROW_BLOCK, that
-# is order > 512: (expression, whether freeze splits it).
+# Orders on both sides of the split's gate, order > 512: (expression,
+# whether freeze splits it).
 GATE_RINGS = [
     ("Z(210)", False),
     ("Triv(Z(21))", False),                   # order 441
@@ -143,7 +143,6 @@ def test_split_gate_is_order_512(expr, split):
     R, whole = (elaborate(parse(expr)) for _ in range(2))
     freeze(R)
     kernel._freeze_undivided(whole)
-    assert (R.order * R.order > kernel.ROW_BLOCK) == (R.order > 512)
     assert (R._blocks is not None, R._mul_np is None) == (split, split)
     assert whole._blocks is None and whole._mul_np is not None
     for name in FIELDS:

@@ -449,6 +449,26 @@ def test_scalar_path_matches_table_path(index, monkeypatch):
     assert (_left_ideal_masks(S)["left_morphic"] == _left_ideal_masks(R)["left_morphic"]).all()
 
 
+@pytest.mark.parametrize("expr", ["Triv(Z(24))", "U(2, Z(10))"])
+def test_split_scalar_path_matches_table_path(expr, monkeypatch):
+    # With TABLE_LIMIT = 0 freeze splits these rings (orders 576 and 1000)
+    # into blocks without op tables, as it does a block above the limit;
+    # their caches, classify report and ideal masks equal those of the ring
+    # frozen undivided with op tables.
+    R = kernel._freeze_undivided(elaborate(parse(expr)))
+    monkeypatch.setattr(kernel, "TABLE_LIMIT", 0)
+    S = freeze(elaborate(parse(expr)))
+    assert R._mul_np is not None and R._blocks is None
+    assert S._mul_np is None and [B._mul_np for _, B, _ in S._blocks] == [None, None]
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(S.caches, name), getattr(R.caches, name)), name
+    assert json.dumps(classify(S).to_json()) == json.dumps(classify(R).to_json())
+    masks, undivided = _left_ideal_masks(S), _left_ideal_masks(R)
+    assert S._mul_np is None and list(masks) == list(undivided)
+    for name, mask in masks.items():
+        assert np.array_equal(mask, undivided[name]), name
+
+
 def test_row_path_matches_table_path_above_limit(monkeypatch):
     # Triv(Z(33)) (order 1089) split by freeze, undivided on the row path,
     # and undivided on the table path: freeze splits it at every
@@ -496,14 +516,6 @@ def test_classify_freezes_at_its_own_cap():
     report, small = classify(R, cap=8192), classify(make_zmod(5))
     assert R.frozen and report.order == 5003
     assert report.flags == small.flags and report.witnesses == small.witnesses
-
-
-def test_is_ni_freezes_at_its_own_cap():
-    # is_NI hands its cap to freeze, as classify does: Z(5003), above the
-    # default cap, is NI at cap 8192, and its default cap still refuses it.
-    assert is_NI(make_zmod(5003), cap=8192)
-    with pytest.raises(CapExceededError, match="exceeds cap 4096"):
-        is_NI(make_zmod(5003))
 
 
 def test_ni_witness_peak_is_below_the_mask_engine():

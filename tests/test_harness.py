@@ -244,22 +244,26 @@ def test_falsify_records_ehrlich_mismatch(monkeypatch, capsys):
     assert (payload["attempted"], payload["failures"]) == (1, [failure])
 
 
-@pytest.mark.parametrize("n, table_limit", [(24, None), (6, 0)])
+@pytest.mark.parametrize("n, table_limit", [(24, None), (24, 0), (6, 0)])
 def test_ehrlich_check_reads_every_element(n, table_limit, monkeypatch):
     # Triv(Z(24)), order 576 > 512, is split by freeze into its blocks of
     # orders 64 and 9 and has no op tables of its own until
     # _left_ideal_masks builds them, and it reads its columns in two row
-    # blocks; frozen undivided, it has them from the start.  Triv(Z(6))
-    # has none.  In each the first non-regular element comes before the
-    # flipped unit, and the regular mask of _element_masks is whole all the
-    # same.
+    # blocks; frozen undivided, it has them from the start.  With
+    # TABLE_LIMIT = 0 neither it nor its blocks have any, and Triv(Z(6)),
+    # not split, has none.  In each the first non-regular element comes
+    # before the flipped unit, and the regular mask of _element_masks is
+    # whole all the same.
     if table_limit is not None:
         monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
     rings = [freeze(trivial_extension(make_zmod(n)))]
     if table_limit is None:
         rings.append(kernel._freeze_undivided(trivial_extension(make_zmod(n))))
-    assert [(R._blocks is not None, R._mul_np is not None) for R in rings] == (
-        [(True, False), (False, True)] if table_limit is None else [(False, False)])
+    assert [(R._blocks is not None, R._mul_np is not None) for R in rings] == {
+        (24, None): [(True, False), (False, True)], (24, 0): [(True, False)],
+        (6, 0): [(False, False)]}[n, table_limit]
+    assert all((B._mul_np is None) == (table_limit is not None)
+               for _, B, _ in rings[0]._blocks or ())
     flipped = _flip_last_unit(monkeypatch, rings[0].label)
     for R in rings:
         failures = []
